@@ -28,26 +28,21 @@ type section = { name : string; payload : string }
 let crc_table =
   lazy
     (Array.init 256 (fun n ->
-         let c = ref (Int64.of_int n) in
+         let c = ref n in
          for _ = 0 to 7 do
-           c :=
-             if not (Int64.equal (Int64.logand !c 1L) 0L) then
-               Int64.logxor 0xEDB88320L (Int64.shift_right_logical !c 1)
-             else Int64.shift_right_logical !c 1
+           c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
          done;
          !c))
 
+(* The register stays within 32 bits, so a native [int] holds it. *)
 let crc32 s =
   let table = Lazy.force crc_table in
-  let crc = ref 0xFFFFFFFFL in
+  let crc = ref 0xFFFFFFFF in
   String.iter
     (fun ch ->
-      let idx =
-        Int64.to_int (Int64.logand (Int64.logxor !crc (Int64.of_int (Char.code ch))) 0xFFL)
-      in
-      crc := Int64.logxor table.(idx) (Int64.shift_right_logical !crc 8))
+      crc := table.((!crc lxor Char.code ch) land 0xFF) lxor (!crc lsr 8))
     s;
-  Int64.logand (Int64.logxor !crc 0xFFFFFFFFL) 0xFFFFFFFFL
+  Int64.of_int (!crc lxor 0xFFFFFFFF)
 
 (* --- primitives ----------------------------------------------------- *)
 
@@ -62,20 +57,13 @@ let at_end r = r.pos = String.length r.buf
 let need r n =
   if r.pos + n > String.length r.buf then raise (Parse "unexpected end of input")
 
-let w_i64 b v =
-  for i = 7 downto 0 do
-    Buffer.add_char b
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xFFL)))
-  done
+let w_i64 = Buffer.add_int64_be
 
 let r_i64 r =
   need r 8;
-  let v = ref 0L in
-  for _ = 0 to 7 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code r.buf.[r.pos]));
-    r.pos <- r.pos + 1
-  done;
-  !v
+  let v = String.get_int64_be r.buf r.pos in
+  r.pos <- r.pos + 8;
+  v
 
 let w_int b v = w_i64 b (Int64.of_int v)
 

@@ -8,19 +8,40 @@ type t =
   | Obj of (string * t) list
   | Verbatim of string
 
-(* Shortest decimal representation that parses back to the same float. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+let round_trips s f = float_of_string s = f
+
+(* A power of two has a narrower rounding interval below it than above
+   it, so a 15-digit form can round-trip where the closer 16-digit one
+   does not. *)
+let is_power_of_two f =
+  Int64.equal (Int64.logand (Int64.bits_of_float f) 0xF_FFFF_FFFF_FFFFL) 0L
+
+(* Shortest decimal representation that parses back to the same float:
+   the smallest precision p in 1..17 whose "%.{p}g" round-trips.  A
+   normal, non-integral float below 1e15 that is not a power of two
+   gets the same answer from at most three probes (see json.mli); the
+   other floats take the full search. *)
 let float_repr f =
   if not (Float.is_finite f) then None
-  else if Float.is_integer f && Float.abs f < 1e15 then
-    Some (Printf.sprintf "%.1f" f)
   else
-    let rec go p =
-      if p > 17 then Printf.sprintf "%.17g" f
-      else
-        let s = Printf.sprintf "%.*g" p f in
-        if float_of_string s = f then s else go (p + 1)
-    in
-    Some (go 1)
+    let a = Float.abs f in
+    if Float.is_integer f && a < 1e15 then Some (format_float "%.1f" f)
+    else if a < 1e15 && a >= Float.min_float && not (is_power_of_two f) then
+      let s16 = format_float "%.16g" f in
+      if round_trips s16 f then
+        let s15 = format_float "%.15g" f in
+        Some (if round_trips s15 f then s15 else s16)
+      else Some (format_float "%.17g" f)
+    else
+      let rec go p =
+        if p > 17 then Printf.sprintf "%.17g" f
+        else
+          let s = Printf.sprintf "%.*g" p f in
+          if round_trips s f then s else go (p + 1)
+      in
+      Some (go 1)
 
 let escape buf s =
   Buffer.add_char buf '"';

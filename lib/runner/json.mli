@@ -2,7 +2,32 @@
 
     Floats are printed with the shortest decimal representation that
     round-trips, so two runs producing bit-identical numbers produce
-    byte-identical JSON; non-finite floats serialize as [null]. *)
+    byte-identical JSON; non-finite floats serialize as [null].
+
+    The printed form of a finite float [f] is defined as the first of
+    [%.1g], [%.2g], ..., [%.17g] that parses back to [f], except that an
+    integral [f] with [|f| < 1e15] prints as [%.1f] (["54.0"]).  Most
+    floats are computed with at most three probes:
+
+    - a normal, non-integral [f] with [|f| < 1e15] whose significand is
+      not a power of two tries [%.16g]; if that round-trips it also
+      tries [%.15g] and keeps it when it round-trips, otherwise it
+      keeps [%.16g]; if [%.16g] fails the answer is [%.17g].
+    - integral floats with [|f| >= 1e15], subnormals and powers of two
+      take the full [%.1g] .. [%.17g] search.
+
+    Why the fast path prints the same bytes: any decimal of 15 or fewer
+    significant digits that rounds to a normal double comes back
+    unchanged from [%.15g] of that double (15 is [DBL_DIG]); [%g]
+    strips trailing zeros, so the shortest form and [%.15g] are the same
+    string.  [%g] only switches to exponent notation when the exponent
+    is below -4, which both precisions decide alike, or at least the
+    precision, which only happens for integral values.  A 16-digit
+    rounding is never further from [f] than a shorter one, so it
+    round-trips whenever a shorter one does, provided the rounding
+    interval around [f] is symmetric; it is not for powers of two (the
+    gap below is half the gap above, e.g. [2^-645]) nor for subnormals
+    (where [DBL_DIG] does not hold), hence those fallbacks. *)
 
 type t =
   | Null

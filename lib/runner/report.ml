@@ -37,6 +37,19 @@ let write_file ~path json =
 
 (* --- observability exports ------------------------------------------ *)
 
+(* A float array as one pre-rendered fragment: the document holds one
+   string per array rather than a node per sample. *)
+let float_array xs =
+  let buf = Buffer.create ((20 * Array.length xs) + 2) in
+  Buffer.add_char buf '[';
+  Array.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_char buf ',';
+      Buffer.add_string buf (Json.to_string (Json.Float x)))
+    xs;
+  Buffer.add_char buf ']';
+  Json.Verbatim (Buffer.contents buf)
+
 let series_json s =
   Json.Obj
     [
@@ -44,14 +57,8 @@ let series_json s =
       ("samples", Json.Int (Obs.Series.length s));
       ("offered", Json.Int (Obs.Series.offered s));
       ("stride", Json.Int (Obs.Series.stride s));
-      ( "times",
-        Json.List
-          (Array.to_list (Array.map (fun x -> Json.Float x) (Obs.Series.times s)))
-      );
-      ( "values",
-        Json.List
-          (Array.to_list
-             (Array.map (fun x -> Json.Float x) (Obs.Series.values s))) );
+      ("times", float_array (Obs.Series.times s));
+      ("values", float_array (Obs.Series.values s));
     ]
 
 let registry_json reg =

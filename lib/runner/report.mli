@@ -65,7 +65,9 @@ val registry_json : Obs.Registry.t -> Json.t
 (** Full registry dump: [{"counters": {...}, "gauges": {...},
     "series": [{"name", "samples", "offered", "stride", "times",
     "values"}, ...]}].  Enumeration order is creation order, so the
-    same seed yields byte-identical documents. *)
+    same seed yields byte-identical documents.  Each [times] and
+    [values] array is one pre-rendered {!Json.Verbatim} fragment,
+    serialized exactly as a [List] of [Float]s would be. *)
 
 val series_csv : Format.formatter -> Obs.Series.t list -> unit
 (** Long-form CSV: one [series,time,value] row per stored sample. *)

@@ -143,6 +143,26 @@ let test_corruption_detected_per_section () =
   | Error (Ckpt.Codec.Bad_version 99) -> ()
   | _ -> Alcotest.fail "version mismatch undetected"
 
+let test_crc32_check_value () =
+  Alcotest.(check int64) "standard check value" 0xCBF43926L
+    (Ckpt.Codec.crc32 "123456789");
+  Alcotest.(check int64) "empty string" 0L (Ckpt.Codec.crc32 "")
+
+let test_short_i64_is_parse_error () =
+  let r = Ckpt.Codec.reader "\001\002\003\004\005\006\007" in
+  match Ckpt.Codec.r_i64 r with
+  | _ -> Alcotest.fail "7 bytes read as an int64"
+  | exception Ckpt.Codec.Parse _ -> ()
+
+let test_cut_mid_section_truncated () =
+  let encoded = Ckpt.Codec.encode sections_fixture in
+  (* Halfway into the last section's 256-byte payload. *)
+  let cut = String.length encoded - 128 in
+  match Ckpt.Codec.decode (String.sub encoded 0 cut) with
+  | Error Ckpt.Codec.Truncated -> ()
+  | Ok _ -> Alcotest.fail "cut file decoded"
+  | Error e -> Alcotest.failf "unexpected %s" (Ckpt.Codec.error_to_string e)
+
 let test_load_file_errors () =
   (match Ckpt.Codec.load_file ~path:"/nonexistent/rla.ckpt" with
   | Error (Ckpt.Codec.Malformed _) -> ()
@@ -662,6 +682,28 @@ let test_save_load_resume_equivalent () =
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Sys.rmdir dir
 
+(* The checkpoint of the golden run, pinned by a digest recorded before
+   the codec moved to whole-word I/O.  The file is [Codec.encode]
+   output, and decoding it and encoding again gives the same bytes. *)
+let test_checkpoint_bytes_golden () =
+  let session, registry = Golden_run.run () in
+  let path = tmp_file ".ckpt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Ckpt.Sharing_ckpt.save ~path
+        ~time:(Net.Network.now session.Experiments.Sharing.net)
+        ~config:Golden_run.config ~session ~registry ();
+      let bytes = In_channel.with_open_bin path In_channel.input_all in
+      Alcotest.(check int) "length" 5_799_408 (String.length bytes);
+      Alcotest.(check string) "digest" "e8d46ba8bcc267c11e90c5559e3aab0e"
+        (Digest.to_hex (Digest.string bytes));
+      match Ckpt.Codec.decode bytes with
+      | Error e -> Alcotest.fail (Ckpt.Codec.error_to_string e)
+      | Ok sections ->
+          Alcotest.(check bool) "re-encodes byte-exactly" true
+            (String.equal (Ckpt.Codec.encode sections) bytes))
+
 (* --- hardened TCP endpoint: restore at T/2 is byte-identical --------- *)
 
 (* Every PR 10 sender/receiver feature at once — handshake with window
@@ -793,6 +835,11 @@ let () =
           Alcotest.test_case "corruption detected per section" `Quick
             test_corruption_detected_per_section;
           Alcotest.test_case "file save/load errors" `Quick test_load_file_errors;
+          Alcotest.test_case "crc32 check value" `Quick test_crc32_check_value;
+          Alcotest.test_case "short int64 -> Parse" `Quick
+            test_short_i64_is_parse_error;
+          Alcotest.test_case "cut mid-section -> Truncated" `Quick
+            test_cut_mid_section_truncated;
         ] );
       ( "state round-trips",
         [
@@ -825,6 +872,8 @@ let () =
         [
           Alcotest.test_case "save/load/resume equivalent" `Slow
             test_save_load_resume_equivalent;
+          Alcotest.test_case "checkpoint bytes golden" `Slow
+            test_checkpoint_bytes_golden;
           Alcotest.test_case "rejects damaged checkpoints" `Quick
             test_restore_rejects_wrong_topology;
           Alcotest.test_case "hardened endpoint restore at T/2" `Quick

@@ -270,6 +270,16 @@ let prop_faulted_report_deterministic =
       List.for_all (String.equal inline) (pooled 1)
       && List.for_all (String.equal inline) (pooled 2))
 
+(* The registry JSON of the golden run, pinned by a digest recorded
+   before the float formatter and the series arrays were optimised.  A
+   change to either must leave these bytes alone. *)
+let test_registry_json_golden () =
+  let _, registry = Golden_run.run () in
+  let json = Runner.Json.to_string (Runner.Report.registry_json registry) in
+  Alcotest.(check int) "length" 9_594_437 (String.length json);
+  Alcotest.(check string) "digest" "ef420ba70be647e26de6c4d3b01b2e40"
+    (Digest.to_hex (Digest.string json))
+
 let () =
   Alcotest.run "obs"
     [
@@ -292,6 +302,8 @@ let () =
         [
           Alcotest.test_case "flow csv shape" `Quick
             test_flow_series_csv_shape;
+          Alcotest.test_case "registry json golden" `Slow
+            test_registry_json_golden;
         ] );
       ( "determinism",
         [

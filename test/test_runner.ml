@@ -146,6 +146,117 @@ let test_json_float_roundtrip () =
             f (float_of_string s))
     [ 0.1; 1.0 /. 3.0; 2.492776886035313; 1e-9; 123456.789; 54.0 ]
 
+(* The formatter every committed document was written with: the first
+   of %.1g .. %.17g that round-trips, integral values below 1e15 as
+   %.1f, non-finite floats as null.  The emitter must match it exactly. *)
+let reference_float_repr f =
+  if not (Float.is_finite f) then "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+  else
+    let rec go p =
+      if p > 17 then Printf.sprintf "%.17g" f
+      else
+        let s = Printf.sprintf "%.*g" p f in
+        if float_of_string s = f then s else go (p + 1)
+    in
+    go 1
+
+let float_json f = Runner.Json.to_string (Runner.Json.Float f)
+
+(* Random bit patterns, subnormals, floats with few significant digits
+   (where the short forms win), and neighbours of powers of two (where
+   the rounding interval is lopsided). *)
+let gen_float =
+  let open QCheck.Gen in
+  let short_decimal =
+    map3
+      (fun digits m e ->
+        let m = m mod int_of_float (10. ** float_of_int digits) in
+        float_of_string (Printf.sprintf "%de%d" m e))
+      (int_range 1 17) (int_bound max_int) (int_range (-30) 20)
+  in
+  let subnormal =
+    map2
+      (fun m neg ->
+        let f = Int64.float_of_bits (Int64.logand m 0xF_FFFF_FFFF_FFFFL) in
+        if neg then -.f else f)
+      int64 bool
+  in
+  let near_power_of_two =
+    map2
+      (fun k d ->
+        Int64.float_of_bits
+          (Int64.add (Int64.bits_of_float (Float.ldexp 1.0 k)) (Int64.of_int d)))
+      (int_range (-1074) 1023) (int_range (-2) 2)
+  in
+  oneof
+    [ map Int64.float_of_bits int64; subnormal; short_decimal; near_power_of_two ]
+
+let prop_float_matches_reference =
+  QCheck.Test.make ~name:"float emitter matches the 17-probe reference"
+    ~count:20_000
+    (QCheck.make ~print:(Printf.sprintf "%h") gen_float)
+    (fun f -> String.equal (float_json f) (reference_float_repr f))
+
+let test_float_edge_cases () =
+  let two53 = Float.ldexp 1.0 53 in
+  let edges =
+    [
+      0.0; -0.0; 5e-324; -5e-324; Float.min_float; Float.pred Float.min_float;
+      Float.max_float; -.Float.max_float; 1e15; Float.pred 1e15;
+      Float.succ 1e15; -1e15; two53; Float.succ two53; two53 +. 1.0;
+      1e-5; Float.pred 1e-5; Float.succ 1e-5; 1e-4; Float.pred 1e-4;
+      Float.succ 1e-4; 0.1; 1.0 /. 3.0; 0.30000000000000004;
+      123456789012345.6; Float.nan; Float.infinity; Float.neg_infinity;
+    ]
+  in
+  List.iter
+    (fun f ->
+      Alcotest.(check string) (Printf.sprintf "%h" f) (reference_float_repr f)
+        (float_json f))
+    edges;
+  for k = -1074 to 1023 do
+    let f = Float.ldexp 1.0 k in
+    Alcotest.(check string) (Printf.sprintf "%h" f) (reference_float_repr f)
+      (float_json f)
+  done;
+  List.iter
+    (fun (f, s) -> Alcotest.(check string) s s (float_json f))
+    [
+      (0.1, "0.1"); (-0.0, "-0.0"); (5e-324, "5e-324");
+      (1e15, "1e+15"); (0.30000000000000004, "0.30000000000000004");
+      (1e-5, "1e-05"); (1e-4, "0.0001");
+    ]
+
+(* Every committed BENCH document was written by the reference
+   formatter; reading one and writing it again must give it back byte
+   for byte. *)
+let test_bench_corpus_round_trip () =
+  let root = Filename.parent_dir_name in
+  let files =
+    Sys.readdir root |> Array.to_list
+    |> List.filter (fun f ->
+           String.starts_with ~prefix:"BENCH_" f
+           && (Filename.check_suffix f ".json"
+              || Filename.check_suffix f "_history.jsonl"))
+    |> List.sort compare
+  in
+  let documents =
+    List.concat_map
+      (fun f ->
+        In_channel.with_open_bin (Filename.concat root f) In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (fun l -> l <> "")
+        |> List.map (fun l -> (f, l)))
+      files
+  in
+  Alcotest.(check bool) "corpus found" true (documents <> []);
+  List.iter
+    (fun (f, s) ->
+      Alcotest.(check bool) f true
+        (String.equal (Runner.Json.to_string (Runner.Json.of_string s)) s))
+    documents
+
 let test_json_parse_roundtrip () =
   (* The bench-trend gate reads perf documents back with [of_string];
      emit → parse must be the identity on everything the emitter
@@ -221,6 +332,10 @@ let () =
         [
           Alcotest.test_case "emitter" `Quick test_json_emitter;
           Alcotest.test_case "float roundtrip" `Quick test_json_float_roundtrip;
+          QCheck_alcotest.to_alcotest prop_float_matches_reference;
+          Alcotest.test_case "float edge cases" `Quick test_float_edge_cases;
+          Alcotest.test_case "bench corpus round-trip" `Quick
+            test_bench_corpus_round_trip;
           Alcotest.test_case "parse roundtrip" `Quick test_json_parse_roundtrip;
           Alcotest.test_case "parse accessors" `Quick test_json_parse_accessors;
           Alcotest.test_case "parse errors" `Quick test_json_parse_errors;
