@@ -74,6 +74,7 @@ type t = {
   mutable mla_count : int;  (* active boards sitting at [mla_value] *)
   mutable pipe_counts : int array;  (* active boards per pipe value *)
   mutable pipe_max : int;
+  mutable slot_of : int array;  (* address -> its slot, -1 if none *)
   mutable taps : taps option;
 }
 
@@ -182,6 +183,35 @@ let recompute_pipes t =
 
 let min_last_ack t = t.mla_value
 
+(* Every by-address lookup goes through [slot_of], a dense index from
+   node id to the one slot holding that address (a re-joined address
+   reuses its slot, so the slot stays put across drop/add).  It is
+   derived state like the caches above: [create] builds it, a join at a
+   new address extends it, [restore] rebuilds it. *)
+
+let slot_of_addr t addr =
+  if addr >= 0 && addr < Array.length t.slot_of then t.slot_of.(addr) else -1
+
+(* lint: hot active_slot -- once per received ack: resolves the
+   acknowledging receiver in O(1) where a slot scan cost O(n) *)
+let active_slot t addr =
+  let i = slot_of_addr t addr in
+  if i >= 0 && Rcv_state.active t.rcvrs.(i) then i else -1
+
+let index_slot t addr i =
+  if addr >= Array.length t.slot_of then begin
+    let grown =
+      Array.make (Stdlib.max (addr + 1) (2 * Array.length t.slot_of)) (-1)
+    in
+    Array.blit t.slot_of 0 grown 0 (Array.length t.slot_of);
+    t.slot_of <- grown
+  end;
+  t.slot_of.(addr) <- i
+
+let rebuild_index t =
+  t.slot_of <- [||];
+  Array.iteri (fun i r -> index_slot t (Rcv_state.addr r) i) t.rcvrs
+
 let signals_per_receiver t =
   Array.to_list
     (Array.map (fun r -> (Rcv_state.addr r, Rcv_state.signals r)) t.rcvrs)
@@ -218,40 +248,55 @@ let min_signal_interval t =
     (fun acc r -> Stdlib.min acc (Rcv_state.mean_signal_interval r ~now:(now t)))
     infinity
 
+let count_troubled t ~min_interval =
+  let count =
+    fold_active t
+      (fun acc r ->
+        if
+          Rcv_state.is_troubled r ~now:(now t) ~min_interval
+            ~eta:t.params.Params.eta
+        then acc + 1
+        else acc)
+      0
+  in
+  t.num_trouble <- Stdlib.max 1 count
+
 let recount_troubled t =
   match t.params.Params.trouble_counting with
   | Params.All_receivers -> t.num_trouble <- Stdlib.max 1 t.n_active
-  | Params.Dynamic ->
-      let min_int = min_signal_interval t in
-      let count =
-        fold_active t
-          (fun acc r ->
-            if
-              Rcv_state.is_troubled r ~now:(now t) ~min_interval:min_int
-                ~eta:t.params.Params.eta
-            then acc + 1
-            else acc)
-          0
-      in
-      t.num_trouble <- Stdlib.max 1 count
+  | Params.Dynamic -> count_troubled t ~min_interval:(min_signal_interval t)
 
 let max_srtt t =
   fold_active t (fun acc r -> Stdlib.max acc (Rcv_state.srtt r)) 0.0
 
-let pthresh t r =
+(* [session_srtt] is [max_srtt t], folded once by the caller. *)
+let pthresh t ~session_srtt r =
   let scale =
     match t.params.Params.rtt_scaling with
     | Params.Equal_rtt -> 1.0
     | Params.Rtt_power k ->
-        let m = max_srtt t in
-        if m <= 0.0 then 1.0 else (Rcv_state.srtt r /. m) ** k
+        if session_srtt <= 0.0 then 1.0
+        else (Rcv_state.srtt r /. session_srtt) ** k
   in
   scale /. float_of_int t.num_trouble
 
 let pthresh_for t addr =
-  match Array.find_opt (fun r -> Rcv_state.addr r = addr) t.rcvrs with
-  | None -> invalid_arg "Sender.pthresh_for: unknown receiver"
-  | Some r -> pthresh t r
+  let i = slot_of_addr t addr in
+  if i < 0 then invalid_arg "Sender.pthresh_for: unknown receiver";
+  pthresh t ~session_srtt:(max_srtt t) t.rcvrs.(i)
+
+(* Has every active receiver from slot [i] on reported on [seq] — as
+   lost, or as delivered cumulatively or by SACK?  Stops at the first
+   receiver that has not. *)
+let rec reported_from t seq i =
+  i >= Array.length t.rcvrs
+  || (let r = t.rcvrs.(i) in
+      let board = Rcv_state.board r in
+      (not (Rcv_state.active r))
+      || Tcp.Scoreboard.is_lost board seq
+      || seq < Tcp.Scoreboard.high_ack board
+      || Tcp.Scoreboard.is_sacked board seq)
+     && reported_from t seq (i + 1)
 
 (* --- transmission -------------------------------------------------- *)
 
@@ -286,9 +331,8 @@ let send_rexmit t seq target =
     | To_receivers addrs ->
         List.filter_map
           (fun a ->
-            Array.find_opt
-              (fun r -> Rcv_state.active r && Rcv_state.addr r = a)
-              t.rcvrs)
+            let i = active_slot t a in
+            if i >= 0 then Some t.rcvrs.(i) else None)
           addrs
   in
   (* Mark the retransmission only on boards that still consider the
@@ -403,27 +447,18 @@ and on_timeout t =
    more than [rexmit_thresh] receivers request it, unicast otherwise. *)
 and schedule_rexmit_decision t seq =
   if not (Hashtbl.mem t.queued seq) then begin
-    let all_reported = ref true in
-    let requesters = ref [] in
-    Array.iter
-      (fun r ->
-        if Rcv_state.active r then begin
-          let board = Rcv_state.board r in
-          if Tcp.Scoreboard.is_lost board seq then
-            requesters := Rcv_state.addr r :: !requesters
-          else begin
-            let covered =
-              seq < Tcp.Scoreboard.high_ack board
-              || Tcp.Scoreboard.is_sacked board seq
-            in
-            if not covered then all_reported := false
-          end
-        end)
-      t.rcvrs;
-    if not !all_reported then Hashtbl.replace t.pending seq ()
+    if not (reported_from t seq 0) then Hashtbl.replace t.pending seq ()
     else begin
       Hashtbl.remove t.pending seq;
-      match !requesters with
+      let requesters =
+        fold_active t
+          (fun acc r ->
+            if Tcp.Scoreboard.is_lost (Rcv_state.board r) seq then
+              Rcv_state.addr r :: acc
+            else acc)
+          []
+      in
+      match requesters with
       | [] -> ()
       | addrs ->
           let target =
@@ -447,6 +482,8 @@ let advance_frontier t =
         if not c.rexmitted then
           Stats.Welford.add !(t.rtt) (now t -. c.sent_at);
         Hashtbl.remove t.coverage t.mra;
+        (* A pending decision for a packet everyone now has is moot. *)
+        Hashtbl.remove t.pending t.mra;
         t.mra <- t.mra + 1;
         progressed := true
     | Some _ | None -> continue := false
@@ -465,17 +502,22 @@ let cover t seq =
         else set_cwnd t (t.cwnd +. (1.0 /. t.cwnd))
       end
 
+(* The O(n) aggregates (signal-interval minimum, session srtt) are
+   folded once per signal and shared by every rule that reads them. *)
 let congestion_action t r =
-  recount_troubled t;
   let acts =
     match t.params.Params.trouble_counting with
-    | Params.All_receivers -> true
+    | Params.All_receivers ->
+        recount_troubled t;
+        true
     | Params.Dynamic ->
-        let min_int = min_signal_interval t in
-        Rcv_state.is_troubled r ~now:(now t) ~min_interval:min_int
+        let min_interval = min_signal_interval t in
+        count_troubled t ~min_interval;
+        Rcv_state.is_troubled r ~now:(now t) ~min_interval
           ~eta:t.params.Params.eta
   in
   if acts then begin
+    let session_srtt = max_srtt t in
     (* The horizon guards the session-wide cut cadence, so it uses the
        session round-trip time (the largest branch srtt); keying it on
        the signaling receiver's srtt would let a nearby receiver force
@@ -483,7 +525,7 @@ let congestion_action t r =
        (the paper observes zero forced cuts in its figure-10 runs). *)
     let horizon =
       t.params.Params.forced_cut_factor *. Stats.Ewma.value t.awnd
-      *. Stdlib.max (Rcv_state.srtt r) (max_srtt t)
+      *. Stdlib.max (Rcv_state.srtt r) session_srtt
     in
     let do_cut ~forced =
       t.window_cuts <- t.window_cuts + 1;
@@ -494,8 +536,41 @@ let congestion_action t r =
       t.last_window_cut <- now t
     in
     if now t -. t.last_window_cut > horizon then do_cut ~forced:true
-    else if Sim.Rng.uniform t.rng <= pthresh t r then do_cut ~forced:false
+    else if Sim.Rng.uniform t.rng <= pthresh t ~session_srtt r then
+      do_cut ~forced:false
   end
+
+(* The invariants that make the touched-only rule above equal to a full
+   rescan of [pending] after every ack. *)
+let check_ack_invariants t =
+  Array.iteri
+    (fun i r ->
+      Sim.Invariant.require
+        (slot_of_addr t (Rcv_state.addr r) = i)
+        (fun () ->
+          Printf.sprintf "Sender: slot %d (address %d) indexed as slot %d" i
+            (Rcv_state.addr r)
+            (slot_of_addr t (Rcv_state.addr r))))
+    t.rcvrs;
+  let indexed =
+    Array.fold_left (fun acc i -> if i >= 0 then acc + 1 else acc) 0 t.slot_of
+  in
+  Sim.Invariant.require
+    (indexed = Array.length t.rcvrs
+    && fold_active t (fun acc _ -> acc + 1) 0 = t.n_active)
+    (fun () ->
+      Printf.sprintf "Sender: %d addresses indexed for %d slots (%d active)"
+        indexed (Array.length t.rcvrs) t.n_active);
+  Hashtbl.iter
+    (fun seq () ->
+      Sim.Invariant.require
+        (seq >= t.mra && seq < t.next_seq && not (reported_from t seq 0))
+        (fun () ->
+          Printf.sprintf
+            "Sender: pending seq %d is outside [%d, %d) or already reported \
+             by every receiver"
+            seq t.mra t.next_seq))
+    t.pending
 
 let on_ack t r ~cum_ack ~blocks ~echo ~ece =
   Rcv_state.count_ack r;
@@ -523,20 +598,29 @@ let on_ack t r ~cum_ack ~blocks ~echo ~ece =
   (* Re-request retransmissions that have themselves gone unanswered
      for ~2 srtt on this branch. *)
   let srtt_i = Rcv_state.srtt r in
-  if srtt_i > 0.0 && t.params.Params.rexmit_timeout_factor < infinity then begin
-    let before = now t -. (t.params.Params.rexmit_timeout_factor *. srtt_i) in
-    let revived = Tcp.Scoreboard.expire_rexmits board ~before in
-    List.iter (fun seq -> schedule_rexmit_decision t seq) revived
-  end;
-  (* Fresh coverage may complete the report set of pending packets. *)
-  if Hashtbl.length t.pending > 0 then begin
-    let pending_seqs = Hashtbl.fold (fun seq () acc -> seq :: acc) t.pending [] in
+  let revived =
+    if srtt_i > 0.0 && t.params.Params.rexmit_timeout_factor < infinity then begin
+      let before = now t -. (t.params.Params.rexmit_timeout_factor *. srtt_i) in
+      let revived = Tcp.Scoreboard.expire_rexmits board ~before in
+      List.iter (fun seq -> schedule_rexmit_decision t seq) revived;
+      revived
+    end
+    else []
+  in
+  (* Fresh coverage may complete the report set of pending packets.  A
+     pending packet waits on some receiver that has not reported on it,
+     and only this ack's receiver changed its reports — on exactly the
+     packets it newly acknowledged, SACKed or lost — so only those can
+     have become ready.  Retransmitting never un-reports a packet, and
+     packets the frontier passed left [pending] in [advance_frontier]. *)
+  if Hashtbl.length t.pending > 0 then
     List.iter
       (fun seq ->
         Hashtbl.remove t.pending seq;
         if seq >= t.mra then schedule_rexmit_decision t seq)
-      (List.sort Int.compare pending_seqs)
-  end;
+      (List.sort_uniq Int.compare
+         (List.filter (Hashtbl.mem t.pending)
+            (List.concat [ fresh_cum; fresh_sacked; losses; revived ])));
   (* An ECN echo is a congestion indication exactly like a detected
      loss: grouped per congestion period, then randomly listened to. *)
   if (losses <> [] || ece) && Rcv_state.register_losses r ~now:(now t) then begin
@@ -552,20 +636,18 @@ let on_ack t r ~cum_ack ~blocks ~echo ~ece =
     ~after:(Tcp.Scoreboard.high_ack board);
   note_pipe_change t ~before:pipe0 ~after:(Tcp.Scoreboard.pipe board);
   probe_flow t;
-  try_send t
+  try_send t;
+  if !Sim.Invariant.enabled then check_ack_invariants t
 
 (* Stop listening to one receiver — the slow-receiver option of
    section 4.3.  Coverage counts for outstanding packets are rebuilt
    from the remaining active scoreboards so the acked-by-all frontier
    can move past the dropped receiver's holes. *)
 let drop_receiver t addr =
-  match
-    Array.find_opt
-      (fun r -> Rcv_state.active r && Rcv_state.addr r = addr)
-      t.rcvrs
-  with
-  | None -> false
-  | Some victim ->
+  match active_slot t addr with
+  | -1 -> false
+  | i ->
+      let victim = t.rcvrs.(i) in
       if t.n_active <= 1 then
         invalid_arg "Sender.drop_receiver: cannot drop the last receiver";
       Rcv_state.deactivate victim;
@@ -614,13 +696,9 @@ let drop_receiver t addr =
    dropped earlier reuses its slot with fresh state (fresh scoreboard,
    srtt, signal history). *)
 let add_receiver t addr =
-  match
-    Array.find_opt
-      (fun r -> Rcv_state.active r && Rcv_state.addr r = addr)
-      t.rcvrs
-  with
-  | Some _ -> false
-  | None ->
+  match active_slot t addr with
+  | i when i >= 0 -> false
+  | _ ->
       if addr = t.src then
         invalid_arg "Sender.add_receiver: source cannot join its own group";
       (match Net.Network.node t.net addr with
@@ -637,13 +715,14 @@ let add_receiver t addr =
         Rcv_state.create ~addr ~params:t.params ~session_start:(now t)
           ~board_start:t.next_seq ()
       in
-      (match Array.find_index (fun r -> Rcv_state.addr r = addr) t.rcvrs with
-      | Some i ->
-          t.rcvrs.(i) <- state;
-          t.meas_signals_per.(i) <- 0
-      | None ->
+      (match slot_of_addr t addr with
+      | -1 ->
+          index_slot t addr (Array.length t.rcvrs);
           t.rcvrs <- Array.append t.rcvrs [| state |];
-          t.meas_signals_per <- Array.append t.meas_signals_per [| 0 |]);
+          t.meas_signals_per <- Array.append t.meas_signals_per [| 0 |]
+      | i ->
+          t.rcvrs.(i) <- state;
+          t.meas_signals_per.(i) <- 0);
       t.n_active <- t.n_active + 1;
       (* Outstanding packets predate the join; the newcomer's board
          already counts them delivered (seq < its high_ack), so their
@@ -725,6 +804,8 @@ let snapshot t =
 let create ~net ~src ~receivers ?(params = Params.default) ?(start_at = 0.0)
     ?endpoints:endpoint_addrs ?(tree = `Install) () =
   if receivers = [] then invalid_arg "Sender.create: no receivers";
+  if List.length (List.sort_uniq Int.compare receivers) <> List.length receivers
+  then invalid_arg "Sender.create: a receiver is listed twice";
   let flow = Net.Network.fresh_flow net in
   let group =
     match tree with
@@ -797,9 +878,11 @@ let create ~net ~src ~receivers ?(params = Params.default) ?(start_at = 0.0)
       mla_count = 0;
       pipe_counts = [||];
       pipe_max = 0;
+      slot_of = [||];
       taps = None;
     }
   in
+  rebuild_index t;
   recompute_min_ack t;
   recompute_pipes t;
   t.timeout_thunk <-
@@ -824,17 +907,10 @@ let create ~net ~src ~receivers ?(params = Params.default) ?(start_at = 0.0)
   Stats.Ewma.update t.awnd t.cwnd;
   Net.Node.attach (Net.Network.node net src) ~flow (fun pkt ->
       match pkt.Net.Packet.payload with
-      | Wire.Rla_ack { rcvr; cum_ack; blocks; echo; ece } -> (
-          (* Dispatch to the *active* state for that address: after a
-             drop + re-join the array holds the stale entry too, and
-             acks must reach the live one. *)
-          match
-            Array.find_opt
-              (fun r -> Rcv_state.active r && Rcv_state.addr r = rcvr)
-              t.rcvrs
-          with
-          | Some r -> on_ack t r ~cum_ack ~blocks ~echo ~ece
-          | None -> ())
+      | Wire.Rla_ack { rcvr; cum_ack; blocks; echo; ece } ->
+          (* Acks from a dropped (or unknown) address are ignored. *)
+          let i = active_slot t rcvr in
+          if i >= 0 then on_ack t t.rcvrs.(i) ~cum_ack ~blocks ~echo ~ece
       | _ -> ());
   let stagger = Sim.Rng.float t.rng 0.1 in
   t.start_event <-
@@ -1014,7 +1090,8 @@ let restore t st =
   t.meas_rexmits <- st.s_meas_rexmits;
   t.meas_sent_new <- st.s_meas_sent_new;
   t.meas_signals_per <- Array.of_list st.s_meas_signals_per;
-  (* The cached aggregates are derived state: rebuild them from the
-     restored scoreboards. *)
+  (* The cached aggregates and the address index are derived state:
+     rebuild them from the restored slots. *)
+  rebuild_index t;
   recompute_min_ack t;
   recompute_pipes t

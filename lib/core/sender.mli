@@ -33,6 +33,8 @@ val create :
     tree (so {!Net.Network.install_routes} must already have run),
     creates one {!Receiver} endpoint per receiver node and starts
     sending at [start_at] (default 0, plus a small random stagger).
+    Raises [Invalid_argument] when [receivers] is empty or lists an
+    address twice.
 
     Sharded runs override the defaults: [?tree:(`Preinstalled g)] skips
     both group allocation and tree installation (the caller built the
@@ -81,6 +83,12 @@ val drop_receiver : t -> Net.Packet.addr -> bool
     active receiver. *)
 
 val active_receivers : t -> Net.Packet.addr list
+
+val active_slot : t -> Net.Packet.addr -> int
+(** The receiver slot this address's acknowledgments are dispatched
+    to, or [-1] when the address is not an active member (never
+    joined, or dropped).  An O(1) read of the sender's address index,
+    which every by-address lookup shares. *)
 
 val cwnd : t -> float
 

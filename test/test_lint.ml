@@ -441,6 +441,18 @@ let test_ack_validation_declared_hot () =
              Filename.basename f = "sender.ml" && t = "ack_in_window")
            hots)
 
+let test_rla_ack_dispatch_declared_hot () =
+  (* The RLA sender resolves every ack's receiver through one address
+     index; its lookup must stay under the alloc-hot contract. *)
+  match existing_trees [ Filename.concat "lib" "core" ] with
+  | [] -> ()
+  | trees ->
+      let hots = Lint.Driver.hot_annotations ~paths:trees () in
+      Alcotest.(check bool) "active_slot is declared hot" true
+        (List.exists
+           (fun (f, t) -> Filename.basename f = "sender.ml" && t = "active_slot")
+           hots)
+
 let () =
   Alcotest.run "lint"
     [
@@ -510,5 +522,7 @@ let () =
             test_adversary_is_domain_safe;
           Alcotest.test_case "ack validation declared hot" `Quick
             test_ack_validation_declared_hot;
+          Alcotest.test_case "RLA ack dispatch declared hot" `Quick
+            test_rla_ack_dispatch_declared_hot;
         ] );
     ]

@@ -323,6 +323,22 @@ let test_figure6_golden () =
   Alcotest.(check bool) "trace CSV has samples" true
     (String.length csv > 100)
 
+(* Recorded before the sender's ack dispatch and retransmission
+   decisions were made independent of the receiver count; the run has
+   congestion signals and retransmissions in its window, so a change
+   to either path that alters a single decision moves these values. *)
+let test_sharded_sender_golden () =
+  let r = Golden_run.sharded_run () in
+  let rla = r.Par.Scenario.rla in
+  Alcotest.(check bool) "window has congestion signals" true
+    (rla.Rla.Sender.congestion_signals > 0);
+  Alcotest.(check bool) "window has retransmissions" true
+    (rla.Rla.Sender.rexmits > 0);
+  Alcotest.(check int) "events fired" 199_864 r.Par.Scenario.events_fired;
+  Alcotest.(check string) "fairness table digest"
+    "f611b4ee615e13c2e08da34d6d468340"
+    (Digest.to_hex (Digest.string r.Par.Scenario.fairness_table))
+
 let test_checkpoint_rejected () =
   match
     Par.Scenario.run
@@ -474,6 +490,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_workers_invariant;
           Alcotest.test_case "figure-6 golden byte-compare" `Quick
             test_figure6_golden;
+          Alcotest.test_case "sharded sender golden" `Quick
+            test_sharded_sender_golden;
           Alcotest.test_case "checkpoint rejected" `Quick
             test_checkpoint_rejected;
           Alcotest.test_case "cross-shard TCP rejected" `Quick

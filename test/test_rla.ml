@@ -556,6 +556,88 @@ let test_pthresh_tracks_membership () =
   Alcotest.(check (float 1e-9)) "1/1 at a single receiver" 1.0
     (Rla.Sender.pthresh_for rla probe)
 
+let test_restore_rebuilds_address_index () =
+  (* The sender's address index is derived state: a restore must
+     rebuild it from the restored membership, so a receiver dropped
+     before the capture stays dropped in the rebuilt session. *)
+  let build () =
+    let net, s, leaves = star_with_slow_branch () in
+    (net, s, leaves, Rla.Sender.create ~net ~src:s ~receivers:leaves ())
+  in
+  let net1, _, leaves, rla1 = build () in
+  let victim = List.nth leaves 0 and live = List.nth leaves 1 in
+  Net.Network.run_until net1 10.0;
+  ignore (Rla.Sender.drop_receiver rla1 victim);
+  Net.Network.run_until net1 15.0;
+  let sched_st = Sim.Scheduler.capture (Net.Network.scheduler net1) in
+  let net_st = Net.Network.capture net1 in
+  let rla_st = Rla.Sender.capture rla1 in
+  let net2, s, _, rla2 = build () in
+  Alcotest.(check int) "fresh build dispatches to the victim" 0
+    (Rla.Sender.active_slot rla2 victim);
+  Sim.Scheduler.restore (Net.Network.scheduler net2) sched_st;
+  Net.Network.restore net2 net_st;
+  Rla.Sender.restore rla2 rla_st;
+  Alcotest.(check int) "dropped address not dispatched" (-1)
+    (Rla.Sender.active_slot rla2 victim);
+  Alcotest.(check int) "live address keeps its slot" 1
+    (Rla.Sender.active_slot rla2 live);
+  let acks () =
+    List.map
+      (fun r -> r.Rla.Rcv_state.s_acks)
+      (Rla.Sender.capture rla2).Rla.Sender.s_rcvrs
+  in
+  let deliver_ack rcvr =
+    Net.Node.receive (Net.Network.node net2 s)
+      (Net.Network.make_packet net2 ~flow:(Rla.Sender.flow rla2) ~src:rcvr
+         ~dst:(Net.Packet.Unicast s) ~size:Rla.Wire.ack_size
+         ~payload:
+           (Rla.Wire.Rla_ack
+              {
+                rcvr;
+                cum_ack = 0;
+                blocks = [];
+                echo = Net.Network.now net2;
+                ece = false;
+              }))
+  in
+  let before = acks () in
+  deliver_ack victim;
+  Alcotest.(check (list int)) "ack from the dropped address ignored" before
+    (acks ());
+  deliver_ack live;
+  Alcotest.(check (list int)) "ack from a live receiver processed"
+    (List.mapi (fun i n -> if i = 1 then n + 1 else n) before)
+    (acks ());
+  Alcotest.(check bool) "unknown addresses are never dispatched" true
+    (Rla.Sender.active_slot rla2 999 = -1 && Rla.Sender.active_slot rla2 (-1) = -1)
+
+(* Recorded before the sender stopped rescanning every pending
+   retransmission on every ack.  Here decisions really do wait on the
+   far receiver and become ready on its acknowledgments, so re-deciding
+   too few pending packets (or too many, in another order) changes the
+   captured sender state. *)
+let test_distant_receiver_golden () =
+  let rla = Golden_run.distant_receiver_run () in
+  let buf = Buffer.create 4096 in
+  Ckpt.State.w_rla_sender buf (Rla.Sender.capture rla);
+  Alcotest.(check int) "multicast retransmissions" 115
+    (Rla.Sender.rexmits_multicast rla);
+  Alcotest.(check int) "timeouts" 1 (Rla.Sender.timeouts rla);
+  Alcotest.(check int) "delivered to all" 3631 (Rla.Sender.max_reach_all rla);
+  Alcotest.(check string) "captured sender state digest"
+    "af64312be00953433512d86e970c4ff7"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let test_duplicate_receivers_rejected () =
+  let net, s, leaves = star () in
+  Alcotest.(check bool) "duplicate address raises" true
+    (try
+       ignore
+         (Rla.Sender.create ~net ~src:s ~receivers:(List.hd leaves :: leaves) ());
+       false
+     with Invalid_argument _ -> true)
+
 let test_sender_deterministic_replay () =
   let run () =
     let net, s, leaves = star ~seed:33 ~branch_mu:120.0 () in
@@ -625,6 +707,10 @@ let () =
           Alcotest.test_case "endpoint rexmits" `Quick test_receiver_endpoint_rexmits;
           Alcotest.test_case "deterministic replay" `Quick
             test_sender_deterministic_replay;
+          Alcotest.test_case "duplicate receivers rejected" `Quick
+            test_duplicate_receivers_rejected;
+          Alcotest.test_case "distant receiver golden" `Quick
+            test_distant_receiver_golden;
         ] );
       ( "drop_receiver",
         [
@@ -643,5 +729,7 @@ let () =
             test_join_after_drop_same_address;
           Alcotest.test_case "pthresh tracks membership" `Quick
             test_pthresh_tracks_membership;
+          Alcotest.test_case "restore rebuilds the address index" `Quick
+            test_restore_rebuilds_address_index;
         ] );
     ]
