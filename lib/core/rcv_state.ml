@@ -65,7 +65,9 @@ let mean_signal_interval t ~now =
   else
     (* Aging: a receiver silent for longer than its historical interval
        should not keep a stale "frequent loss" status. *)
-    Stdlib.max (Stats.Ewma.value t.interval) (now -. t.last_signal)
+    let interval = Stats.Ewma.value t.interval
+    and silent = now -. t.last_signal in
+    if interval >= silent then interval else silent
 
 let is_troubled t ~now ~min_interval ~eta =
   t.signals > 0 && mean_signal_interval t ~now <= eta *. min_interval

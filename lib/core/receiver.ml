@@ -2,13 +2,20 @@ type t = {
   net : Net.Network.t;
   node : Net.Node.t;
   flow : Net.Packet.flow;
-  sender : Net.Packet.addr;
+  sender_unicast : Net.Packet.dest;  (* built once, not per ack *)
   rng : Sim.Rng.t;
   ack_jitter : float;
-  (* Delayed acknowledgments in flight, keyed by event id; the payload
-     snapshot (cum/sack) happens at fire time, so only the data packet's
-     echo timestamp and ECN bit need remembering for restore. *)
-  pending_acks : (Sim.Scheduler.event_id, float * bool) Hashtbl.t;
+  (* Delayed acknowledgments in flight: event ids, echo timestamps and
+     ECN bits in the first [n_pending] slots of parallel arrays, in no
+     particular order.  The payload snapshot (cum/sack) happens at fire
+     time, so only these two inputs need remembering.  Every delayed
+     ack fires the one shared [ack_thunk], which finds its entry by
+     [Sim.Scheduler.firing]: no closure, tuple or table cell per ack. *)
+  mutable pa_ids : Sim.Scheduler.event_id array;
+  mutable pa_echo : float array;
+  mutable pa_ece : bool array;
+  mutable n_pending : int;
+  mutable ack_thunk : unit -> unit;
   ooo : (int, unit) Hashtbl.t;
   mutable recent : int list;
   mutable expected : int;
@@ -38,20 +45,23 @@ let block_around t seq =
   done;
   { Tcp.Wire.block_lo = !lo; block_hi = !hi }
 
-let sack_blocks t =
-  let rec build acc seen = function
-    | [] -> List.rev acc
-    | _ when List.length acc >= Tcp.Wire.max_sack_blocks -> List.rev acc
-    | rep :: rest ->
-        if rep < t.expected || not (Hashtbl.mem t.ooo rep) then
-          build acc seen rest
-        else begin
-          let block = block_around t rep in
-          if List.mem block.Tcp.Wire.block_lo seen then build acc seen rest
-          else build (block :: acc) (block.Tcp.Wire.block_lo :: seen) rest
-        end
-  in
-  build [] [] t.recent
+(* A top-level loop rather than a local closure, so an ack with no
+   holes to report builds nothing at all. *)
+let rec build_blocks t acc seen = function
+  | [] -> List.rev acc
+  | _ when List.length acc >= Tcp.Wire.max_sack_blocks -> List.rev acc
+  | rep :: rest ->
+      if rep < t.expected || not (Hashtbl.mem t.ooo rep) then
+        build_blocks t acc seen rest
+      else begin
+        let block = block_around t rep in
+        if List.mem block.Tcp.Wire.block_lo seen then
+          build_blocks t acc seen rest
+        else
+          build_blocks t (block :: acc) (block.Tcp.Wire.block_lo :: seen) rest
+      end
+
+let sack_blocks t = build_blocks t [] [] t.recent
 
 (* Acknowledgments leave after a small random processing delay: an
    equal-RTT multicast tree would otherwise fire all receivers' acks at
@@ -62,7 +72,7 @@ let sack_blocks t =
 let emit_ack t ~echo ~ece =
   let pkt =
     Net.Network.make_packet t.net ~flow:t.flow ~src:(Net.Node.id t.node)
-      ~dst:(Net.Packet.Unicast t.sender) ~size:Wire.ack_size
+      ~dst:t.sender_unicast ~size:Wire.ack_size
       ~payload:
         (Wire.Rla_ack
            {
@@ -75,21 +85,67 @@ let emit_ack t ~echo ~ece =
   in
   Net.Network.send t.net pkt
 
+let add_pending t id ~echo ~ece =
+  let n = t.n_pending in
+  if n = Array.length t.pa_ids then begin
+    let cap = Stdlib.max 4 (2 * n) in
+    let grow a fill =
+      let b = Array.make cap fill in
+      Array.blit a 0 b 0 n;
+      b
+    in
+    t.pa_ids <- grow t.pa_ids (-1);
+    t.pa_echo <- grow t.pa_echo 0.0;
+    t.pa_ece <- grow t.pa_ece false
+  end;
+  t.pa_ids.(n) <- id;
+  t.pa_echo.(n) <- echo;
+  t.pa_ece.(n) <- ece;
+  t.n_pending <- n + 1
+
+(* The firing delayed ack: find its slot, move the last entry into it,
+   then send. *)
+let fire_pending t =
+  let id = Sim.Scheduler.firing (Net.Network.scheduler t.net) in
+  let i = ref 0 in
+  while !i < t.n_pending && t.pa_ids.(!i) <> id do
+    incr i
+  done;
+  let i = !i in
+  if i = t.n_pending then
+    invalid_arg
+      (Printf.sprintf "Rla.Receiver: delayed ack event %d is not pending" id);
+  let echo = t.pa_echo.(i) and ece = t.pa_ece.(i) in
+  let last = t.n_pending - 1 in
+  t.pa_ids.(i) <- t.pa_ids.(last);
+  t.pa_echo.(i) <- t.pa_echo.(last);
+  t.pa_ece.(i) <- t.pa_ece.(last);
+  t.n_pending <- last;
+  emit_ack t ~echo ~ece
+
 let send_ack t ~echo ~ece =
   if t.ack_jitter <= 0.0 then emit_ack t ~echo ~ece
-  else begin
-    let rid = ref (-1) in
-    let id =
-      Sim.Scheduler.schedule_after
-        (Net.Network.scheduler t.net)
-        (Sim.Rng.float t.rng t.ack_jitter)
-        (fun () ->
-          Hashtbl.remove t.pending_acks !rid;
-          emit_ack t ~echo ~ece)
-    in
-    rid := id;
-    Hashtbl.replace t.pending_acks id (echo, ece)
-  end
+  else
+    add_pending t ~echo ~ece
+      (Sim.Scheduler.schedule_after
+         (Net.Network.scheduler t.net)
+         (Sim.Rng.float t.rng t.ack_jitter)
+         t.ack_thunk)
+
+(* [List.filter (fun r -> r >= bound)] without the per-call closure;
+   an unchanged list comes back as itself. *)
+let rec keep_from bound = function
+  | [] -> []
+  | r :: rest as l ->
+      let kept = keep_from bound rest in
+      if r < bound then kept else if kept == rest then l else r :: kept
+
+(* [List.filter (fun r -> r <> v)], the same way. *)
+let rec drop_value v = function
+  | [] -> []
+  | r :: rest as l ->
+      let kept = drop_value v rest in
+      if r = v then kept else if kept == rest then l else r :: kept
 
 let on_data t ~seq ~sent_at ~rexmit ~ecn =
   t.received_total <- t.received_total + 1;
@@ -102,11 +158,11 @@ let on_data t ~seq ~sent_at ~rexmit ~ecn =
       Hashtbl.remove t.ooo t.expected;
       t.expected <- t.expected + 1
     done;
-    t.recent <- List.filter (fun r -> r >= t.expected) t.recent
+    t.recent <- keep_from t.expected t.recent
   end
   else begin
     Hashtbl.replace t.ooo seq ();
-    t.recent <- seq :: List.filter (fun r -> r <> seq) t.recent;
+    t.recent <- seq :: drop_value seq t.recent;
     if List.length t.recent > 4 * Tcp.Wire.max_sack_blocks then
       t.recent <-
         List.filteri (fun i _ -> i < 4 * Tcp.Wire.max_sack_blocks) t.recent
@@ -120,10 +176,14 @@ let create ~net ~node ~flow ~sender ?(ack_jitter = 0.002) ?(start = 0) () =
       net;
       node;
       flow;
-      sender;
+      sender_unicast = Net.Packet.Unicast sender;
       rng = Net.Network.fork_rng net;
       ack_jitter;
-      pending_acks = Hashtbl.create 8;
+      pa_ids = [||];
+      pa_echo = [||];
+      pa_ece = [||];
+      n_pending = 0;
+      ack_thunk = ignore;
       ooo = Hashtbl.create 64;
       recent = [];
       expected = start;
@@ -132,6 +192,7 @@ let create ~net ~node ~flow ~sender ?(ack_jitter = 0.002) ?(start = 0) () =
       rexmits_received = 0;
     }
   in
+  t.ack_thunk <- (fun () -> fire_pending t);
   Net.Node.attach node ~flow (fun pkt ->
       match pkt.Net.Packet.payload with
       | Wire.Rla_data { seq; sent_at; rexmit } ->
@@ -165,9 +226,7 @@ let capture t =
     s_duplicates = t.duplicates;
     s_rexmits_received = t.rexmits_received;
     s_pending_acks =
-      Hashtbl.fold
-        (fun id (echo, ece) acc -> (id, echo, ece) :: acc)
-        t.pending_acks []
+      List.init t.n_pending (fun i -> (t.pa_ids.(i), t.pa_echo.(i), t.pa_ece.(i)))
       |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b);
   }
 
@@ -180,12 +239,10 @@ let restore t st =
   t.received_total <- st.s_received_total;
   t.duplicates <- st.s_duplicates;
   t.rexmits_received <- st.s_rexmits_received;
-  Hashtbl.reset t.pending_acks;
+  t.n_pending <- 0;
   let sched = Net.Network.scheduler t.net in
   List.iter
     (fun (id, echo, ece) ->
-      Hashtbl.replace t.pending_acks id (echo, ece);
-      Sim.Scheduler.rearm sched ~id (fun () ->
-          Hashtbl.remove t.pending_acks id;
-          emit_ack t ~echo ~ece))
+      add_pending t id ~echo ~ece;
+      Sim.Scheduler.rearm sched ~id t.ack_thunk)
     st.s_pending_acks

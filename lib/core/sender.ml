@@ -18,12 +18,23 @@ type taps = {
   signals_c : Obs.Registry.counter;
 }
 
+(* The ack path allocates nothing of its own beyond the boxed floats it
+   hands to other modules: the scoreboards report the sequence numbers
+   an ack touched through [touch] (allocated once) into the reusable
+   [touched] buffer instead of building lists, the timer is an event
+   id with [-1] for none, and coverage lookups build no option.
+
+   [cwnd]/[ssthresh] stay float fields of this mixed record on purpose:
+   every ack passes [cwnd] to [Stats.Ewma.update], and a stored box is
+   handed over as is, while an unboxed (all-float record) field would
+   be boxed afresh for each such call. *)
 type t = {
   net : Net.Network.t;
   params : Params.t;
   src : Net.Packet.addr;
   flow : Net.Packet.flow;
   group : Net.Packet.group;
+  group_dest : Net.Packet.dest;  (* built once, not per packet *)
   mutable rcvrs : Rcv_state.t array;
   mutable n_active : int;
   mutable endpoints : Receiver.t list;
@@ -41,7 +52,10 @@ type t = {
   pending : (int, unit) Hashtbl.t;  (* lost somewhere, decision not made *)
   mutable rexmit_queue : (int * rexmit_target) list;
   queued : (int, unit) Hashtbl.t;
-  mutable timer : Sim.Scheduler.event_id option;
+  mutable touched : int array;  (* seqs the current ack touched ... *)
+  mutable n_touched : int;  (* ... in its first [n_touched] slots *)
+  mutable touch : int -> unit;  (* appends to [touched] *)
+  mutable timer : Sim.Scheduler.event_id;  (* -1 = not armed *)
   mutable timeout_thunk : unit -> unit;
       (* one closure shared by every (re)arm, not one per arm *)
   mutable start_event : Sim.Scheduler.event_id option;
@@ -216,9 +230,17 @@ let signals_per_receiver t =
   Array.to_list
     (Array.map (fun r -> (Rcv_state.addr r, Rcv_state.signals r)) t.rcvrs)
 
+(* Typed clamps: [if a >= b then a else b] is exactly [Stdlib.max a b]
+   on floats, NaN and signed zeros included, and boxes nothing. *)
+let at_least_one v = if 1.0 >= v then 1.0 else v
+
 let set_cwnd t value =
-  t.cwnd <- Stdlib.max 1.0 value;
+  t.cwnd <- at_least_one value;
   Stats.Time_avg.update t.cwnd_avg ~time:(now t) ~value:t.cwnd
+
+let halved_ssthresh t =
+  let half = t.cwnd /. 2.0 in
+  t.ssthresh <- (if 2.0 >= half then 2.0 else half)
 
 (* Aligned (cwnd, bytes_acked-by-all) probe — both series get a sample
    at every call point, so their decimated sample times stay identical
@@ -301,11 +323,10 @@ let rec reported_from t seq i =
 (* --- transmission -------------------------------------------------- *)
 
 let cancel_timer t =
-  match t.timer with
-  | None -> ()
-  | Some id ->
-      Sim.Scheduler.cancel (Net.Network.scheduler t.net) id;
-      t.timer <- None
+  if t.timer >= 0 then begin
+    Sim.Scheduler.cancel (Net.Network.scheduler t.net) t.timer;
+    t.timer <- -1
+  end
 
 let send_packet t ~seq ~dst ~rexmit =
   let pkt =
@@ -352,7 +373,7 @@ let send_rexmit t seq target =
   match target with
   | To_group ->
       t.rexmits_multicast <- t.rexmits_multicast + 1;
-      send_packet t ~seq ~dst:(Net.Packet.Multicast t.group) ~rexmit:true
+      send_packet t ~seq ~dst:t.group_dest ~rexmit:true
   | To_receivers _ ->
       (* Unicast only to requesters that are still active members: a
          receiver dropped between the decision and this send must not
@@ -366,15 +387,16 @@ let send_rexmit t seq target =
             ~rexmit:true)
         requesters
 
+let window_room t =
+  max_pipe t < int_of_float t.cwnd
+  && t.next_seq - min_last_ack t < t.params.Params.rcv_buffer
+
 let rec arm_timer t =
-  if t.timer = None && t.next_seq > t.mra then begin
-    let id =
+  if t.timer < 0 && t.next_seq > t.mra then
+    t.timer <-
       Sim.Scheduler.schedule_after
         (Net.Network.scheduler t.net)
         (Tcp.Rto.timeout t.rto) t.timeout_thunk
-    in
-    t.timer <- Some id
-  end
 
 and restart_timer t =
   cancel_timer t;
@@ -382,11 +404,7 @@ and restart_timer t =
 
 and try_send t =
   let budget = ref t.params.Params.max_burst in
-  let window_room () =
-    max_pipe t < int_of_float t.cwnd
-    && t.next_seq - min_last_ack t < t.params.Params.rcv_buffer
-  in
-  while !budget > 0 && window_room () do
+  while !budget > 0 && window_room t do
     match t.rexmit_queue with
     | (seq, target) :: rest ->
         t.rexmit_queue <- rest;
@@ -395,24 +413,24 @@ and try_send t =
     | [] ->
         let seq = t.next_seq in
         t.next_seq <- seq + 1;
-        Array.iter
-          (fun r ->
-            let board = Rcv_state.board r in
-            if Rcv_state.active r then begin
-              let p0 = Tcp.Scoreboard.pipe board in
-              let s = Tcp.Scoreboard.register_send board in
-              assert (s = seq);
-              note_pipe_change t ~before:p0 ~after:(Tcp.Scoreboard.pipe board)
-            end
-            else begin
-              let s = Tcp.Scoreboard.register_send board in
-              assert (s = seq)
-            end)
-          t.rcvrs;
+        for i = 0 to Array.length t.rcvrs - 1 do
+          let r = t.rcvrs.(i) in
+          let board = Rcv_state.board r in
+          if Rcv_state.active r then begin
+            let p0 = Tcp.Scoreboard.pipe board in
+            let s = Tcp.Scoreboard.register_send board in
+            assert (s = seq);
+            note_pipe_change t ~before:p0 ~after:(Tcp.Scoreboard.pipe board)
+          end
+          else begin
+            let s = Tcp.Scoreboard.register_send board in
+            assert (s = seq)
+          end
+        done;
         Hashtbl.replace t.coverage seq
           { covered = 0; rexmitted = false; sent_at = now t };
         t.sent_new <- t.sent_new + 1;
-        send_packet t ~seq ~dst:(Net.Packet.Multicast t.group) ~rexmit:false;
+        send_packet t ~seq ~dst:t.group_dest ~rexmit:false;
         decr budget
   done;
   arm_timer t
@@ -421,7 +439,7 @@ and on_timeout t =
   if t.next_seq > t.mra then begin
     t.timeouts <- t.timeouts + 1;
     t.window_cuts <- t.window_cuts + 1;
-    t.ssthresh <- Stdlib.max 2.0 (t.cwnd /. 2.0);
+    halved_ssthresh t;
     set_cwnd t 1.0;
     probe_cut t ~forced:false;
     probe_flow t;
@@ -472,13 +490,15 @@ and schedule_rexmit_decision t seq =
 
 (* --- acknowledgment processing ------------------------------------- *)
 
+(* Coverage lookups use [Hashtbl.find] with an exception case rather
+   than [find_opt], so no [Some] cell is built per ack. *)
 let advance_frontier t =
   let n = t.n_active in
   let progressed = ref false in
   let continue = ref true in
   while !continue do
-    match Hashtbl.find_opt t.coverage t.mra with
-    | Some c when c.covered >= n ->
+    match Hashtbl.find t.coverage t.mra with
+    | c when c.covered >= n ->
         if not c.rexmitted then
           Stats.Welford.add !(t.rtt) (now t -. c.sent_at);
         Hashtbl.remove t.coverage t.mra;
@@ -486,21 +506,62 @@ let advance_frontier t =
         Hashtbl.remove t.pending t.mra;
         t.mra <- t.mra + 1;
         progressed := true
-    | Some _ | None -> continue := false
+    | _ | (exception Not_found) -> continue := false
   done;
   if !progressed then restart_timer t
 
 (* A packet newly covered by one receiver; on full coverage the window
    opens (rule 4: cwnd <- cwnd + 1/cwnd once ACKed by all). *)
 let cover t seq =
-  match Hashtbl.find_opt t.coverage seq with
-  | None -> ()
-  | Some c ->
+  match Hashtbl.find t.coverage seq with
+  | exception Not_found -> ()
+  | c ->
       c.covered <- c.covered + 1;
       if c.covered >= t.n_active then begin
         if t.cwnd < t.ssthresh then set_cwnd t (t.cwnd +. 1.0)
         else set_cwnd t (t.cwnd +. (1.0 /. t.cwnd))
       end
+
+let touch t seq =
+  let n = t.n_touched in
+  if n = Array.length t.touched then begin
+    let grown = Array.make (Stdlib.max 16 (2 * n)) 0 in
+    Array.blit t.touched 0 grown 0 n;
+    t.touched <- grown
+  end;
+  t.touched.(n) <- seq;
+  t.n_touched <- n + 1
+
+let rec sack_blocks t board = function
+  | [] -> ()
+  | { Tcp.Wire.block_lo; block_hi } :: rest ->
+      ignore
+        (Tcp.Scoreboard.mark_sacked_iter board ~lo:block_lo ~hi:block_hi
+           t.touch
+          : int);
+      sack_blocks t board rest
+
+(* Ascending insertion sort of [touched.(0 .. n_touched - 1)], in
+   place: an ack touches a handful of sequence numbers. *)
+let sort_touched t =
+  let a = t.touched in
+  for i = 1 to t.n_touched - 1 do
+    let x = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && a.(!j) > x do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done
+
+(* One RTT sample feeds three estimators.  Kept out of line so the
+   sample is boxed once, at this call, and the box is shared: a float
+   let-bound in [on_ack] would be boxed again for each consumer. *)
+let[@inline never] record_rtt t r sample =
+  Rcv_state.observe_rtt r sample;
+  Stats.Welford.add !(t.rtt_acks) sample;
+  Tcp.Rto.sample t.rto sample
 
 (* The O(n) aggregates (signal-interval minimum, session srtt) are
    folded once per signal and shared by every rule that reads them. *)
@@ -530,7 +591,7 @@ let congestion_action t r =
     let do_cut ~forced =
       t.window_cuts <- t.window_cuts + 1;
       if forced then t.forced_cuts <- t.forced_cuts + 1;
-      t.ssthresh <- Stdlib.max 2.0 (t.cwnd /. 2.0);
+      halved_ssthresh t;
       set_cwnd t t.ssthresh;
       probe_cut t ~forced;
       t.last_window_cut <- now t
@@ -572,58 +633,66 @@ let check_ack_invariants t =
             seq t.mra t.next_seq))
     t.pending
 
+(* [touched] collects, in order, the packets this ack newly
+   acknowledged, newly SACKed, newly found lost and revived; each rule
+   below reads its own stretch of it. *)
 let on_ack t r ~cum_ack ~blocks ~echo ~ece =
   Rcv_state.count_ack r;
-  let rtt_sample = now t -. echo in
-  Rcv_state.observe_rtt r rtt_sample;
-  Stats.Welford.add !(t.rtt_acks) rtt_sample;
-  Tcp.Rto.sample t.rto rtt_sample;
+  record_rtt t r (now t -. echo);
   let board = Rcv_state.board r in
   let high_ack0 = Tcp.Scoreboard.high_ack board in
   let pipe0 = Tcp.Scoreboard.pipe board in
-  let fresh_cum = Tcp.Scoreboard.advance_cum_seqs board cum_ack in
-  let fresh_sacked =
-    List.concat_map
-      (fun { Tcp.Wire.block_lo; block_hi } ->
-        Tcp.Scoreboard.mark_sacked_seqs board ~lo:block_lo ~hi:block_hi)
-      blocks
-  in
-  List.iter (cover t) fresh_cum;
-  List.iter (cover t) fresh_sacked;
+  t.n_touched <- 0;
+  ignore (Tcp.Scoreboard.advance_cum_iter board cum_ack t.touch : int);
+  sack_blocks t board blocks;
+  let covered = t.n_touched in
+  for i = 0 to covered - 1 do
+    cover t t.touched.(i)
+  done;
   advance_frontier t;
   (* Update the moving average of the window on every ack. *)
   Stats.Ewma.update t.awnd t.cwnd;
-  let losses = Tcp.Scoreboard.detect_losses board ~dupthresh:t.params.Params.dupthresh in
-  List.iter (fun seq -> schedule_rexmit_decision t seq) losses;
+  ignore
+    (Tcp.Scoreboard.detect_losses_iter board
+       ~dupthresh:t.params.Params.dupthresh t.touch
+      : int);
+  let lost = t.n_touched in
+  for i = covered to lost - 1 do
+    schedule_rexmit_decision t t.touched.(i)
+  done;
   (* Re-request retransmissions that have themselves gone unanswered
      for ~2 srtt on this branch. *)
   let srtt_i = Rcv_state.srtt r in
-  let revived =
-    if srtt_i > 0.0 && t.params.Params.rexmit_timeout_factor < infinity then begin
-      let before = now t -. (t.params.Params.rexmit_timeout_factor *. srtt_i) in
-      let revived = Tcp.Scoreboard.expire_rexmits board ~before in
-      List.iter (fun seq -> schedule_rexmit_decision t seq) revived;
-      revived
-    end
-    else []
-  in
+  if srtt_i > 0.0 && t.params.Params.rexmit_timeout_factor < infinity then begin
+    Tcp.Scoreboard.expire_rexmits_iter board
+      ~before:(now t -. (t.params.Params.rexmit_timeout_factor *. srtt_i))
+      t.touch;
+    for i = lost to t.n_touched - 1 do
+      schedule_rexmit_decision t t.touched.(i)
+    done
+  end;
   (* Fresh coverage may complete the report set of pending packets.  A
      pending packet waits on some receiver that has not reported on it,
      and only this ack's receiver changed its reports — on exactly the
      packets it newly acknowledged, SACKed or lost — so only those can
      have become ready.  Retransmitting never un-reports a packet, and
-     packets the frontier passed left [pending] in [advance_frontier]. *)
-  if Hashtbl.length t.pending > 0 then
-    List.iter
-      (fun seq ->
+     packets the frontier passed left [pending] in [advance_frontier].
+     Each touched packet is taken once, in ascending order; deciding
+     on one never changes another's pending membership. *)
+  if Hashtbl.length t.pending > 0 then begin
+    sort_touched t;
+    for i = 0 to t.n_touched - 1 do
+      let seq = t.touched.(i) in
+      if (i = 0 || t.touched.(i - 1) <> seq) && Hashtbl.mem t.pending seq
+      then begin
         Hashtbl.remove t.pending seq;
-        if seq >= t.mra then schedule_rexmit_decision t seq)
-      (List.sort_uniq Int.compare
-         (List.filter (Hashtbl.mem t.pending)
-            (List.concat [ fresh_cum; fresh_sacked; losses; revived ])));
+        if seq >= t.mra then schedule_rexmit_decision t seq
+      end
+    done
+  end;
   (* An ECN echo is a congestion indication exactly like a detected
      loss: grouped per congestion period, then randomly listened to. *)
-  if (losses <> [] || ece) && Rcv_state.register_losses r ~now:(now t) then begin
+  if (lost > covered || ece) && Rcv_state.register_losses r ~now:(now t) then begin
     t.signals <- t.signals + 1;
     (match t.taps with
     | None -> ()
@@ -830,6 +899,7 @@ let create ~net ~src ~receivers ?(params = Params.default) ?(start_at = 0.0)
       src;
       flow;
       group;
+      group_dest = Net.Packet.Multicast group;
       rcvrs =
         Array.of_list
           (List.map
@@ -840,7 +910,7 @@ let create ~net ~src ~receivers ?(params = Params.default) ?(start_at = 0.0)
       endpoints;
       rng = Net.Network.fork_rng net;
       rto = Tcp.Rto.create ~min_rto:params.Params.min_rto ();
-      cwnd = Stdlib.max 1.0 params.Params.init_cwnd;
+      cwnd = at_least_one params.Params.init_cwnd;
       ssthresh = params.Params.init_ssthresh;
       awnd = Stats.Ewma.create ~weight:params.Params.awnd_weight;
       last_window_cut = start;
@@ -850,7 +920,10 @@ let create ~net ~src ~receivers ?(params = Params.default) ?(start_at = 0.0)
       pending = Hashtbl.create 64;
       rexmit_queue = [];
       queued = Hashtbl.create 64;
-      timer = None;
+      touched = [||];
+      n_touched = 0;
+      touch = ignore;
+      timer = -1;
       timeout_thunk = ignore;
       start_event = None;
       num_trouble = 1;
@@ -862,7 +935,7 @@ let create ~net ~src ~receivers ?(params = Params.default) ?(start_at = 0.0)
       rexmits_unicast = 0;
       sent_new = 0;
       cwnd_avg =
-        Stats.Time_avg.create ~start ~value:(Stdlib.max 1.0 params.Params.init_cwnd);
+        Stats.Time_avg.create ~start ~value:(at_least_one params.Params.init_cwnd);
       rtt = ref (Stats.Welford.create ());
       rtt_acks = ref (Stats.Welford.create ());
       meas_time = start;
@@ -887,8 +960,9 @@ let create ~net ~src ~receivers ?(params = Params.default) ?(start_at = 0.0)
   recompute_pipes t;
   t.timeout_thunk <-
     (fun () ->
-      t.timer <- None;
+      t.timer <- -1;
       on_timeout t);
+  t.touch <- touch t;
   (match Net.Network.observer net with
   | None -> ()
   | Some reg ->
@@ -1002,7 +1076,7 @@ let capture t =
     s_queued =
       Hashtbl.fold (fun seq () acc -> seq :: acc) t.queued []
       |> List.sort Int.compare;
-    s_timer = t.timer;
+    s_timer = (if t.timer < 0 then None else Some t.timer);
     s_start_event = t.start_event;
     s_num_trouble = t.num_trouble;
     s_window_cuts = t.window_cuts;
@@ -1058,7 +1132,7 @@ let restore t st =
   t.rexmit_queue <- st.s_rexmit_queue;
   Hashtbl.reset t.queued;
   List.iter (fun seq -> Hashtbl.replace t.queued seq ()) st.s_queued;
-  t.timer <- st.s_timer;
+  t.timer <- Option.value st.s_timer ~default:(-1);
   t.start_event <- st.s_start_event;
   let sched = Net.Network.scheduler t.net in
   (match st.s_timer with

@@ -8,7 +8,10 @@
      Hashtbl.hash), [=]/[<>] against a float literal, and comparison
      operators applied to the same record field of two values
      (`a.prio < b.prio`) — the pattern by which polymorphic compare
-     sneaks into heap orderings and packet comparisons.
+     sneaks into heap orderings and packet comparisons.  Also
+     [max]/[min] (bare or [Stdlib.]) with a syntactically float
+     argument — a float literal or a [+.]/[-.]/[*.]/[/.] application:
+     the polymorphic versions box both floats on every call.
    - hashtbl-order: exact matches on Hashtbl.iter/fold/to_seq*.
 
    What the syntax cannot prove is backstopped dynamically by
@@ -44,6 +47,20 @@ let equality_ops = [ "="; "<>" ]
 let is_float_literal e =
   match e.pexp_desc with
   | Pexp_constant (Pconst_float _) -> true
+  | _ -> false
+
+let minmax_idents = [ "max"; "min"; "Stdlib.max"; "Stdlib.min" ]
+
+let float_arith_ops = [ "+."; "-."; "*."; "/." ]
+
+(* Syntactically a float: a literal, or float arithmetic. *)
+let is_float_expr e =
+  is_float_literal e
+  ||
+  match e.pexp_desc with
+  | Pexp_apply ({ pexp_desc = Pexp_ident { txt = Longident.Lident op; _ }; _ }, _)
+    ->
+      List.mem op float_arith_ops
   | _ -> false
 
 let field_name e =
@@ -128,6 +145,15 @@ let check_impl ~file structure =
                    op fa)
           | _ -> ()
         end
+    | Pexp_apply ({ pexp_desc = Pexp_ident lid; _ }, args)
+      when List.mem (ident_path lid.txt) minmax_idents
+           && List.exists (fun (_, a) -> is_float_expr a) args ->
+        add ~loc:e.pexp_loc "poly-compare"
+          (Printf.sprintf
+             "polymorphic %s on a float boxes both arguments; write the \
+              typed clamp (if a >= b then a else b for max, <= for min), \
+              not Float.max/min, which differ on NaN and signed zero"
+             (ident_path lid.txt))
     | _ -> ()
   in
   let iterator =

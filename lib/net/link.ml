@@ -24,7 +24,22 @@ type stats = {
    next tx completion always concerns [in_service] and the next
    delivery always concerns the front of the [wire] ring.  One
    [tx_thunk] and one [deliver_thunk] per link replace a closure (and a
-   ref cell) per packet. *)
+   ref cell) per packet.
+
+   Nothing on the per-packet path allocates except the boxed fire time
+   handed to the scheduler (one 2-word box per scheduled event) and,
+   under phase jitter, the boxed draw [Sim.Rng.uniform] returns: the
+   packet in service and its completion event are sentinels
+   ([Packet.Pool.dummy_pkt], [-1]) rather than options, and the float
+   state lives in the all-float [clock] record, whose fields are stored
+   unboxed — a float field of the mixed record [t] would box on every
+   write. *)
+type clock = {
+  mutable down_since : float;
+  mutable downtime_acc : float;
+  mutable last_delivery : float;
+}
+
 type t = {
   id : string;
   sched : Sim.Scheduler.t;
@@ -42,12 +57,10 @@ type t = {
   mutable tx_thunk : unit -> unit;
   mutable deliver_thunk : unit -> unit;
   mutable busy : bool;
-  mutable in_service : Packet.t option;
-  mutable tx_event : Sim.Scheduler.event_id option;
+  mutable in_service : Packet.t;  (* [Packet.Pool.dummy_pkt] = none *)
+  mutable tx_event : Sim.Scheduler.event_id;  (* -1 = none *)
   mutable up : bool;
-  mutable down_since : float;
-  mutable downtime_acc : float;
-  mutable last_delivery : float;
+  clock : clock;
   mutable offered : int;
   mutable dropped : int;
   mutable delivered : int;
@@ -99,8 +112,8 @@ let set_drop_hook t hook = t.drop_hook <- Some hook
 let avg_queue t = Queue_disc.avg_queue t.disc
 
 let downtime t =
-  t.downtime_acc
-  +. if t.up then 0.0 else Sim.Scheduler.now t.sched -. t.down_since
+  t.clock.downtime_acc
+  +. if t.up then 0.0 else Sim.Scheduler.now t.sched -. t.clock.down_since
 
 let count_drop t pkt =
   t.dropped <- t.dropped + 1;
@@ -126,62 +139,68 @@ let count_drop t pkt =
    [bandwidth_bps] mid-run cannot schedule a delivery before one
    already on the wire. *)
 let deliver_front t =
-  match (Ring.pop t.wire_ids, Ring.pop t.wire_pkts) with
-  | Some _, Some pkt -> t.deliver pkt
-  | _ ->
-      invalid_arg
-        (Printf.sprintf "Link %s: delivery fired with an empty wire" t.id)
+  if Ring.is_empty t.wire_pkts then
+    invalid_arg
+      (Printf.sprintf "Link %s: delivery fired with an empty wire" t.id);
+  ignore (Ring.take t.wire_ids : Sim.Scheduler.event_id);
+  t.deliver (Ring.take t.wire_pkts)
 
+(* The jitter is [Rng.float rng bound] spelled as [uniform *. bound]
+   (the same product), so the bound is not boxed for the call. *)
 let propagate t pkt =
   let jitter =
     if t.config.phase_jitter then
-      Sim.Rng.float t.rng (service_time t pkt.Packet.size)
+      Sim.Rng.uniform t.rng *. service_time t pkt.Packet.size
     else 0.0
   in
-  let at =
-    Stdlib.max
-      (Sim.Scheduler.now t.sched +. t.config.prop_delay +. jitter)
-      t.last_delivery
-  in
+  let at = Sim.Scheduler.now t.sched +. t.config.prop_delay +. jitter in
+  let last = t.clock.last_delivery in
+  let at = if at >= last then at else last in
   if !Sim.Invariant.enabled then
     Sim.Invariant.require
-      (at >= t.last_delivery && at >= Sim.Scheduler.now t.sched)
+      (at >= last && at >= Sim.Scheduler.now t.sched)
       (fun () ->
         Printf.sprintf
           "Link %s: delivery at %g would overtake last delivery %g (now %g)"
-          t.id at t.last_delivery
+          t.id at last
           (Sim.Scheduler.now t.sched));
-  t.last_delivery <- at;
+  t.clock.last_delivery <- at;
   let eid = Sim.Scheduler.schedule_at t.sched at t.deliver_thunk in
   Ring.push t.wire_ids eid;
   Ring.push t.wire_pkts pkt
 
 let rec complete_tx t =
-  match t.in_service with
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Link %s: tx completion with nothing in service" t.id)
-  | Some pkt ->
-      t.tx_event <- None;
-      t.in_service <- None;
-      t.delivered <- t.delivered + 1;
-      t.bytes_delivered <- t.bytes_delivered + pkt.Packet.size;
-      (match t.taps with
-      | None -> ()
-      | Some taps -> Obs.Registry.incr taps.delivered_c);
-      propagate t pkt;
-      start_transmission t
+  let pkt = t.in_service in
+  if pkt == Packet.Pool.dummy_pkt then
+    invalid_arg
+      (Printf.sprintf "Link %s: tx completion with nothing in service" t.id);
+  t.tx_event <- -1;
+  t.in_service <- Packet.Pool.dummy_pkt;
+  t.delivered <- t.delivered + 1;
+  t.bytes_delivered <- t.bytes_delivered + pkt.Packet.size;
+  (match t.taps with
+  | None -> ()
+  | Some taps -> Obs.Registry.incr taps.delivered_c);
+  propagate t pkt;
+  start_transmission t
 
+(* The completion time is [now + tx] computed here, the same sum
+   [schedule_after] would form, so only one float is boxed for the
+   scheduler. *)
 and start_transmission t =
-  match Ring.pop t.buffer with
-  | None ->
-      t.busy <- false;
-      Queue_disc.on_empty t.disc ~now:(Sim.Scheduler.now t.sched)
-  | Some pkt ->
-      t.busy <- true;
-      t.in_service <- Some pkt;
-      let tx = service_time t pkt.Packet.size in
-      t.tx_event <- Some (Sim.Scheduler.schedule_after t.sched tx t.tx_thunk)
+  if Ring.is_empty t.buffer then begin
+    t.busy <- false;
+    Queue_disc.on_empty t.disc ~now:(Sim.Scheduler.now t.sched)
+  end
+  else begin
+    let pkt = Ring.take t.buffer in
+    t.busy <- true;
+    t.in_service <- pkt;
+    t.tx_event <-
+      Sim.Scheduler.schedule_at t.sched
+        (Sim.Scheduler.now t.sched +. service_time t pkt.Packet.size)
+        t.tx_thunk
+  end
 
 let create ~sched ~rng ~pool ~id config ~deliver =
   if config.bandwidth_bps <= 0.0 then
@@ -203,12 +222,10 @@ let create ~sched ~rng ~pool ~id config ~deliver =
       tx_thunk = ignore;
       deliver_thunk = ignore;
       busy = false;
-      in_service = None;
-      tx_event = None;
+      in_service = Packet.Pool.dummy_pkt;
+      tx_event = -1;
       up = true;
-      down_since = 0.0;
-      downtime_acc = 0.0;
-      last_delivery = 0.0;
+      clock = { down_since = 0.0; downtime_acc = 0.0; last_delivery = 0.0 };
       offered = 0;
       dropped = 0;
       delivered = 0;
@@ -248,8 +265,9 @@ let check_occupancy t =
           (Queue_disc.capacity t.disc))
 
 (* lint: hot send -- per-packet enqueue on every hop; event closures
-   are shared per link (see the type comment) so this allocates nothing
-   on the admit path *)
+   are shared per link and the in-service packet is a sentinel (see the
+   type comment), so the admit path allocates only the scheduler's
+   boxed completion time when the link was idle *)
 let send t pkt =
   t.offered <- t.offered + 1;
   if not t.up then
@@ -328,39 +346,33 @@ let set_delay t delay =
 let set_down t =
   if t.up then begin
     t.up <- false;
-    t.down_since <- Sim.Scheduler.now t.sched;
+    t.clock.down_since <- Sim.Scheduler.now t.sched;
     (* The packet being serialized is aborted and lost; packets already
        past serialization (propagating) are on the wire and still
        arrive. *)
-    (match t.tx_event with
-    | None -> ()
-    | Some ev ->
-        Sim.Scheduler.cancel t.sched ev;
-        t.tx_event <- None);
+    if t.tx_event >= 0 then begin
+      Sim.Scheduler.cancel t.sched t.tx_event;
+      t.tx_event <- -1
+    end;
     let was_busy = t.busy in
-    (match t.in_service with
-    | None -> ()
-    | Some pkt ->
-        t.in_service <- None;
-        count_drop t pkt);
+    let pkt = t.in_service in
+    if pkt != Packet.Pool.dummy_pkt then begin
+      t.in_service <- Packet.Pool.dummy_pkt;
+      count_drop t pkt
+    end;
     t.busy <- false;
     (* Everything queued behind it is flushed into the drop count. *)
-    let rec flush () =
-      match Ring.pop t.buffer with
-      | None -> ()
-      | Some pkt ->
-          count_drop t pkt;
-          flush ()
-    in
-    flush ();
+    while not (Ring.is_empty t.buffer) do
+      count_drop t (Ring.take t.buffer)
+    done;
     if was_busy then Queue_disc.on_empty t.disc ~now:(Sim.Scheduler.now t.sched)
   end
 
 let set_up t =
   if not t.up then begin
     t.up <- true;
-    t.downtime_acc <-
-      t.downtime_acc +. (Sim.Scheduler.now t.sched -. t.down_since)
+    t.clock.downtime_acc <-
+      t.clock.downtime_acc +. (Sim.Scheduler.now t.sched -. t.clock.down_since)
   end
 
 (* --- checkpoint/restore -------------------------------------------- *)
@@ -390,7 +402,9 @@ type state = {
    through the pool as the simulation advances, so a state that shared
    records with the running link would be silently rewritten.  The
    copies are plain records with one reference, valid whether the state
-   is serialized or restored in-memory later. *)
+   is serialized or restored in-memory later.  The state keeps options
+   for the in-service packet and its event, so the sentinels are
+   converted here and the checkpoint format is unchanged. *)
 let snapshot_pkt (p : Packet.t) = { p with Packet.refs = 1 }
 
 let capture t =
@@ -405,13 +419,15 @@ let capture t =
     s_prop_delay = t.config.prop_delay;
     s_buffer = List.map snapshot_pkt (Ring.capture t.buffer);
     s_busy = t.busy;
-    s_in_service = Option.map snapshot_pkt t.in_service;
-    s_tx_event = t.tx_event;
+    s_in_service =
+      (if t.in_service == Packet.Pool.dummy_pkt then None
+       else Some (snapshot_pkt t.in_service));
+    s_tx_event = (if t.tx_event < 0 then None else Some t.tx_event);
     s_inflight = wire;
     s_up = t.up;
-    s_down_since = t.down_since;
-    s_downtime_acc = t.downtime_acc;
-    s_last_delivery = t.last_delivery;
+    s_down_since = t.clock.down_since;
+    s_downtime_acc = t.clock.downtime_acc;
+    s_last_delivery = t.clock.last_delivery;
     s_offered = t.offered;
     s_dropped = t.dropped;
     s_delivered = t.delivered;
@@ -435,9 +451,12 @@ let restore t st =
     };
   Ring.restore t.buffer (List.map snapshot_pkt st.s_buffer);
   t.busy <- st.s_busy;
-  t.in_service <- Option.map snapshot_pkt st.s_in_service;
-  t.tx_event <- st.s_tx_event;
-  (match (st.s_tx_event, t.in_service) with
+  t.in_service <-
+    (match st.s_in_service with
+    | None -> Packet.Pool.dummy_pkt
+    | Some p -> snapshot_pkt p);
+  t.tx_event <- Option.value st.s_tx_event ~default:(-1);
+  (match (st.s_tx_event, st.s_in_service) with
   | Some id, Some _ -> Sim.Scheduler.rearm t.sched ~id t.tx_thunk
   | Some id, None ->
       invalid_arg
@@ -450,9 +469,9 @@ let restore t st =
     (fun (id, _) -> Sim.Scheduler.rearm t.sched ~id t.deliver_thunk)
     st.s_inflight;
   t.up <- st.s_up;
-  t.down_since <- st.s_down_since;
-  t.downtime_acc <- st.s_downtime_acc;
-  t.last_delivery <- st.s_last_delivery;
+  t.clock.down_since <- st.s_down_since;
+  t.clock.downtime_acc <- st.s_downtime_acc;
+  t.clock.last_delivery <- st.s_last_delivery;
   t.offered <- st.s_offered;
   t.dropped <- st.s_dropped;
   t.delivered <- st.s_delivered;

@@ -43,39 +43,63 @@ let attach t ~flow handler = Hashtbl.replace t.handlers flow handler
 
 let detach t ~flow = Hashtbl.remove t.handlers flow
 
+(* The per-packet lookups below use [Hashtbl.find] with an exception
+   case instead of [find_opt], so no [Some] cell is built per hop
+   ([Not_found] is a constant exception; raising it allocates
+   nothing). *)
+
 (* Handlers may read the packet for the duration of the call only; the
    caller still owns the reference and releases (or forwards) it after
    the handler returns. *)
 let deliver_local t pkt =
-  match Hashtbl.find_opt t.handlers pkt.Packet.flow with
-  | Some handler -> handler pkt
-  | None -> t.undeliverable <- t.undeliverable + 1
+  match Hashtbl.find t.handlers pkt.Packet.flow with
+  | handler -> handler pkt
+  | exception Not_found -> t.undeliverable <- t.undeliverable + 1
+
+(* Multicast fan-out without per-packet closures: one extra reference
+   per branch beyond the first, then one send per branch. *)
+let rec retain_per_branch pkt = function
+  | [] -> ()
+  | _ :: rest ->
+      Packet.Pool.retain pkt;
+      retain_per_branch pkt rest
+
+let rec send_each pkt = function
+  | [] -> ()
+  | link :: rest ->
+      Link.send link pkt;
+      send_each pkt rest
 
 (* [receive] owns one reference to [pkt] and settles it on every path:
    terminal deliveries (and undeliverable packets) release it back to
    the pool, each forwarding [Link.send] consumes one reference, and a
    multicast fan-out over [n] links retains [n - 1] extra references
    up front so every branch owns its own claim on the shared record. *)
+(* lint: hot receive -- every packet arrival at every node; route and
+   handler lookups build no option and the fan-out no closure *)
 let receive t pkt =
   match pkt.Packet.dst with
   | Packet.Unicast a when a = t.id ->
       deliver_local t pkt;
       Packet.Pool.release t.pool pkt
   | Packet.Unicast a -> (
-      match route t ~dest:a with
-      | Some link -> Link.send link pkt
-      | None ->
+      match Hashtbl.find t.routes a with
+      | link -> Link.send link pkt
+      | exception Not_found ->
           t.undeliverable <- t.undeliverable + 1;
           Packet.Pool.release t.pool pkt)
   | Packet.Multicast g -> (
       if joined t ~group:g then deliver_local t pkt;
-      match mcast_routes t ~group:g with
-      | [] -> Packet.Pool.release t.pool pkt
-      | [ link ] -> Link.send link pkt
-      | first :: rest ->
-          List.iter (fun _ -> Packet.Pool.retain pkt) rest;
-          Link.send first pkt;
-          List.iter (fun link -> Link.send link pkt) rest)
+      match Hashtbl.find t.mcast g with
+      | exception Not_found -> Packet.Pool.release t.pool pkt
+      | links -> (
+          match !links with
+          | [] -> Packet.Pool.release t.pool pkt
+          | [ link ] -> Link.send link pkt
+          | first :: rest ->
+              retain_per_branch pkt rest;
+              Link.send first pkt;
+              send_each pkt rest))
 
 let undeliverable t = t.undeliverable
 

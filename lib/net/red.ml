@@ -23,12 +23,19 @@ type taps = {
   marks_c : Obs.Registry.counter;
 }
 
+(* The average queue is updated on every arrival, so the float state is
+   an all-float record, stored unboxed: as float fields of the mixed
+   record [t] each write would box. *)
+type est = {
+  mutable avg : float;
+  mutable q_time : float;  (* start of the current idle period *)
+}
+
 type t = {
   p : params;
   rng : Sim.Rng.t;
-  mutable avg : float;
+  est : est;
   mutable count : int;  (* packets since last drop while between thresholds *)
-  mutable q_time : float;  (* start of the current idle period *)
   mutable idle : bool;
   mutable drops : int;
   mutable marks : int;
@@ -39,9 +46,8 @@ let create p ~rng =
   {
     p;
     rng;
-    avg = 0.0;
+    est = { avg = 0.0; q_time = 0.0 };
     count = -1;
-    q_time = 0.0;
     idle = true;
     drops = 0;
     marks = 0;
@@ -60,21 +66,22 @@ let set_registry t reg ~id =
         })
       reg
 
-let avg_queue t = t.avg
+let avg_queue t = t.est.avg
 
 let note_empty t ~now =
   t.idle <- true;
-  t.q_time <- now
+  t.est.q_time <- now
 
 (* Age the average across an idle period as if m small packets had been
    serviced, per the RED paper. *)
 let update_avg t ~now ~qlen =
+  let e = t.est in
   if t.idle && qlen = 0 then begin
-    let m = (now -. t.q_time) /. t.p.mean_pkt_time in
-    let m = Stdlib.max 0.0 m in
-    t.avg <- t.avg *. ((1.0 -. t.p.w_q) ** m)
+    let m = (now -. e.q_time) /. t.p.mean_pkt_time in
+    let m = if 0.0 >= m then 0.0 else m in
+    e.avg <- e.avg *. ((1.0 -. t.p.w_q) ** m)
   end
-  else t.avg <- ((1.0 -. t.p.w_q) *. t.avg) +. (t.p.w_q *. float_of_int qlen)
+  else e.avg <- ((1.0 -. t.p.w_q) *. e.avg) +. (t.p.w_q *. float_of_int qlen)
 
 let record_drop t =
   t.drops <- t.drops + 1;
@@ -88,19 +95,19 @@ let decide t ~now ~qlen =
   update_avg t ~now ~qlen;
   if !Sim.Invariant.enabled then
     Sim.Invariant.require
-      (Float.is_finite t.avg && t.avg >= 0.0)
+      (Float.is_finite t.est.avg && t.est.avg >= 0.0)
       (fun () ->
         Printf.sprintf "Red.decide: average queue %g is not a sane occupancy"
-          t.avg);
+          t.est.avg);
   (match t.taps with
   | None -> ()
-  | Some taps -> Obs.Series.add taps.avg_s ~time:now t.avg);
+  | Some taps -> Obs.Series.add taps.avg_s ~time:now t.est.avg);
   t.idle <- false;
-  if t.avg < t.p.min_th then begin
+  if t.est.avg < t.p.min_th then begin
     t.count <- -1;
     `Admit
   end
-  else if t.avg >= t.p.max_th then begin
+  else if t.est.avg >= t.p.max_th then begin
     t.count <- 0;
     record_drop t;
     `Drop
@@ -108,7 +115,7 @@ let decide t ~now ~qlen =
   else begin
     t.count <- t.count + 1;
     let p_b =
-      t.p.max_p *. (t.avg -. t.p.min_th) /. (t.p.max_th -. t.p.min_th)
+      t.p.max_p *. (t.est.avg -. t.p.min_th) /. (t.p.max_th -. t.p.min_th)
     in
     let denom = 1.0 -. (float_of_int t.count *. p_b) in
     let p_a = if denom <= 0.0 then 1.0 else p_b /. denom in
@@ -142,18 +149,18 @@ type state = {
 
 let capture t =
   {
-    s_avg = t.avg;
+    s_avg = t.est.avg;
     s_count = t.count;
-    s_q_time = t.q_time;
+    s_q_time = t.est.q_time;
     s_idle = t.idle;
     s_drops = t.drops;
     s_marks = t.marks;
   }
 
 let restore t st =
-  t.avg <- st.s_avg;
+  t.est.avg <- st.s_avg;
   t.count <- st.s_count;
-  t.q_time <- st.s_q_time;
+  t.est.q_time <- st.s_q_time;
   t.idle <- st.s_idle;
   t.drops <- st.s_drops;
   t.marks <- st.s_marks

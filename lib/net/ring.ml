@@ -1,9 +1,10 @@
 (* Growable circular FIFO backed by a single array.
 
    Unlike [Stdlib.Queue] there is no per-element cell allocation: push
-   and pop touch one array slot each, so the link hot path (enqueue,
-   dequeue, wire tracking) stops allocating per packet.  Capacity is a
-   power of two so the index wrap is a mask, and popped slots are
+   and take touch one array slot each, and [take] returns the element
+   itself rather than an option, so the link hot path (enqueue,
+   dequeue, wire tracking) allocates nothing per packet.  Capacity is a
+   power of two so the index wrap is a mask, and taken slots are
    overwritten with the caller-supplied dummy so a drained ring keeps
    no element reachable. *)
 
@@ -40,15 +41,15 @@ let push t x =
   t.buf.((t.head + t.len) land mask) <- x;
   t.len <- t.len + 1
 
-let pop t =
-  if t.len = 0 then None
-  else begin
-    let x = t.buf.(t.head) in
-    t.buf.(t.head) <- t.dummy;
-    t.head <- (t.head + 1) land (Array.length t.buf - 1);
-    t.len <- t.len - 1;
-    Some x
-  end
+(* lint: hot take -- one array slot per dequeue on every link hop;
+   callers check [length] first, so no option cell crosses the call *)
+let take t =
+  if t.len = 0 then invalid_arg "Ring.take: empty ring";
+  let x = t.buf.(t.head) in
+  t.buf.(t.head) <- t.dummy;
+  t.head <- (t.head + 1) land (Array.length t.buf - 1);
+  t.len <- t.len - 1;
+  x
 
 let peek t = if t.len = 0 then None else Some t.buf.(t.head)
 

@@ -1,6 +1,6 @@
 (** Growable circular FIFO backed by a single array.
 
-    Replaces [Stdlib.Queue] on the link hot path: push and pop touch
+    Replaces [Stdlib.Queue] on the link hot path: push and take touch
     one array slot each instead of allocating a cell per element.  The
     [dummy] supplied at creation fills vacated slots, so a drained ring
     keeps no element (packet, closure) reachable. *)
@@ -16,9 +16,10 @@ val is_empty : 'a t -> bool
 val push : 'a t -> 'a -> unit
 (** Append at the back, growing the backing array if full. *)
 
-val pop : 'a t -> 'a option
+val take : 'a t -> 'a
 (** Remove and return the front element; its slot is overwritten with
-    the dummy. *)
+    the dummy.  Raises [Invalid_argument] on an empty ring, so callers
+    check {!length} or {!is_empty} first — no option cell is built. *)
 
 val peek : 'a t -> 'a option
 

@@ -57,55 +57,64 @@ let grow t =
     t.vals <- vals
   end
 
-(* Sifts are hole-based: instead of swapping three arrays at every
-   level, the moving element's (prio, seq) stay in registers while
-   displaced entries are pulled into the hole, and the caller writes
-   the moving element once at the returned index.  Both loops are
-   tail-recursive, so the hot path allocates nothing.  Unsafe accesses
+(* Sifts work on indices only: the moving element's priority is read
+   from [t.prios] at each level and never crosses a call as a [float]
+   argument.  That matters because dune's dev profile compiles with
+   [-opaque], and a float passed to (or returned from) a function that
+   is not inlined is boxed (2 words) on every call.  Unsafe accesses
    are in-bounds by construction ([grow] ran / indices < [t.size]). *)
 
-(* Final index for an element [(prio, seq)] inserted at hole [i],
-   pulling larger parents down as it ascends. *)
-let rec sift_up_hole t ~prio ~seq i =
-  if i = 0 then 0
-  else begin
+let swap t i j =
+  let p = Array.unsafe_get t.prios i in
+  Array.unsafe_set t.prios i (Array.unsafe_get t.prios j);
+  Array.unsafe_set t.prios j p;
+  let s = Array.unsafe_get t.seqs i in
+  Array.unsafe_set t.seqs i (Array.unsafe_get t.seqs j);
+  Array.unsafe_set t.seqs j s;
+  let v = Array.unsafe_get t.vals i in
+  Array.unsafe_set t.vals i (Array.unsafe_get t.vals j);
+  Array.unsafe_set t.vals j v
+
+(* The element at [i] ascends by swaps while it precedes its parent.
+   A fresh event is almost always later than most pending ones, so the
+   expected climb is about one level and swapping costs no more than a
+   hole would. *)
+let rec sift_up t i =
+  if i > 0 then begin
     let parent = (i - 1) / 2 in
-    let pp = Array.unsafe_get t.prios parent in
-    if prio < pp || (prio = pp && seq < Array.unsafe_get t.seqs parent) then begin
-      Array.unsafe_set t.prios i pp;
-      Array.unsafe_set t.seqs i (Array.unsafe_get t.seqs parent);
-      Array.unsafe_set t.vals i (Array.unsafe_get t.vals parent);
-      sift_up_hole t ~prio ~seq parent
+    if lt t i parent then begin
+      swap t i parent;
+      sift_up t parent
     end
-    else i
   end
 
-(* Final index for an element [(prio, seq)] descending from hole [i],
-   pulling the smaller child up at each level. *)
-let rec sift_down_hole t ~prio ~seq i =
+(* Final index for the element parked at [m] (outside the live prefix,
+   [m >= t.size]) descending from hole [i]: the smaller child is pulled
+   up into the hole at each level, and the caller writes the parked
+   element once at the returned index. *)
+let rec sift_down_hole t ~m i =
   let left = (2 * i) + 1 in
   if left >= t.size then i
   else begin
     let right = left + 1 in
     let c = if right < t.size && lt t right left then right else left in
-    let cp = Array.unsafe_get t.prios c in
-    if cp < prio || (cp = prio && Array.unsafe_get t.seqs c < seq) then begin
-      Array.unsafe_set t.prios i cp;
+    if lt t c m then begin
+      Array.unsafe_set t.prios i (Array.unsafe_get t.prios c);
       Array.unsafe_set t.seqs i (Array.unsafe_get t.seqs c);
       Array.unsafe_set t.vals i (Array.unsafe_get t.vals c);
-      sift_down_hole t ~prio ~seq c
+      sift_down_hole t ~m c
     end
     else i
   end
 
 let push t ~prio ~seq value =
   grow t;
-  let v = Obj.repr value in
-  let i = sift_up_hole t ~prio ~seq t.size in
-  t.size <- t.size + 1;
+  let i = t.size in
+  t.size <- i + 1;
   Array.unsafe_set t.prios i prio;
   Array.unsafe_set t.seqs i seq;
-  Array.unsafe_set t.vals i v
+  Array.unsafe_set t.vals i (Obj.repr value);
+  sift_up t i
 
 let add t ~prio value =
   let seq = t.next_seq in
@@ -144,8 +153,9 @@ let restore t ~next_seq entries =
 
 let min_prio t = if t.size = 0 then None else Some t.prios.(0)
 
-(* lint: hot top_prio -- read once per scheduler step; must stay a bare
-   unboxed array load *)
+(* lint: hot top_prio -- read once per scheduler step; one array load.
+   Under -opaque the float result is boxed at the call (2 words), and
+   the scheduler keeps that box as its clock *)
 let top_prio t =
   if t.size = 0 then invalid_arg "Heap.top_prio: empty heap";
   t.prios.(0)
@@ -154,17 +164,25 @@ let peek t =
   if t.size = 0 then None
   else Some (t.prios.(0), (Obj.obj t.vals.(0) : 'a))
 
+(* Whether the minimum element's priority is above [bound], without
+   returning (and so boxing) the priority itself. *)
+let top_above t bound =
+  if t.size = 0 then invalid_arg "Heap.top_above: empty heap";
+  t.prios.(0) > bound
+
 let top_seq t =
   if t.size = 0 then invalid_arg "Heap.top_seq: empty heap";
   t.seqs.(0)
 
 (* Allocation-free root removal for the scheduler's fire loop: the
    caller reads (prio, seq) via [top_prio]/[top_seq] first, so only the
-   value crosses the call.  The former last element descends from the
-   root hole; its vacated slot is cleared so the popped (or moved)
-   value never stays reachable from the backing array. *)
-(* lint: hot pop_top -- the scheduler fire loop's root removal; PR 6's
-   2-2.5x events/s win rests on this staying allocation-free *)
+   value crosses the call.  The former last element stays parked in
+   its vacated slot (just past the shrunk live prefix) while the root
+   hole descends, then moves to its final index; the parked slot is
+   cleared so the popped (or moved) value never stays reachable from
+   the backing array. *)
+(* lint: hot pop_top -- the scheduler fire loop's root removal; sifts
+   by index, so no priority is boxed *)
 let pop_top t =
   if t.size = 0 then invalid_arg "Heap.pop_top: empty heap";
   let prio = Array.unsafe_get t.prios 0 in
@@ -173,14 +191,11 @@ let pop_top t =
   let last = t.size - 1 in
   t.size <- last;
   if last > 0 then begin
-    let mp = Array.unsafe_get t.prios last in
-    let ms = Array.unsafe_get t.seqs last in
-    let mv = Array.unsafe_get t.vals last in
+    let i = sift_down_hole t ~m:last 0 in
+    Array.unsafe_set t.prios i (Array.unsafe_get t.prios last);
+    Array.unsafe_set t.seqs i (Array.unsafe_get t.seqs last);
+    Array.unsafe_set t.vals i (Array.unsafe_get t.vals last);
     Array.unsafe_set t.vals last dummy;
-    let i = sift_down_hole t ~prio:mp ~seq:ms 0 in
-    Array.unsafe_set t.prios i mp;
-    Array.unsafe_set t.seqs i ms;
-    Array.unsafe_set t.vals i mv;
     (* Stable-order backstop: everything still in the heap was >= the
        popped root (in (prio, seq) order), so the new root must be too. *)
     if !Invariant.enabled then

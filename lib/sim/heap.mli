@@ -30,12 +30,19 @@ val min_prio : 'a t -> float option
 (** Priority of the minimum element, if any. *)
 
 val top_prio : 'a t -> float
-(** Priority of the minimum element.  Unlike {!min_prio} this does not
-    allocate an option; raises [Invalid_argument] on an empty heap, so
-    callers on the hot path pair it with {!is_empty}. *)
+(** Priority of the minimum element.  Unlike {!min_prio} this builds no
+    option, but a float returned across modules is boxed (2 words)
+    unless the call is inlined, which dune's dev profile ([-opaque])
+    rules out; see {!top_above} for a test that boxes nothing.  Raises
+    [Invalid_argument] on an empty heap, so callers on the hot path pair
+    it with {!is_empty}. *)
 
 val pop : 'a t -> (float * 'a) option
 (** Remove and return the minimum element with its priority. *)
+
+val top_above : 'a t -> float -> bool
+(** [top_above t bound] is [top_prio t > bound], without boxing the
+    priority; raises [Invalid_argument] on an empty heap. *)
 
 val top_seq : 'a t -> int
 (** Tie-break counter of the minimum element; raises [Invalid_argument]
@@ -43,8 +50,9 @@ val top_seq : 'a t -> int
 
 val pop_top : 'a t -> 'a
 (** Remove the minimum element and return only its value, allocating
-    nothing — the hot-path combination with {!top_prio}/{!top_seq}.
-    Raises [Invalid_argument] on an empty heap. *)
+    nothing (the sifts work on indices, so no priority is boxed) — the
+    hot-path combination with {!top_prio}/{!top_seq}.  Raises
+    [Invalid_argument] on an empty heap. *)
 
 val pop_entry : 'a t -> (float * int * 'a) option
 (** Like {!pop} but also returns the element's tie-break counter.  The

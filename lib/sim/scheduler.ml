@@ -34,6 +34,7 @@ type t = {
   mutable clock : float;
   mutable next_id : int;
   mutable fired : int;
+  mutable firing : int;  (* id of the event running now; -1 between events *)
   mutable taps : taps option;
 }
 
@@ -48,6 +49,7 @@ let create () =
     clock = 0.0;
     next_id = 0;
     fired = 0;
+    firing = -1;
     taps = None;
   }
 
@@ -91,6 +93,8 @@ let set_registry t reg =
 
 let now t = t.clock
 
+let firing t = t.firing
+
 let schedule_at t time action =
   if not (Float.is_finite time) then
     invalid_arg
@@ -126,35 +130,40 @@ let cancel t id =
 (* lint: hot step -- fires every simulated event; the events/s number
    in BENCH_perf.json is mostly this function *)
 let step t horizon =
-  if Heap.is_empty t.queue then `Done
+  if Heap.is_empty t.queue || Heap.top_above t.queue horizon then `Done
   else begin
-    let time = Heap.top_prio t.queue in
-    if time > horizon then `Done
+    (* Read the root's id, then pop just the closure.  A fired event's
+       only allocation is the 2-word box [top_prio] returns its time in
+       (dune's dev profile compiles with -opaque, so the call is not
+       inlined); that box becomes the clock.  A cancelled entry is
+       dropped without reading its time at all. *)
+    let id = Heap.top_seq t.queue in
+    if not (flag_is_set t id) then begin
+      ignore (Heap.pop_top t.queue : unit -> unit);
+      `Skipped
+    end
     else begin
-      (* Read (time, id) off the root, then pop just the closure —
-         this path allocates nothing per event. *)
-      let id = Heap.top_seq t.queue in
+      let time = Heap.top_prio t.queue in
       let action = Heap.pop_top t.queue in
-      if flag_is_set t id then begin
-          clear_flag t id;
-          t.pending_count <- t.pending_count - 1;
-          if !Invariant.enabled then
-            Invariant.require (time >= t.clock) (fun () ->
-                Printf.sprintf
-                  "Scheduler.step: event %d fires at %g, before the clock %g"
-                  id time t.clock);
-          t.clock <- time;
-          t.fired <- t.fired + 1;
-          (match t.taps with
-          | None -> ()
-          | Some taps ->
-              Obs.Registry.incr taps.events_fired_c;
-              Obs.Registry.set taps.clock_g time;
-              Obs.Series.add taps.heartbeat ~time (float_of_int t.fired));
-          action ();
-          `Fired
-        end
-        else `Skipped
+      clear_flag t id;
+      t.pending_count <- t.pending_count - 1;
+      if !Invariant.enabled then
+        Invariant.require (time >= t.clock) (fun () ->
+            Printf.sprintf
+              "Scheduler.step: event %d fires at %g, before the clock %g" id
+              time t.clock);
+      t.clock <- time;
+      t.fired <- t.fired + 1;
+      (match t.taps with
+      | None -> ()
+      | Some taps ->
+          Obs.Registry.incr taps.events_fired_c;
+          Obs.Registry.set taps.clock_g time;
+          Obs.Series.add taps.heartbeat ~time (float_of_int t.fired));
+      t.firing <- id;
+      action ();
+      t.firing <- -1;
+      `Fired
     end
   end
 

@@ -35,8 +35,17 @@ val step : t -> float -> [ `Fired | `Skipped | `Done ]
 (** Pop one event at or before the horizon: [`Fired] executed it,
     [`Skipped] discarded a lazily-cancelled entry, [`Done] means the
     queue is exhausted or the next event lies beyond the horizon.  The
-    run loops are built on this; it is the per-event hot path and must
-    stay allocation-free. *)
+    run loops are built on this; it is the per-event hot path.  Its one
+    allocation per event is the boxed fire time that becomes the clock
+    (2 words: under dune's dev profile, which compiles with [-opaque],
+    a float returned across modules is boxed); it must allocate nothing
+    else. *)
+
+val firing : t -> event_id
+(** Id of the event whose action is running now; [-1] between events.
+    A component that keeps several events in flight behind one shared
+    closure reads it to tell which of them fired, instead of allocating
+    a closure per event. *)
 
 val run_until : t -> float -> unit
 (** Execute events in order until the queue is empty or the next event

@@ -1,29 +1,34 @@
-type t = { weight : float; mutable avg : float; mutable samples : int }
+(* [weight] and [avg] form an all-float record, stored unboxed, so the
+   per-ack [update] writes no box; the int sample count sits beside it. *)
+type cur = { weight : float; mutable avg : float }
+
+type t = { c : cur; mutable samples : int }
 
 let create ~weight =
   if weight <= 0.0 || weight > 1.0 then
     invalid_arg "Ewma.create: weight must be in (0, 1]";
-  { weight; avg = 0.0; samples = 0 }
+  { c = { weight; avg = 0.0 }; samples = 0 }
 
 let update t x =
-  if t.samples = 0 then t.avg <- x
-  else t.avg <- t.avg +. (t.weight *. (x -. t.avg));
+  let c = t.c in
+  if t.samples = 0 then c.avg <- x
+  else c.avg <- c.avg +. (c.weight *. (x -. c.avg));
   t.samples <- t.samples + 1
 
-let value t = t.avg
+let value t = t.c.avg
 
-let value_opt t = if t.samples = 0 then None else Some t.avg
+let value_opt t = if t.samples = 0 then None else Some t.c.avg
 
 let samples t = t.samples
 
 let reset t =
-  t.avg <- 0.0;
+  t.c.avg <- 0.0;
   t.samples <- 0
 
 type state = { s_avg : float; s_samples : int }
 
-let capture t = { s_avg = t.avg; s_samples = t.samples }
+let capture t = { s_avg = t.c.avg; s_samples = t.samples }
 
 let restore t st =
-  t.avg <- st.s_avg;
+  t.c.avg <- st.s_avg;
   t.samples <- st.s_samples

@@ -5,6 +5,7 @@ type t = {
   node : Net.Node.t;
   flow : Net.Packet.flow;
   peer : Net.Packet.addr;
+  peer_unicast : Net.Packet.dest;  (* built once, not per ack *)
   ooo : (int, unit) Hashtbl.t;  (* received above [expected] *)
   mutable recent : int list;  (* representatives of recent ooo blocks *)
   mutable expected : int;
@@ -94,27 +95,27 @@ let block_around t seq =
   done;
   { Wire.block_lo = !lo; block_hi = !hi }
 
-let sack_blocks t =
-  let rec build acc seen = function
-    | [] -> List.rev acc
-    | _ when List.length acc >= Wire.max_sack_blocks -> List.rev acc
-    | rep :: rest ->
-        if rep < t.expected || not (Hashtbl.mem t.ooo rep) then
-          build acc seen rest
-        else begin
-          let block = block_around t rep in
-          if List.mem block.Wire.block_lo seen then build acc seen rest
-          else build (block :: acc) (block.Wire.block_lo :: seen) rest
-        end
-  in
-  build [] [] t.recent
+(* A top-level loop rather than a local closure, so an ack with no
+   holes to report builds nothing at all. *)
+let rec build_blocks t acc seen = function
+  | [] -> List.rev acc
+  | _ when List.length acc >= Wire.max_sack_blocks -> List.rev acc
+  | rep :: rest ->
+      if rep < t.expected || not (Hashtbl.mem t.ooo rep) then
+        build_blocks t acc seen rest
+      else begin
+        let block = block_around t rep in
+        if List.mem block.Wire.block_lo seen then build_blocks t acc seen rest
+        else build_blocks t (block :: acc) (block.Wire.block_lo :: seen) rest
+      end
+
+let sack_blocks t = build_blocks t [] [] t.recent
 
 let send_ack t ~echo ~ece =
   let blocks = if t.sack_ok then sack_blocks t else [] in
   let pkt =
     Net.Network.make_packet t.net ~flow:t.flow
-      ~src:(Net.Node.id t.node) ~dst:(Net.Packet.Unicast t.peer)
-      ~size:Wire.ack_size
+      ~src:(Net.Node.id t.node) ~dst:t.peer_unicast ~size:Wire.ack_size
       ~payload:
         (Wire.Tcp_ack
            { cum_ack = t.expected; blocks; echo; ece; rwnd = rwnd_field t })
@@ -126,6 +127,22 @@ let send_ack t ~echo ~ece =
 let send_challenge_ack t =
   t.challenge_acks <- t.challenge_acks + 1;
   send_ack t ~echo:(-1.0) ~ece:false
+
+(* [List.filter (fun r -> r >= bound)] without the per-call closure;
+   an unchanged list comes back as itself, so the common in-order
+   arrival with no holes allocates nothing. *)
+let rec keep_from bound = function
+  | [] -> []
+  | r :: rest as l ->
+      let kept = keep_from bound rest in
+      if r < bound then kept else if kept == rest then l else r :: kept
+
+(* [List.filter (fun r -> r <> v)], the same way. *)
+let rec drop_value v = function
+  | [] -> []
+  | r :: rest as l ->
+      let kept = drop_value v rest in
+      if r = v then kept else if kept == rest then l else r :: kept
 
 let on_data t ~seq ~sent_at ~ecn =
   if not t.closed then begin
@@ -149,11 +166,11 @@ let on_data t ~seq ~sent_at ~ecn =
           Hashtbl.remove t.ooo t.expected;
           t.expected <- t.expected + 1
         done;
-        t.recent <- List.filter (fun r -> r >= t.expected) t.recent
+        t.recent <- keep_from t.expected t.recent
       end
       else begin
         Hashtbl.replace t.ooo seq ();
-        t.recent <- seq :: List.filter (fun r -> r <> seq) t.recent;
+        t.recent <- seq :: drop_value seq t.recent;
         (* Bound the representative list: one per possible block is enough. *)
         if List.length t.recent > 4 * Wire.max_sack_blocks then
           t.recent <-
@@ -196,7 +213,7 @@ let on_syn t ~options ~sent_at =
         t.syn_received <- true;
         let pkt =
           Net.Network.make_packet t.net ~flow:t.flow
-            ~src:(Net.Node.id t.node) ~dst:(Net.Packet.Unicast t.peer)
+            ~src:(Net.Node.id t.node) ~dst:t.peer_unicast
             ~size:Wire.ack_size
             ~payload:
               (Wire.Tcp_syn_ack
@@ -294,6 +311,7 @@ let create ?window ?(wscale = 0) ?(rst_strict = true) ~net ~node ~flow ~peer ()
       node;
       flow;
       peer;
+      peer_unicast = Net.Packet.Unicast peer;
       ooo = Hashtbl.create 64;
       recent = [];
       expected = 0;

@@ -113,54 +113,40 @@ let sack_one t seq =
   end
   else false
 
-let mark_sacked t ~lo ~hi =
+(* The [_iter] variants report each affected sequence number, in
+   ascending order, to a callback instead of building a list (a caller
+   on the per-ack path passes one closure it allocated once), and
+   return the count; the plain counting variants pass [no_report]. *)
+
+let no_report (_ : int) = ()
+
+let mark_sacked_iter t ~lo ~hi f =
   let newly = ref 0 in
   for seq = lo to hi - 1 do
-    if sack_one t seq then incr newly
+    if sack_one t seq then begin
+      incr newly;
+      f seq
+    end
   done;
   !newly
 
-let mark_sacked_seqs t ~lo ~hi =
-  let newly = ref [] in
-  for seq = lo to hi - 1 do
-    if sack_one t seq then newly := seq :: !newly
-  done;
-  List.rev !newly
+let mark_sacked t ~lo ~hi = mark_sacked_iter t ~lo ~hi no_report
 
-let advance_cum_seqs t ack =
-  if ack <= t.high_ack then []
-  else begin
-    let ack = Stdlib.min ack t.next_seq in
-    let fresh = ref [] in
-    for seq = t.high_ack to ack - 1 do
-      let f = get_flags t seq in
-      if f land f_sacked <> 0 then t.sacked_cnt <- t.sacked_cnt - 1
-      else begin
-        fresh := seq :: !fresh;
-        if f land f_lost <> 0 then t.lost_cnt <- t.lost_cnt - 1;
-        if f land f_rexmitted <> 0 then t.rexmit_out <- t.rexmit_out - 1
-      end;
-      clear_slot t seq
-    done;
-    t.high_ack <- ack;
-    if t.loss_floor < ack then t.loss_floor <- ack;
-    List.rev !fresh
-  end
-
-(* Counting variant of {!advance_cum_seqs}: same transition, no list
-   built.  Returns how far the cumulative point moved (previously
-   SACKed positions count as newly acknowledged too). *)
-let advance_cum t ack =
+(* Reports the newly acknowledged sequence numbers that had not been
+   SACKed before; returns how far the cumulative point moved
+   (previously SACKed positions count as newly acknowledged too). *)
+let advance_cum_iter t ack f =
   if ack <= t.high_ack then 0
   else begin
     let ack = Stdlib.min ack t.next_seq in
     let before = t.high_ack in
     for seq = before to ack - 1 do
-      let f = get_flags t seq in
-      if f land f_sacked <> 0 then t.sacked_cnt <- t.sacked_cnt - 1
+      let fl = get_flags t seq in
+      if fl land f_sacked <> 0 then t.sacked_cnt <- t.sacked_cnt - 1
       else begin
-        if f land f_lost <> 0 then t.lost_cnt <- t.lost_cnt - 1;
-        if f land f_rexmitted <> 0 then t.rexmit_out <- t.rexmit_out - 1
+        f seq;
+        if fl land f_lost <> 0 then t.lost_cnt <- t.lost_cnt - 1;
+        if fl land f_rexmitted <> 0 then t.rexmit_out <- t.rexmit_out - 1
       end;
       clear_slot t seq
     done;
@@ -168,6 +154,8 @@ let advance_cum t ack =
     if t.loss_floor < ack then t.loss_floor <- ack;
     ack - before
   end
+
+let advance_cum t ack = advance_cum_iter t ack no_report
 
 let mark_lost t seq =
   if not (in_window t seq) then false
@@ -181,36 +169,45 @@ let mark_lost t seq =
     end
   end
 
-let detect_losses t ~dupthresh =
-  (* A packet is lost once a packet >= seq + dupthresh has been SACKed;
-     only the range [loss_floor, highest_sacked - dupthresh] can contain
-     fresh losses. *)
+(* A packet is lost once a packet >= seq + dupthresh has been SACKed;
+   only the range [loss_floor, highest_sacked - dupthresh] can contain
+   fresh losses. *)
+let detect_losses_iter t ~dupthresh f =
   let upper = t.highest_sacked - dupthresh in
-  let result = ref [] in
+  let found = ref 0 in
   if upper >= t.loss_floor then begin
     for seq = t.loss_floor to upper do
-      if mark_lost t seq then result := seq :: !result
+      if mark_lost t seq then begin
+        incr found;
+        f seq
+      end
     done;
     t.loss_floor <- upper + 1
   end;
-  List.rev !result
+  !found
 
-(* One traversal per ack instead of one for the cumulative advance, one
-   per SACK block and one for loss detection rebuilding lists between
-   the steps; the sender's hot ack path calls this. *)
-let rec sacked_in_blocks t acc = function
-  | [] -> acc
-  | (lo, hi) :: rest -> sacked_in_blocks t (acc + mark_sacked t ~lo ~hi) rest
+let detect_losses t ~dupthresh =
+  let lost = ref [] in
+  ignore (detect_losses_iter t ~dupthresh (fun seq -> lost := seq :: !lost));
+  List.rev !lost
 
+let rec sack_blocks t = function
+  | [] -> ()
+  | { Wire.block_lo; block_hi } :: rest ->
+      ignore (mark_sacked t ~lo:block_lo ~hi:block_hi : int);
+      sack_blocks t rest
+
+(* One call per ack instead of one for the cumulative advance, one per
+   SACK block and one for loss detection rebuilding lists between the
+   steps.  It returns a count rather than a tuple of counts and lists:
+   the sender reads how far the cumulative point moved off
+   {!high_ack}. *)
 (* lint: hot process_ack -- once per received ack on the sender fast
-   path; the fused single-pass design is the PR 6 scoreboard win *)
+   path; counts only, no tuple or sequence list *)
 let process_ack t ~cum_ack ~blocks ~dupthresh =
-  let newly_cum = advance_cum t cum_ack in
-  let newly_sacked = sacked_in_blocks t 0 blocks in
-  let losses = detect_losses t ~dupthresh in
-  (* lint: allow alloc-hot -- the (cum, sacked, losses) triple is the
-     sender-facing API; one tuple per ack, locked in by bench-trend *)
-  (newly_cum, newly_sacked, losses)
+  ignore (advance_cum t cum_ack : int);
+  sack_blocks t blocks;
+  detect_losses_iter t ~dupthresh no_report
 
 let mark_all_lost t =
   let marked = ref 0 in
@@ -233,17 +230,18 @@ let mark_all_lost t =
   done;
   !marked
 
+(* Lost packets are rare and near high_ack; a scan bounded by the first
+   candidate keeps this cheap.  A top-level loop, not a local closure:
+   the sender asks once per transmission opportunity. *)
+let rec scan_retransmit t seq =
+  if seq >= t.next_seq then None
+  else
+    let f = get_flags t seq in
+    if f land f_lost <> 0 && f land f_rexmitted = 0 then Some seq
+    else scan_retransmit t (seq + 1)
+
 let next_retransmit t =
-  (* Lost packets are rare and near high_ack; a scan bounded by the
-     first candidate keeps this cheap. *)
-  let rec scan seq =
-    if seq >= t.next_seq then None
-    else
-      let f = get_flags t seq in
-      if f land f_lost <> 0 && f land f_rexmitted = 0 then Some seq
-      else scan (seq + 1)
-  in
-  if t.lost_cnt - t.rexmit_out <= 0 then None else scan t.high_ack
+  if t.lost_cnt - t.rexmit_out <= 0 then None else scan_retransmit t t.high_ack
 
 let mark_retransmitted ?(at = 0.0) t seq =
   if not (is_lost t seq) then
@@ -254,23 +252,19 @@ let mark_retransmitted ?(at = 0.0) t seq =
   t.rexmit_time.(slot t seq) <- at;
   t.rexmit_out <- t.rexmit_out + 1
 
-let expire_rexmits t ~before =
+let expire_rexmits_iter t ~before f =
   (* A retransmission older than [before] is presumed lost itself: the
      packet becomes eligible for another retransmission without waiting
      for the (much costlier) global timeout. *)
-  if t.rexmit_out = 0 then []
-  else begin
-    let stale = ref [] in
-    for seq = t.next_seq - 1 downto t.high_ack do
-      let f = get_flags t seq in
-      if f land f_rexmitted <> 0 && t.rexmit_time.(slot t seq) < before then begin
-        set_flags t seq (f land lnot f_rexmitted);
+  if t.rexmit_out > 0 then
+    for seq = t.high_ack to t.next_seq - 1 do
+      let fl = get_flags t seq in
+      if fl land f_rexmitted <> 0 && t.rexmit_time.(slot t seq) < before then begin
+        set_flags t seq (fl land lnot f_rexmitted);
         t.rexmit_out <- t.rexmit_out - 1;
-        stale := seq :: !stale
+        f seq
       end
-    done;
-    !stale
-  end
+    done
 
 (* Karn's-algorithm support: does the (clamped) range [lo, hi) hold a
    retransmitted packet?  Must be asked before [process_ack] advances

@@ -37,34 +37,37 @@ val mark_sacked : t -> lo:int -> hi:int -> int
 (** SACK the half-open range; returns the number of newly SACKed
     packets.  Ranges at or below [high_ack] are ignored. *)
 
-val mark_sacked_seqs : t -> lo:int -> hi:int -> int list
-(** Like {!mark_sacked} but returns the newly SACKed sequence numbers
-    (ascending).  The RLA sender needs them to maintain its
-    acked-by-all coverage counts without double counting. *)
+(** The [_iter] variants below also call [f] on each affected sequence
+    number, ascending, instead of returning a list, so a per-ack caller
+    that allocates [f] once builds nothing per ack. *)
 
-val advance_cum_seqs : t -> int -> int list
-(** Like {!advance_cum} but returns the sequence numbers in the newly
-    acknowledged range that had {e not} been SACKed before (ascending);
-    previously SACKed packets were already reported by
-    {!mark_sacked_seqs}. *)
+val mark_sacked_iter : t -> lo:int -> hi:int -> (int -> unit) -> int
+(** {!mark_sacked}, reporting the newly SACKed sequence numbers.  The
+    RLA sender needs them to maintain its acked-by-all coverage counts
+    without double counting. *)
+
+val advance_cum_iter : t -> int -> (int -> unit) -> int
+(** {!advance_cum}, reporting the sequence numbers in the newly
+    acknowledged range that had {e not} been SACKed before; previously
+    SACKed packets were already reported by {!mark_sacked_iter}. *)
 
 val detect_losses : t -> dupthresh:int -> int list
 (** Newly lost packets (ascending), marking them lost as a side
     effect. *)
 
+val detect_losses_iter : t -> dupthresh:int -> (int -> unit) -> int
+(** Mark and report the newly lost packets, as {!detect_losses}, and
+    return how many there were. *)
+
 val process_ack :
-  t ->
-  cum_ack:int ->
-  blocks:(int * int) list ->
-  dupthresh:int ->
-  int * int * int list
-(** One-pass ack processing for the sender hot path: advance the
-    cumulative point, apply the SACK blocks (half-open [(lo, hi)]
-    ranges) and run loss detection in a single call, without building
-    the intermediate per-step sequence lists.  Returns
-    [(newly_cum_acked, newly_sacked, new_losses)] — exactly what the
-    separate {!advance_cum} / {!mark_sacked} / {!detect_losses} calls
-    would have produced. *)
+  t -> cum_ack:int -> blocks:Wire.sack_block list -> dupthresh:int -> int
+(** One-call ack processing for the sender hot path: advance the
+    cumulative point, apply the SACK blocks (half-open
+    [[block_lo, block_hi)] ranges) and run loss detection, the same
+    transitions as {!advance_cum}, {!mark_sacked} and {!detect_losses}
+    in that order.  Returns the number of packets newly marked lost;
+    allocates nothing.  The newly cumulatively acknowledged count is
+    the change in {!high_ack} across the call. *)
 
 val mark_lost : t -> int -> bool
 (** Force-mark one packet lost (used on timeout); [false] if it was
@@ -83,11 +86,11 @@ val mark_retransmitted : ?at:float -> t -> int -> unit
     raises [Invalid_argument] unless it is currently lost and not
     already retransmitted. *)
 
-val expire_rexmits : t -> before:float -> int list
+val expire_rexmits_iter : t -> before:float -> (int -> unit) -> unit
 (** Presume retransmissions sent strictly before [before] lost: clear
-    their retransmitted flags (making them eligible again) and return
-    their sequence numbers, ascending.  Converts a lost retransmission
-    into a quick re-request instead of a full timeout. *)
+    their retransmitted flags (making them eligible again) and report
+    their sequence numbers.  Converts a lost retransmission into a
+    quick re-request instead of a full timeout. *)
 
 val range_has_rexmit : t -> lo:int -> hi:int -> bool
 (** Does the window-clamped range [\[lo, hi)] contain a packet whose

@@ -45,20 +45,30 @@ type taps = {
   ssthresh_g : Obs.Registry.gauge;
 }
 
+(* The window is an all-float record, stored unboxed: cwnd changes on
+   nearly every ack, and as a float field of the mixed record [t] each
+   write would box. *)
+type window = { mutable cwnd : float; mutable ssthresh : float }
+
+(* Per-ack work allocates nothing of its own beyond the packets it
+   sends and the boxed times it hands to the scheduler and the
+   statistics: timers are event ids with [-1] for none, the peer's
+   destination is built once, and {!Scoreboard.process_ack} returns a
+   count. *)
 type t = {
   net : Net.Network.t;
   params : params;
   src : Net.Packet.addr;
   dst : Net.Packet.addr;
+  dst_unicast : Net.Packet.dest;
   flow : Net.Packet.flow;
   sb : Scoreboard.t;
   rto : Rto.t;
   receiver : Receiver.t;
-  mutable cwnd : float;
-  mutable ssthresh : float;
+  w : window;
   mutable in_recovery : bool;
   mutable recover_point : int;
-  mutable timer : Sim.Scheduler.event_id option;
+  mutable timer : Sim.Scheduler.event_id;  (* -1 = not armed *)
   (* One shared closure for every RTO (re)arm — the timer is re-armed
      on each delivering ack, so a per-arm closure is hot-path litter. *)
   mutable timeout_thunk : unit -> unit;
@@ -69,7 +79,7 @@ type t = {
   mutable neg_wscale : int;
   (* flow control: last advertised window field; Wire.no_rwnd = none *)
   mutable rwnd_field : int;
-  mutable persist_timer : Sim.Scheduler.event_id option;
+  mutable persist_timer : Sim.Scheduler.event_id;  (* -1 = not armed *)
   mutable persist_thunk : unit -> unit;
   mutable persist_shift : int;
   mutable zero_window_probes : int;
@@ -95,9 +105,9 @@ type t = {
 
 let flow t = t.flow
 
-let cwnd t = t.cwnd
+let cwnd t = t.w.cwnd
 
-let ssthresh t = t.ssthresh
+let ssthresh t = t.w.ssthresh
 
 let in_recovery t = t.in_recovery
 
@@ -142,10 +152,20 @@ let rwnd_pkts t =
    scoreboard work; pure integer compares, no allocation *)
 let ack_in_window t ~cum_ack = cum_ack <= Scoreboard.next_seq t.sb
 
+(* Typed clamps: [if a >= b then a else b] is exactly [Stdlib.max a b]
+   on floats, NaN and signed zeros included, without boxing both
+   arguments for the polymorphic compare. *)
+let at_least_one v = if 1.0 >= v then 1.0 else v
+
 let set_cwnd t value =
-  let value = Stdlib.max 1.0 (Stdlib.min value t.params.max_cwnd) in
-  t.cwnd <- value;
+  let max_cwnd = t.params.max_cwnd in
+  let value = at_least_one (if value <= max_cwnd then value else max_cwnd) in
+  t.w.cwnd <- value;
   Stats.Time_avg.update t.cwnd_avg ~time:(now t) ~value
+
+let halved_ssthresh t =
+  let half = t.w.cwnd /. 2.0 in
+  t.w.ssthresh <- (if 2.0 >= half then 2.0 else half)
 
 (* One aligned (cwnd, bytes_acked) probe: both series get a sample at
    every call point, so their decimation schedules — and therefore
@@ -155,10 +175,10 @@ let probe_flow t =
   | None -> ()
   | Some taps ->
       let time = now t in
-      Obs.Series.add taps.cwnd_s ~time t.cwnd;
+      Obs.Series.add taps.cwnd_s ~time t.w.cwnd;
       Obs.Series.add taps.bytes_s ~time
         (float_of_int (delivered t * t.params.data_size));
-      Obs.Registry.set taps.ssthresh_g t.ssthresh
+      Obs.Registry.set taps.ssthresh_g t.w.ssthresh
 
 let probe_cut t =
   match t.taps with
@@ -166,12 +186,12 @@ let probe_cut t =
   | Some taps ->
       Obs.Registry.incr taps.cuts_c;
       Obs.Registry.emit taps.reg ~time:(now t) ~source:taps.source
-        ~event:"window_cut" ~value:t.cwnd
+        ~event:"window_cut" ~value:t.w.cwnd
 
 let avg_cwnd t = Stats.Time_avg.average t.cwnd_avg ~upto:(now t)
 
 let reset_measurement t =
-  Stats.Time_avg.reset t.cwnd_avg ~start:(now t) ~value:t.cwnd;
+  Stats.Time_avg.reset t.cwnd_avg ~start:(now t) ~value:t.w.cwnd;
   t.rtt := Stats.Welford.create ();
   t.meas_time <- now t;
   t.meas_delivered <- delivered t;
@@ -208,7 +228,7 @@ let snapshot t =
     retransmits = t.retransmits - t.meas_retransmits;
     window_cuts = t.window_cuts - t.meas_window_cuts;
     timeouts = t.timeouts - t.meas_timeouts;
-    cwnd_now = t.cwnd;
+    cwnd_now = t.w.cwnd;
     cwnd_avg = avg_cwnd t;
     rtt_avg = Stats.Welford.mean !(t.rtt);
     throughput = rate delivered_span;
@@ -216,37 +236,40 @@ let snapshot t =
   }
 
 let cancel_timer t =
-  match t.timer with
-  | None -> ()
-  | Some id ->
-      Sim.Scheduler.cancel (Net.Network.scheduler t.net) id;
-      t.timer <- None
+  if t.timer >= 0 then begin
+    Sim.Scheduler.cancel (Net.Network.scheduler t.net) t.timer;
+    t.timer <- -1
+  end
 
 let cancel_persist t =
-  match t.persist_timer with
-  | None -> ()
-  | Some id ->
-      Sim.Scheduler.cancel (Net.Network.scheduler t.net) id;
-      t.persist_timer <- None
+  if t.persist_timer >= 0 then begin
+    Sim.Scheduler.cancel (Net.Network.scheduler t.net) t.persist_timer;
+    t.persist_timer <- -1
+  end
 
 let send_data t ~seq ~rexmit =
   let pkt =
-    Net.Network.make_packet t.net ~flow:t.flow ~src:t.src
-      ~dst:(Net.Packet.Unicast t.dst) ~size:t.params.data_size
+    Net.Network.make_packet t.net ~flow:t.flow ~src:t.src ~dst:t.dst_unicast
+      ~size:t.params.data_size
       ~payload:(Wire.Tcp_data { seq; sent_at = now t })
   in
   if rexmit then t.retransmits <- t.retransmits + 1
   else t.sent_new <- t.sent_new + 1;
   Net.Network.send t.net pkt
 
+let can_send_new t =
+  (match t.params.limit with
+  | None -> true
+  | Some limit -> Scoreboard.next_seq t.sb < limit)
+  (* Flow control: unacknowledged data must fit the peer window. *)
+  && Scoreboard.in_flight_window t.sb < rwnd_pkts t
+
 let rec arm_timer t =
-  if t.timer = None && t.completed_at = None then begin
-    let sched = Net.Network.scheduler t.net in
-    let id =
-      Sim.Scheduler.schedule_after sched (Rto.timeout t.rto) t.timeout_thunk
-    in
-    t.timer <- Some id
-  end
+  if t.timer < 0 && t.completed_at = None then
+    t.timer <-
+      Sim.Scheduler.schedule_after
+        (Net.Network.scheduler t.net)
+        (Rto.timeout t.rto) t.timeout_thunk
 
 and restart_timer t =
   cancel_timer t;
@@ -254,25 +277,18 @@ and restart_timer t =
 
 and try_send t =
   if t.established then begin
-    let can_send_new () =
-      (match t.params.limit with
-      | None -> true
-      | Some limit -> Scoreboard.next_seq t.sb < limit)
-      (* Flow control: unacknowledged data must fit the peer window. *)
-      && Scoreboard.in_flight_window t.sb < rwnd_pkts t
-    in
     let budget = ref t.params.max_burst in
     let blocked = ref false in
     while
       (not !blocked) && !budget > 0
-      && Scoreboard.pipe t.sb < int_of_float t.cwnd
+      && Scoreboard.pipe t.sb < int_of_float t.w.cwnd
     do
       (match Scoreboard.next_retransmit t.sb with
       | Some seq ->
           Scoreboard.mark_retransmitted t.sb seq;
           send_data t ~seq ~rexmit:true
       | None ->
-          if can_send_new () then begin
+          if can_send_new t then begin
             let seq = Scoreboard.register_send t.sb in
             send_data t ~seq ~rexmit:false
           end
@@ -287,24 +303,22 @@ and try_send t =
   end
 
 and arm_persist t =
-  if t.persist_timer = None && t.completed_at = None then begin
-    let interval =
-      Stdlib.min
-        (Rto.timeout t.rto *. (2.0 ** float_of_int t.persist_shift))
-        persist_max
+  if t.persist_timer < 0 && t.completed_at = None then begin
+    let backed_off =
+      Rto.timeout t.rto *. (2.0 ** float_of_int t.persist_shift)
     in
     t.persist_timer <-
-      Some
-        (Sim.Scheduler.schedule_after
-           (Net.Network.scheduler t.net)
-           interval t.persist_thunk)
+      Sim.Scheduler.schedule_after
+        (Net.Network.scheduler t.net)
+        (if backed_off <= persist_max then backed_off else persist_max)
+        t.persist_thunk
   end
 
 and on_persist t =
   if t.established && t.completed_at = None && rwnd_pkts t = 0 then begin
     let pkt =
-      Net.Network.make_packet t.net ~flow:t.flow ~src:t.src
-        ~dst:(Net.Packet.Unicast t.dst) ~size:Wire.ack_size
+      Net.Network.make_packet t.net ~flow:t.flow ~src:t.src ~dst:t.dst_unicast
+        ~size:Wire.ack_size
         ~payload:
           (Wire.Tcp_probe { seq = Scoreboard.next_seq t.sb; sent_at = now t })
     in
@@ -316,8 +330,8 @@ and on_persist t =
 
 and send_syn t =
   let pkt =
-    Net.Network.make_packet t.net ~flow:t.flow ~src:t.src
-      ~dst:(Net.Packet.Unicast t.dst) ~size:Wire.ack_size
+    Net.Network.make_packet t.net ~flow:t.flow ~src:t.src ~dst:t.dst_unicast
+      ~size:Wire.ack_size
       ~payload:
         (Wire.Tcp_syn
            { options = Options.encode (local_options t); sent_at = now t })
@@ -340,7 +354,7 @@ and on_timeout t =
     if Scoreboard.in_flight_window t.sb > 0 then begin
       t.timeouts <- t.timeouts + 1;
       t.window_cuts <- t.window_cuts + 1;
-      t.ssthresh <- Stdlib.max 2.0 (t.cwnd /. 2.0);
+      halved_ssthresh t;
       set_cwnd t 1.0;
       probe_cut t;
       probe_flow t;
@@ -356,14 +370,15 @@ let enter_recovery t =
   t.in_recovery <- true;
   t.recover_point <- Scoreboard.next_seq t.sb;
   t.window_cuts <- t.window_cuts + 1;
-  t.ssthresh <- Stdlib.max 2.0 (t.cwnd /. 2.0);
-  set_cwnd t t.ssthresh;
+  halved_ssthresh t;
+  set_cwnd t t.w.ssthresh;
   probe_cut t
 
 let grow_window t newly =
   for _ = 1 to newly do
-    if t.cwnd < t.ssthresh then set_cwnd t (t.cwnd +. 1.0)
-    else set_cwnd t (t.cwnd +. (1.0 /. t.cwnd))
+    let w = t.w in
+    if w.cwnd < w.ssthresh then set_cwnd t (w.cwnd +. 1.0)
+    else set_cwnd t (w.cwnd +. (1.0 /. w.cwnd))
   done
 
 let check_completion t =
@@ -382,7 +397,7 @@ let on_ack t ~cum_ack ~blocks ~echo ~ece ~rwnd =
     t.ghost_acks <- t.ghost_acks + 1
   else begin
     t.rwnd_field <- rwnd;
-    if rwnd <> 0 && t.persist_timer <> None then begin
+    if rwnd <> 0 && t.persist_timer >= 0 then begin
       cancel_persist t;
       t.persist_shift <- 0
     end;
@@ -394,25 +409,27 @@ let on_ack t ~cum_ack ~blocks ~echo ~ece ~rwnd =
       && Scoreboard.range_has_rexmit t.sb ~lo:(Scoreboard.high_ack t.sb)
            ~hi:cum_ack
     in
-    if echo >= 0.0 then Rto.sample ~rexmitted t.rto (now t -. echo);
+    (* A constant [~rexmitted:true] is a static [Some]; passing the
+       variable would build one per ack. *)
+    if echo >= 0.0 then
+      if rexmitted then Rto.sample ~rexmitted:true t.rto (now t -. echo)
+      else Rto.sample t.rto (now t -. echo);
     (match t.taps with
     | None -> ()
     | Some taps -> Obs.Series.add taps.srtt_s ~time:(now t) (Rto.srtt t.rto));
-    let newly, _, losses =
-      Scoreboard.process_ack t.sb ~cum_ack
-        ~blocks:
-          (List.map
-             (fun { Wire.block_lo; block_hi } -> (block_lo, block_hi))
-             blocks)
+    let high_ack0 = Scoreboard.high_ack t.sb in
+    let losses =
+      Scoreboard.process_ack t.sb ~cum_ack ~blocks
         ~dupthresh:t.params.dupthresh
     in
+    let newly = Scoreboard.high_ack t.sb - high_ack0 in
     if newly > 0 then begin
       restart_timer t;
       if t.in_recovery && Scoreboard.high_ack t.sb >= t.recover_point then
         t.in_recovery <- false;
       if not t.in_recovery then grow_window t newly
     end;
-    if (losses <> [] || ece) && not t.in_recovery then enter_recovery t;
+    if (losses > 0 || ece) && not t.in_recovery then enter_recovery t;
     probe_flow t;
     check_completion t;
     if t.completed_at = None then try_send t
@@ -459,22 +476,26 @@ let create ~net ~src ~dst ?(params = default_params) ?(start_at = 0.0) () =
       params;
       src;
       dst;
+      dst_unicast = Net.Packet.Unicast dst;
       flow;
       sb = Scoreboard.create ();
       rto = Rto.create ~min_rto:params.min_rto ();
       receiver;
-      cwnd = Stdlib.max 1.0 params.init_cwnd;
-      ssthresh = params.init_ssthresh;
+      w =
+        {
+          cwnd = at_least_one params.init_cwnd;
+          ssthresh = params.init_ssthresh;
+        };
       in_recovery = false;
       recover_point = 0;
-      timer = None;
+      timer = -1;
       timeout_thunk = ignore;
       start_event = None;
       established = not params.handshake;
       syn_sent = 0;
       neg_wscale = (if params.handshake then 0 else params.wscale);
       rwnd_field = Wire.no_rwnd;
-      persist_timer = None;
+      persist_timer = -1;
       persist_thunk = ignore;
       persist_shift = 0;
       zero_window_probes = 0;
@@ -497,11 +518,11 @@ let create ~net ~src ~dst ?(params = default_params) ?(start_at = 0.0) () =
   in
   t.timeout_thunk <-
     (fun () ->
-      t.timer <- None;
+      t.timer <- -1;
       on_timeout t);
   t.persist_thunk <-
     (fun () ->
-      t.persist_timer <- None;
+      t.persist_timer <- -1;
       on_persist t);
   (match Net.Network.observer net with
   | None -> ()
@@ -538,6 +559,12 @@ let create ~net ~src ~dst ?(params = default_params) ?(start_at = 0.0) () =
   t
 
 (* --- checkpoint/restore -------------------------------------------- *)
+
+(* The state keeps options for the timers; the [-1] sentinels are
+   converted here, so the checkpoint format is unchanged. *)
+let event_opt id = if id < 0 then None else Some id
+
+let event_of_opt = function None -> -1 | Some id -> id
 
 type state = {
   s_sb : Scoreboard.state;
@@ -577,11 +604,11 @@ let capture t =
     s_sb = Scoreboard.capture t.sb;
     s_rto = Rto.capture t.rto;
     s_receiver = Receiver.capture t.receiver;
-    s_cwnd = t.cwnd;
-    s_ssthresh = t.ssthresh;
+    s_cwnd = t.w.cwnd;
+    s_ssthresh = t.w.ssthresh;
     s_in_recovery = t.in_recovery;
     s_recover_point = t.recover_point;
-    s_timer = t.timer;
+    s_timer = event_opt t.timer;
     s_start_event = t.start_event;
     s_cwnd_avg = Stats.Time_avg.capture t.cwnd_avg;
     s_rtt = Stats.Welford.capture !(t.rtt);
@@ -600,7 +627,7 @@ let capture t =
     s_syn_sent = t.syn_sent;
     s_neg_wscale = t.neg_wscale;
     s_rwnd_field = t.rwnd_field;
-    s_persist_timer = t.persist_timer;
+    s_persist_timer = event_opt t.persist_timer;
     s_persist_shift = t.persist_shift;
     s_zero_window_probes = t.zero_window_probes;
     s_ghost_acks = t.ghost_acks;
@@ -610,17 +637,17 @@ let restore t st =
   Scoreboard.restore t.sb st.s_sb;
   Rto.restore t.rto st.s_rto;
   Receiver.restore t.receiver st.s_receiver;
-  t.cwnd <- st.s_cwnd;
-  t.ssthresh <- st.s_ssthresh;
+  t.w.cwnd <- st.s_cwnd;
+  t.w.ssthresh <- st.s_ssthresh;
   t.in_recovery <- st.s_in_recovery;
   t.recover_point <- st.s_recover_point;
-  t.timer <- st.s_timer;
+  t.timer <- event_of_opt st.s_timer;
   t.start_event <- st.s_start_event;
   t.established <- st.s_established;
   t.syn_sent <- st.s_syn_sent;
   t.neg_wscale <- st.s_neg_wscale;
   t.rwnd_field <- st.s_rwnd_field;
-  t.persist_timer <- st.s_persist_timer;
+  t.persist_timer <- event_of_opt st.s_persist_timer;
   t.persist_shift <- st.s_persist_shift;
   t.zero_window_probes <- st.s_zero_window_probes;
   t.ghost_acks <- st.s_ghost_acks;

@@ -1,0 +1,188 @@
+(* Allocation regression tests for the per-event path.
+
+   Each test warms its subject up (heap, ring and scoreboard arrays
+   grown, packet pool stocked), then reads [Gc.minor_words] around a
+   steady-state stretch on this one domain.  The counts are exact and
+   repeat for a given binary, so each bound is the value measured
+   under dune's default (dev) profile, which compiles with [-opaque],
+   rounded up in the second decimal.  Under [-opaque] a float crossing
+   a call between modules is boxed (2 words); the boxes left on the
+   event path are the fire times handed to the scheduler, the clock it
+   keeps, and the floats the ack handlers pass to the estimators and
+   put in packet headers.  An option, closure or tuple slipped back
+   into [Sim], [Net] or the ack handlers raises a count and fails. *)
+
+let words_during f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* What the measuring itself costs, so the bounds are about [f]. *)
+let overhead = words_during ignore
+
+let measured f = words_during f -. overhead
+
+let check_at_most what ~bound got =
+  if got > bound then
+    Alcotest.failf "%s: %.3f words, bound %.3f" what got bound
+
+(* Priorities built once: a [float] handed over from here is already
+   boxed, so the heap's own allocation is what gets counted. *)
+let boxed_prios = Array.init 1024 (fun i -> Some (float_of_int ((i * 7919) land 1023)))
+
+let prio i = match boxed_prios.(i land 1023) with Some p -> p | None -> 0.0
+
+let test_heap_add_pop () =
+  let h = Sim.Heap.create () in
+  for i = 0 to 1023 do
+    Sim.Heap.add h ~prio:(prio i) i
+  done;
+  let cycle n =
+    for i = 0 to n - 1 do
+      ignore (Sim.Heap.pop_top h : int);
+      Sim.Heap.add h ~prio:(prio i) i
+    done
+  in
+  cycle 10_000;
+  let w = measured (fun () -> cycle 100_000) in
+  Alcotest.(check (float 0.0)) "add + pop_top words" 0.0 w
+
+let noop () = ()
+
+(* Words per [step] over 40k events, all fired or all cancelled. *)
+let step_words ~cancelled =
+  let s = Sim.Scheduler.create () in
+  let ids =
+    Array.init 60_000 (fun i -> Sim.Scheduler.schedule_at s (prio i) noop)
+  in
+  if cancelled then Array.iter (Sim.Scheduler.cancel s) ids;
+  let steps k =
+    for _ = 1 to k do
+      ignore (Sim.Scheduler.step s infinity)
+    done
+  in
+  steps 10_000;
+  let k = 40_000 in
+  measured (fun () -> steps k) /. float_of_int k
+
+let test_scheduler_step () =
+  (* The clock box: [Heap.top_prio] returns the fire time boxed across
+     the module boundary and [step] keeps that box as its clock. *)
+  check_at_most "words per fired step" ~bound:2.0
+    (step_words ~cancelled:false);
+  (* A cancelled entry is dropped without reading its time. *)
+  Alcotest.(check (float 0.0)) "words per cancelled step" 0.0
+    (step_words ~cancelled:true)
+
+let chain_link =
+  {
+    Net.Link.bandwidth_bps = 8_000_000.0;
+    prop_delay = 0.005;
+    queue = Net.Queue_disc.Droptail;
+    capacity = 20;
+    phase_jitter = false;
+  }
+
+(* A 2-link drop-tail chain 0 -> 1 -> 2 fed one 1000-byte packet every
+   10 ms by a source that re-arms one shared closure; the sink at node
+   2 counts arrivals. *)
+let test_chain_hop () =
+  let net = Net.Network.create ~seed:3 () in
+  for _ = 0 to 2 do
+    ignore (Net.Network.add_node net : Net.Node.t)
+  done;
+  ignore (Net.Network.duplex net 0 1 chain_link);
+  ignore (Net.Network.duplex net 1 2 chain_link);
+  Net.Network.install_routes net;
+  let flow = Net.Network.fresh_flow net in
+  let arrived = ref 0 in
+  Net.Node.attach (Net.Network.node net 2) ~flow (fun _ -> incr arrived);
+  let sched = Net.Network.scheduler net in
+  let dst = Net.Packet.Unicast 2 in
+  let rec tick () =
+    Net.Network.send net
+      (Net.Network.make_packet net ~flow ~src:0 ~dst ~size:1000
+         ~payload:Net.Packet.Raw);
+    ignore (Sim.Scheduler.schedule_after sched 0.01 tick : Sim.Scheduler.event_id)
+  in
+  ignore (Sim.Scheduler.schedule_at sched 0.0 tick : Sim.Scheduler.event_id);
+  Net.Network.run_until net 1.0;
+  let packets0 = !arrived in
+  let w = measured (fun () -> Net.Network.run_until net 11.0) in
+  let packets = !arrived - packets0 in
+  Alcotest.(check int) "packets delivered" 1000 packets;
+  (* Per packet: the source event (clock box + re-arm time) and, per
+     hop, the completion and delivery events (clock box + fire time
+     each): 4 + 2 * 8 = 20 words, so 10 per hop (measured 10.003; the
+     rest is amortized array growth). *)
+  check_at_most "words per hop" ~bound:10.01
+    (w /. float_of_int packets /. 2.0)
+
+(* One TCP flow through a 1.5 Mbit/s drop-tail bottleneck with a
+   20-packet buffer: slow start, then a loss-driven sawtooth. *)
+let test_tcp_flow () =
+  let net = Net.Network.create ~seed:5 () in
+  for _ = 0 to 2 do
+    ignore (Net.Network.add_node net : Net.Node.t)
+  done;
+  let fast = { chain_link with Net.Link.bandwidth_bps = 100e6; prop_delay = 0.001 } in
+  let slow = { chain_link with Net.Link.bandwidth_bps = 1.5e6; prop_delay = 0.02 } in
+  ignore (Net.Network.duplex net 0 1 fast);
+  ignore (Net.Network.duplex net 1 2 slow);
+  Net.Network.install_routes net;
+  let tcp = Tcp.Sender.create ~net ~src:0 ~dst:2 () in
+  Net.Network.run_until net 20.0;
+  let sched = Net.Network.scheduler net in
+  let events0 = Sim.Scheduler.events_fired sched in
+  let w = measured (fun () -> Net.Network.run_until net 60.0) in
+  let events = Sim.Scheduler.events_fired sched - events0 in
+  Alcotest.(check bool) "the flow saw losses" true (Tcp.Sender.window_cuts tcp > 0);
+  (* Measured 7.318: 8 events per data packet and its ack, each with
+     its clock box and fire time (4 words), the two headers, and the
+     five floats the ack handler boxes for the estimators and the
+     retransmission timer; recovery adds the SACK lists. *)
+  check_at_most "words per event" ~bound:7.32 (w /. float_of_int events)
+
+(* An RLA session from node 0 through a hub to four leaves, buffers
+   deep enough that nothing is lost. *)
+let test_rla_acks () =
+  let net = Net.Network.create ~seed:9 () in
+  for _ = 0 to 5 do
+    ignore (Net.Network.add_node net : Net.Node.t)
+  done;
+  let deep bw delay =
+    { chain_link with Net.Link.bandwidth_bps = bw; prop_delay = delay; capacity = 1000 }
+  in
+  ignore (Net.Network.duplex net 0 1 (deep 100e6 0.01));
+  for leaf = 2 to 5 do
+    ignore (Net.Network.duplex net 1 leaf (deep 10e6 0.005))
+  done;
+  Net.Network.install_routes net;
+  let rla = Rla.Sender.create ~net ~src:0 ~receivers:[ 2; 3; 4; 5 ] () in
+  let acks () =
+    List.fold_left
+      (fun n e -> n + Rla.Receiver.received_total e)
+      0
+      (Rla.Sender.receiver_endpoints rla)
+  in
+  Net.Network.run_until net 20.0;
+  let acks0 = acks () in
+  let w = measured (fun () -> Net.Network.run_until net 40.0) in
+  (* Measured 55.28 per receiver ack, 7.5 events each: the events'
+     clock boxes and fire times, the ack header, and the floats the
+     delayed ack and the sender's ack handler box. *)
+  check_at_most "words per receiver ack" ~bound:55.3
+    (w /. float_of_int (acks () - acks0))
+
+let () =
+  Alcotest.run "alloc"
+    [
+      ( "event path",
+        [
+          Alcotest.test_case "heap add + pop_top" `Quick test_heap_add_pop;
+          Alcotest.test_case "scheduler step" `Quick test_scheduler_step;
+          Alcotest.test_case "drop-tail chain hop" `Quick test_chain_hop;
+          Alcotest.test_case "one TCP flow" `Quick test_tcp_flow;
+          Alcotest.test_case "RLA acks" `Quick test_rla_acks;
+        ] );
+    ]

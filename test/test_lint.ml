@@ -45,6 +45,20 @@ let test_poly_compare () =
   check_count fs ~rule:"poly-compare" 6;
   check_count fs ~rule:"mli-required" 1
 
+let test_float_minmax () =
+  (* Stdlib.max/min (bare or qualified) with a float literal or a
+     float-arithmetic argument: four sites, one per line. *)
+  let fs = run [ fx "float_minmax" ] in
+  check_count fs ~rule:"poly-compare" 4;
+  Alcotest.(check (list int)) "poly-compare lines" [ 2; 4; 6; 8 ]
+    (List.filter_map
+       (fun (f : Lint.Finding.t) ->
+         if f.rule = "poly-compare" then Some f.line else None)
+       fs);
+  (* Typed clamps, variables-only max and integer max are clean. *)
+  Alcotest.(check int) "clean fixture" 0
+    (List.length (run [ fx "float_minmax_clean" ]))
+
 let test_hashtbl_order () =
   let fs = run [ fx "hashtbl_order" ] in
   (* iter and fold fire; Hashtbl.length does not. *)
@@ -453,6 +467,24 @@ let test_rla_ack_dispatch_declared_hot () =
            (fun (f, t) -> Filename.basename f = "sender.ml" && t = "active_slot")
            hots)
 
+let test_event_path_declared_hot () =
+  (* The per-packet dequeue and the per-arrival node dispatch carry the
+     alloc-hot contract, so an option or closure creeping back into
+     either fails the self-check. *)
+  match existing_trees [ Filename.concat "lib" "net" ] with
+  | [] -> ()
+  | trees ->
+      let hots = Lint.Driver.hot_annotations ~paths:trees () in
+      let declared file target =
+        List.exists
+          (fun (f, t) -> Filename.basename f = file && t = target)
+          hots
+      in
+      Alcotest.(check bool) "Ring.take is declared hot" true
+        (declared "ring.ml" "take");
+      Alcotest.(check bool) "Node.receive is declared hot" true
+        (declared "node.ml" "receive")
+
 let () =
   Alcotest.run "lint"
     [
@@ -461,6 +493,8 @@ let () =
           Alcotest.test_case "wall-clock" `Quick test_wall_clock;
           Alcotest.test_case "ambient-rng" `Quick test_ambient_rng;
           Alcotest.test_case "poly-compare" `Quick test_poly_compare;
+          Alcotest.test_case "poly-compare float max/min" `Quick
+            test_float_minmax;
           Alcotest.test_case "hashtbl-order" `Quick test_hashtbl_order;
           Alcotest.test_case "mli-required" `Quick test_mli_required;
           Alcotest.test_case "parse-error" `Quick test_parse_error;
@@ -524,5 +558,7 @@ let () =
             test_ack_validation_declared_hot;
           Alcotest.test_case "RLA ack dispatch declared hot" `Quick
             test_rla_ack_dispatch_declared_hot;
+          Alcotest.test_case "event path declared hot" `Quick
+            test_event_path_declared_hot;
         ] );
     ]

@@ -206,16 +206,22 @@ let test_sb_mark_all_lost () =
     (Tcp.Scoreboard.next_retransmit sb);
   Tcp.Scoreboard.check_invariants sb
 
+(* The sequence numbers an [_iter] scoreboard call reports, in order. *)
+let reported iter =
+  let seqs = ref [] in
+  ignore (iter (fun seq -> seqs := seq :: !seqs));
+  List.rev !seqs
+
 let test_sb_advance_cum_seqs_fresh_only () =
   let sb = sb_with_sends 5 in
   ignore (Tcp.Scoreboard.mark_sacked sb ~lo:1 ~hi:2);
-  let fresh = Tcp.Scoreboard.advance_cum_seqs sb 3 in
+  let fresh = reported (Tcp.Scoreboard.advance_cum_iter sb 3) in
   Alcotest.(check (list int)) "skips previously sacked" [ 0; 2 ] fresh
 
 let test_sb_mark_sacked_seqs () =
   let sb = sb_with_sends 5 in
   ignore (Tcp.Scoreboard.mark_sacked sb ~lo:2 ~hi:3);
-  let fresh = Tcp.Scoreboard.mark_sacked_seqs sb ~lo:1 ~hi:4 in
+  let fresh = reported (Tcp.Scoreboard.mark_sacked_iter sb ~lo:1 ~hi:4) in
   Alcotest.(check (list int)) "only new seqs" [ 1; 3 ] fresh
 
 let test_sb_expire_rexmits () =
@@ -227,7 +233,7 @@ let test_sb_expire_rexmits () =
   Tcp.Scoreboard.mark_retransmitted ~at:20.0 sb 1;
   (* Only the rexmit from t=10 is stale at cutoff 15. *)
   Alcotest.(check (list int)) "stale rexmits" [ 0 ]
-    (Tcp.Scoreboard.expire_rexmits sb ~before:15.0);
+    (reported (Tcp.Scoreboard.expire_rexmits_iter sb ~before:15.0));
   Alcotest.(check bool) "flag cleared" false (Tcp.Scoreboard.is_rexmitted sb 0);
   Alcotest.(check bool) "fresh one kept" true (Tcp.Scoreboard.is_rexmitted sb 1);
   (* The expired packet is eligible again. *)
@@ -238,7 +244,7 @@ let test_sb_expire_rexmits () =
 let test_sb_expire_rexmits_empty () =
   let sb = sb_with_sends 4 in
   Alcotest.(check (list int)) "nothing to expire" []
-    (Tcp.Scoreboard.expire_rexmits sb ~before:100.0)
+    (reported (Tcp.Scoreboard.expire_rexmits_iter sb ~before:100.0))
 
 let prop_sb_random_ops =
   (* Random sequences of operations never break the counter invariants
