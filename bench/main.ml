@@ -1,8 +1,8 @@
 (* lint: allow-file wall-clock -- benchmark harness: host wall time IS
    the measurement here, not simulation state *)
 (* Benchmark harness: regenerates every table and figure of the paper
-   (section 5 and the analytical figures), then times the simulator's
-   hot paths with Bechamel.
+   (section 5 and the analytical figures).  Per-operation timings of
+   the simulator's hot paths live in perfbench/micro.ml.
 
    Durations are scaled down from the paper's 3000 s so the whole
    harness finishes in minutes; set RLA_BENCH_DURATION (seconds) to
@@ -249,140 +249,6 @@ let ablations () =
   run ~title:"receiver ack jitter"
     (Experiments.Ablation.ack_jitter_variants ())
 
-(* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks of the hot paths                          *)
-(* ------------------------------------------------------------------ *)
-
-let bench_heap () =
-  let h = Sim.Heap.create () in
-  Bechamel.Staged.stage (fun () ->
-      for i = 0 to 99 do
-        Sim.Heap.add h ~prio:(float_of_int ((i * 7919) mod 100)) i
-      done;
-      for _ = 0 to 99 do
-        ignore (Sim.Heap.pop h)
-      done)
-
-let bench_rng () =
-  let rng = Sim.Rng.create 1 in
-  Bechamel.Staged.stage (fun () ->
-      let acc = ref 0.0 in
-      for _ = 1 to 100 do
-        acc := !acc +. Sim.Rng.uniform rng
-      done;
-      ignore !acc)
-
-let bench_red () =
-  let red =
-    Net.Red.create (Net.Red.default_params ~mean_pkt_time:0.001)
-      ~rng:(Sim.Rng.create 1)
-  in
-  let t = ref 0.0 in
-  Bechamel.Staged.stage (fun () ->
-      for q = 0 to 99 do
-        t := !t +. 0.001;
-        ignore (Net.Red.decide red ~now:!t ~qlen:(q mod 20))
-      done)
-
-let bench_scoreboard () =
-  Bechamel.Staged.stage (fun () ->
-      let sb = Tcp.Scoreboard.create () in
-      for _ = 1 to 100 do
-        ignore (Tcp.Scoreboard.register_send sb)
-      done;
-      ignore (Tcp.Scoreboard.mark_sacked sb ~lo:40 ~hi:70);
-      ignore (Tcp.Scoreboard.detect_losses sb ~dupthresh:3);
-      ignore (Tcp.Scoreboard.advance_cum sb 100))
-
-let bench_particle () =
-  let pipes = Analysis.Particle.uniform_pipes ~pipe:40.0 ~n:27 in
-  let rng = Sim.Rng.create 2 in
-  Bechamel.Staged.stage (fun () ->
-      ignore (Analysis.Particle.simulate ~rng pipes ~steps:1_000 ()))
-
-let bench_tcp_sim () =
-  Bechamel.Staged.stage (fun () ->
-      let net = Net.Network.create ~seed:1 () in
-      let a = Net.Node.id (Net.Network.add_node net) in
-      let b = Net.Node.id (Net.Network.add_node net) in
-      ignore
-        (Net.Network.duplex net a b
-           {
-             Net.Link.bandwidth_bps = 800_000.0;
-             prop_delay = 0.01;
-             queue = Net.Queue_disc.Droptail;
-             capacity = 20;
-             phase_jitter = false;
-           });
-      Net.Network.install_routes net;
-      ignore (Tcp.Sender.create ~net ~src:a ~dst:b ());
-      Net.Network.run_until net 5.0)
-
-let bench_rla_sim () =
-  Bechamel.Staged.stage (fun () ->
-      let net = Net.Network.create ~seed:1 () in
-      let s = Net.Node.id (Net.Network.add_node net) in
-      let hub = Net.Node.id (Net.Network.add_node net) in
-      let leaves =
-        List.init 3 (fun _ -> Net.Node.id (Net.Network.add_node net))
-      in
-      ignore
-        (Net.Network.duplex net s hub
-           {
-             Net.Link.bandwidth_bps = 100e6;
-             prop_delay = 0.005;
-             queue = Net.Queue_disc.Droptail;
-             capacity = 100;
-             phase_jitter = false;
-           });
-      List.iter
-        (fun leaf ->
-          ignore
-            (Net.Network.duplex net hub leaf
-               {
-                 Net.Link.bandwidth_bps = 1_600_000.0;
-                 prop_delay = 0.02;
-                 queue = Net.Queue_disc.Droptail;
-                 capacity = 20;
-                 phase_jitter = true;
-               }))
-        leaves;
-      Net.Network.install_routes net;
-      ignore (Rla.Sender.create ~net ~src:s ~receivers:leaves ());
-      Net.Network.run_until net 5.0)
-
-let microbench () =
-  section "MICRO: Bechamel timings of the simulator hot paths";
-  let open Bechamel in
-  let test =
-    Test.make_grouped ~name:"micro"
-      [
-        Test.make ~name:"heap add/pop x100" (bench_heap ());
-        Test.make ~name:"rng uniform x100" (bench_rng ());
-        Test.make ~name:"red decide x100" (bench_red ());
-        Test.make ~name:"scoreboard cycle x100" (bench_scoreboard ());
-        Test.make ~name:"particle 1k steps" (bench_particle ());
-        Test.make ~name:"tcp 5s sim" (bench_tcp_sim ());
-        Test.make ~name:"rla 3rcv 5s sim" (bench_rla_sim ());
-      ]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~kde:(Some 100) ()
-  in
-  let raw = Benchmark.all cfg [ instance ] test in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols instance raw in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ time_ns ] ->
-          Format.fprintf ppf "%-32s %12.0f ns/run@." name time_ns
-      | _ -> Format.fprintf ppf "%-32s (no estimate)@." name)
-    results
-
 let () =
   let t0 = Sys.time () in
   fig4 ();
@@ -399,5 +265,4 @@ let () =
   prop ();
   baseline ();
   ablations ();
-  microbench ();
   Format.fprintf ppf "@.total cpu time: %.1f s@." (Sys.time () -. t0)

@@ -30,30 +30,12 @@ type t = {
   mutable high_ack : int;
   mutable expected : int;  (* colluding receiver's in-order point *)
   mutable sent : int;
-  mutable acks_received : int;
-  mutable acks_sent : int;
-  mutable timeouts : int;
-  mutable stopped : bool;
   mutable timer : Sim.Scheduler.event_id option;
   mutable timeout_thunk : unit -> unit;
   mutable meas_time : float;
   mutable meas_sent : int;
   mutable meas_delivered : int;
 }
-
-let flow t = t.flow
-
-let cwnd t = t.cwnd
-
-let delivered t = t.high_ack
-
-let sent t = t.sent
-
-let acks_received t = t.acks_received
-
-let acks_sent t = t.acks_sent
-
-let timeouts t = t.timeouts
 
 let now t = Net.Network.now t.net
 
@@ -101,17 +83,15 @@ let send_data t =
   Net.Network.send t.net pkt
 
 let try_send t =
-  if not t.stopped then begin
-    let burst = ref 0 in
-    while
-      !burst < t.params.max_burst
-      && t.next_seq - t.high_ack < int_of_float t.cwnd
-    do
-      send_data t;
-      incr burst
-    done;
-    if t.next_seq > t.high_ack then arm_timer t
-  end
+  let burst = ref 0 in
+  while
+    !burst < t.params.max_burst
+    && t.next_seq - t.high_ack < int_of_float t.cwnd
+  do
+    send_data t;
+    incr burst
+  done;
+  if t.next_seq > t.high_ack then arm_timer t
 
 (* Growth per ack ARRIVAL, not per packet newly acknowledged: the
    pre-ABC (RFC 3465) bug ack division exploits.  The colluding
@@ -123,21 +103,17 @@ let grow_cwnd t =
   if t.cwnd > t.params.max_cwnd then t.cwnd <- t.params.max_cwnd
 
 let on_ack t ~cum_ack ~echo =
-  if not t.stopped then begin
-    t.acks_received <- t.acks_received + 1;
-    grow_cwnd t;
-    if cum_ack > t.high_ack then begin
-      t.high_ack <- cum_ack;
-      if echo >= 0.0 then Tcp.Rto.sample t.rto (now t -. echo);
-      if t.next_seq > t.high_ack then arm_timer t else cancel_timer t
-    end;
-    try_send t
-  end
+  grow_cwnd t;
+  if cum_ack > t.high_ack then begin
+    t.high_ack <- cum_ack;
+    if echo >= 0.0 then Tcp.Rto.sample t.rto (now t -. echo);
+    if t.next_seq > t.high_ack then arm_timer t else cancel_timer t
+  end;
+  try_send t
 
 let on_timeout t =
   t.timer <- None;
-  if (not t.stopped) && t.next_seq > t.high_ack then begin
-    t.timeouts <- t.timeouts + 1;
+  if t.next_seq > t.high_ack then begin
     t.ssthresh <- Stdlib.max 2.0 (t.cwnd /. 2.0);
     t.cwnd <- 1.0;
     (* Go-back-N: rewind and resend from the last cumulative point. *)
@@ -146,17 +122,12 @@ let on_timeout t =
     try_send t
   end
 
-let stop t =
-  t.stopped <- true;
-  cancel_timer t
-
 (* Colluding receiver: acknowledge every data arrival [split] times.
    Go-back-N delivery — out-of-order data only produces (split)
    duplicate acks at the current in-order point. *)
 let on_data t ~seq ~sent_at =
   if seq = t.expected then t.expected <- t.expected + 1;
   for _ = 1 to t.params.split do
-    t.acks_sent <- t.acks_sent + 1;
     let pkt =
       Net.Network.make_packet t.net ~flow:t.flow ~src:t.dst
         ~dst:(Net.Packet.Unicast t.src) ~size:Tcp.Wire.ack_size
@@ -190,10 +161,6 @@ let create ~net ~src ~dst ?(params = default_params) ?(start_at = 0.0) () =
       high_ack = 0;
       expected = 0;
       sent = 0;
-      acks_received = 0;
-      acks_sent = 0;
-      timeouts = 0;
-      stopped = false;
       timer = None;
       timeout_thunk = (fun () -> ());
       meas_time = Net.Network.now net;

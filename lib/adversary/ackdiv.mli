@@ -42,22 +42,6 @@ val create :
     [start_at] seconds from now.  Raises [Invalid_argument] if
     [params.split < 1]. *)
 
-val flow : t -> Net.Packet.flow
-
-val cwnd : t -> float
-
-val sent : t -> int
-
-val delivered : t -> int
-(** Packets cumulatively acknowledged (go-back-N in-order point). *)
-
-val acks_received : t -> int
-
-val acks_sent : t -> int
-(** Total acks the colluding receiver emitted ([split] per data). *)
-
-val timeouts : t -> int
-
 val reset_measurement : t -> unit
 
 val send_rate : t -> float
@@ -65,6 +49,3 @@ val send_rate : t -> float
 
 val delivered_rate : t -> float
 (** Goodput packets/s since the last {!reset_measurement}. *)
-
-val stop : t -> unit
-(** Cancel the retransmission timer and cease sending; idempotent. *)

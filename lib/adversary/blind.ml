@@ -3,15 +3,12 @@ type t = {
   src : Net.Packet.addr;
   data_size : int;
   mutable rst_sent : int;
-  mutable data_sent : int;
 }
 
 let rst_sent t = t.rst_sent
 
-let data_sent t = t.data_sent
-
 let create ~net ~src ?(data_size = Tcp.Wire.data_size) () =
-  { net; src; data_size; rst_sent = 0; data_sent = 0 }
+  { net; src; data_size; rst_sent = 0 }
 
 let rst t ~flow ~dst ~seq =
   t.rst_sent <- t.rst_sent + 1;
@@ -23,7 +20,6 @@ let rst t ~flow ~dst ~seq =
   Net.Network.send t.net pkt
 
 let data t ~flow ~dst ~seq =
-  t.data_sent <- t.data_sent + 1;
   let pkt =
     Net.Network.make_packet t.net ~flow ~src:t.src
       ~dst:(Net.Packet.Unicast dst) ~size:t.data_size

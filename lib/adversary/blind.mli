@@ -31,5 +31,3 @@ val data :
     time, so a victim that acks it produces a sane-looking echo). *)
 
 val rst_sent : t -> int
-
-val data_sent : t -> int

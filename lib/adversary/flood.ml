@@ -8,23 +8,12 @@ type t = {
   mutable next_seq : int;
   mutable sent : int;
   mutable delivered : int;
-  mutable stopped : bool;
   mutable meas_time : float;
   mutable meas_sent : int;
   mutable meas_delivered : int;
 }
 
-let flow t = t.flow
-
-let rate t = t.rate
-
-let sent t = t.sent
-
-let delivered t = t.delivered
-
 let now t = Net.Network.now t.net
-
-let stop t = t.stopped <- true
 
 let reset_measurement t =
   t.meas_time <- now t;
@@ -67,7 +56,6 @@ let create ~net ~src ~dst ?(rate = 1000.0) ?(data_size = Tcp.Wire.data_size)
       next_seq = 0;
       sent = 0;
       delivered = 0;
-      stopped = false;
       meas_time = Net.Network.now net;
       meas_sent = 0;
       meas_delivered = 0;
@@ -80,10 +68,8 @@ let create ~net ~src ~dst ?(rate = 1000.0) ?(data_size = Tcp.Wire.data_size)
       | _ -> ());
   let sched = Net.Network.scheduler net in
   let rec pace () =
-    if not t.stopped then begin
-      send_data t;
-      ignore (Sim.Scheduler.schedule_after sched (1.0 /. t.rate) pace)
-    end
+    send_data t;
+    ignore (Sim.Scheduler.schedule_after sched (1.0 /. t.rate) pace)
   in
   ignore (Sim.Scheduler.schedule_after sched start_at pace);
   t

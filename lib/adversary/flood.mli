@@ -24,16 +24,6 @@ val create :
     is attached at [dst].  Raises [Invalid_argument] on a non-positive
     rate. *)
 
-val flow : t -> Net.Packet.flow
-
-val rate : t -> float
-(** The configured (constant) send rate, packets/s. *)
-
-val sent : t -> int
-
-val delivered : t -> int
-(** Packets that survived the bottleneck and reached the sink. *)
-
 val reset_measurement : t -> unit
 (** Restart the measurement window (the paper discards warmup). *)
 
@@ -44,6 +34,3 @@ val delivered_rate : t -> float
 (** Packets/s delivered to the sink since the last
     {!reset_measurement} — the bandwidth the adversary actually
     captured at the bottleneck. *)
-
-val stop : t -> unit
-(** Cease sending at the next pace tick; idempotent. *)

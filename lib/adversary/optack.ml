@@ -5,18 +5,11 @@ type t = {
   peer : Net.Packet.addr;
   lookahead : int;
   mutable max_seen : int;
-  mutable received : int;
-  mutable acks_sent : int;
 }
-
-let acks_sent t = t.acks_sent
-
-let received t = t.received
 
 let claimed t = t.max_seen + t.lookahead
 
 let send_ack t ~echo =
-  t.acks_sent <- t.acks_sent + 1;
   let pkt =
     Net.Network.make_packet t.net ~flow:t.flow ~src:t.node
       ~dst:(Net.Packet.Unicast t.peer) ~size:Tcp.Wire.ack_size
@@ -33,7 +26,6 @@ let send_ack t ~echo =
   Net.Network.send t.net pkt
 
 let on_data t ~seq ~sent_at =
-  t.received <- t.received + 1;
   if seq + 1 > t.max_seen then t.max_seen <- seq + 1;
   send_ack t ~echo:sent_at
 
@@ -47,8 +39,6 @@ let hijack ~net ~node ~flow ~peer ?(lookahead = 0) () =
       peer;
       lookahead;
       max_seen = 0;
-      received = 0;
-      acks_sent = 0;
     }
   in
   (* Replaces whatever honest receiver was attached for this flow. *)

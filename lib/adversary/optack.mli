@@ -29,11 +29,3 @@ val hijack :
 (** Replace the endpoint handler for [flow] at [node], acking to
     [peer].  Call after the honest pair is built.  Raises
     [Invalid_argument] on a negative [lookahead]. *)
-
-val received : t -> int
-(** Data packets that actually arrived. *)
-
-val acks_sent : t -> int
-
-val claimed : t -> int
-(** The cumulative sequence currently being claimed. *)

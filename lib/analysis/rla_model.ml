@@ -65,10 +65,6 @@ let cut_dist_independent ps =
   done;
   cuts
 
-let drift_independent ~ps w =
-  if w <= 0.0 then invalid_arg "Rla_model.drift_independent: bad window";
-  drift_of_cut_dist ~cut_dist:(cut_dist_independent ps) w
-
 let cut_dist_common ~n ~p =
   if n <= 0 then invalid_arg "Rla_model: n must be positive";
   check_p "Rla_model.drift_common" p;
@@ -187,6 +183,3 @@ let simulate_with ~rng ~cut_dist ~steps =
 
 let simulate_window ~rng ~ps ~steps =
   simulate_with ~rng ~cut_dist:(cut_dist_independent ps) ~steps
-
-let simulate_window_common ~rng ~n ~p ~steps =
-  simulate_with ~rng ~cut_dist:(cut_dist_common ~n ~p) ~steps

@@ -11,12 +11,8 @@ val two_receiver_window : p1:float -> p2:float -> float
 (** Closed form of equation 3:
     [W^2 = 4(1 - (p1+p2)/2 + p1 p2/4) / (p1 + p2 - p1 p2 / 4)]. *)
 
-val drift_independent : ps:float array -> float -> float
-(** Expected drift of the window at [w] when the [n = length ps]
-    receivers lose packets independently. *)
-
 val pa_window_independent : ps:float array -> float
-(** Zero of {!drift_independent} (bisection). *)
+(** Zero of the expected drift under independent losses (bisection). *)
 
 val drift_common : n:int -> p:float -> float -> float
 (** Drift when all losses are common (one loss event signals all [n]
@@ -65,7 +61,3 @@ val simulate_window :
   rng:Sim.Rng.t -> ps:float array -> steps:int -> float
 (** Monte-Carlo iterate of the RLA window process with independent
     losses; returns the sample-average window. *)
-
-val simulate_window_common :
-  rng:Sim.Rng.t -> n:int -> p:float -> steps:int -> float
-(** Same with fully correlated losses. *)

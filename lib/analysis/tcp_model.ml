@@ -6,19 +6,6 @@ let pa_window p =
   check_p "Tcp_model.pa_window" p;
   sqrt (2.0 *. (1.0 -. p)) /. sqrt p
 
-type domain_error = Not_a_probability | Below_domain | Above_domain
-
-let domain_error_to_string = function
-  | Not_a_probability -> "congestion probability is NaN"
-  | Below_domain -> "congestion probability <= 0 (formula diverges)"
-  | Above_domain -> "congestion probability >= 1 (window collapses)"
-
-let pa_window_result p =
-  if Float.is_nan p then Error Not_a_probability
-  else if p <= 0.0 then Error Below_domain
-  else if p >= 1.0 then Error Above_domain
-  else Ok (sqrt (2.0 *. (1.0 -. p)) /. sqrt p)
-
 let default_domain_eps = 1e-9
 
 let pa_window_clamped ?(eps = default_domain_eps) p =
@@ -37,17 +24,6 @@ let drift ~p w =
   if w <= 0.0 then invalid_arg "Tcp_model.drift: non-positive window";
   ((1.0 -. p) /. w) -. (p *. w /. 2.0)
 
-(* Continuous-time drift kernel shared with the mean-field solver:
-   ACKs arrive at rate (1-p) w / rtt, each adding 1/w; losses at rate
-   p w / rtt, each costing w/2.  Accepts the closed interval p in
-   [0, 1] (the solver's RED profile reaches both ends). *)
-let window_rate ~p ~rtt w =
-  if rtt <= 0.0 then invalid_arg "Tcp_model.window_rate: bad rtt";
-  if w <= 0.0 then invalid_arg "Tcp_model.window_rate: non-positive window";
-  if Float.is_nan p || p < 0.0 || p > 1.0 then
-    invalid_arg "Tcp_model.window_rate: probability outside [0, 1]";
-  ((1.0 -. p) -. (p *. w *. w /. 2.0)) /. rtt
-
 let mahdavi_floyd_rate ~rtt ~p =
   check_p "Tcp_model.mahdavi_floyd_rate" p;
   if rtt <= 0.0 then invalid_arg "Tcp_model.mahdavi_floyd_rate: bad rtt";
@@ -61,8 +37,6 @@ let congestion_probability_for_window w =
   if w <= 0.0 then
     invalid_arg "Tcp_model.congestion_probability_for_window: bad window";
   2.0 /. ((w *. w) +. 2.0)
-
-let moderate_congestion_limit = 0.05
 
 let simulate_pa_window ~rng ~p ~steps =
   check_p "Tcp_model.simulate_pa_window" p;

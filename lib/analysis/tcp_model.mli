@@ -13,40 +13,20 @@ val pa_window : float -> float
 val pa_window_approx : float -> float
 (** The small-p simplification [sqrt 2 / sqrt p]. *)
 
-(** {2 Total variants for solver loops}
+(** {2 Total variant for solver loops}
 
     The mean-field solver's drop-probability loop sweeps RED profiles
     that legitimately reach [p = 0] (average queue below [min_th]) and
     [p = 1] (average queue at [max_th]); {!pa_window} raises on both
-    ends.  These variants make the domain behaviour explicit. *)
-
-type domain_error =
-  | Not_a_probability  (** NaN input. *)
-  | Below_domain  (** [p <= 0]: the formula diverges. *)
-  | Above_domain  (** [p >= 1]: the window collapses to 0. *)
-
-val domain_error_to_string : domain_error -> string
-
-val pa_window_result : float -> (float, domain_error) result
-(** [pa_window] as a typed result: never raises. *)
-
-val default_domain_eps : float
-(** 1e-9: the default clamp width of {!pa_window_clamped}. *)
+    ends.  This variant makes the domain behaviour explicit. *)
 
 val pa_window_clamped : ?eps:float -> float -> float
 (** [pa_window] evaluated at [p] clamped into [[eps, 1 - eps]]
-    (default {!default_domain_eps}): a total, monotone version for
+    (default [1e-9]): a total, monotone version for
     fixed-point iterations.  [pa_window_clamped 0.0] is the (huge but
     finite) window at [p = eps], [pa_window_clamped 1.0] the (tiny but
     positive) window at [1 - eps].  Raises [Invalid_argument] only on
     NaN input or [eps] outside (0, 0.5). *)
-
-val window_rate : p:float -> rtt:float -> float -> float
-(** [window_rate ~p ~rtt w]: continuous-time window drift (windows per
-    second) of an AIMD TCP flow at window [w], loss probability [p] and
-    round-trip time [rtt]: [((1-p) - p w^2 / 2) / rtt].  This is
-    {!drift} scaled by the packet rate [w / rtt]; shared with the
-    mean-field transport.  Accepts the closed interval [p in [0, 1]]. *)
 
 val drift : p:float -> float -> float
 (** [drift ~p w]: expected per-ack window drift
@@ -61,10 +41,6 @@ val throughput : rtt:float -> p:float -> float
 val congestion_probability_for_window : float -> float
 (** Inverse of {!pa_window}: the congestion probability yielding a
     given PA window ([p = 2/(w^2+2)]). *)
-
-val moderate_congestion_limit : float
-(** 0.05: the regime in which these formulas (and the paper's
-    theorems) apply. *)
 
 val simulate_pa_window :
   rng:Sim.Rng.t -> p:float -> steps:int -> float

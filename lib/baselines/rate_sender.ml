@@ -18,6 +18,14 @@ type config = {
   policy : policy;
 }
 
+let ltrc = Ltrc { loss_threshold = 0.02; ewma_weight = 0.25; refractory = 1.0 }
+
+let mbfc =
+  Mbfc { loss_threshold = 0.02; population_threshold = 0.25; refractory = 1.0 }
+
+let random_listening =
+  Random_listening { loss_threshold = 0.02; refractory = 1.0 }
+
 let default_config policy =
   {
     initial_rate = 10.0;
@@ -50,7 +58,6 @@ type t = {
   mutable sent : int;
   mutable cuts : int;
   mutable last_cut : float;
-  rate_avg : Stats.Time_avg.t;
   mutable meas_time : float;
 }
 
@@ -62,20 +69,14 @@ let sent t = t.sent
 
 let endpoints t = t.endpoints
 
-let flow t = t.flow
-
 let now t = Net.Network.now t.net
 
 let set_rate t r =
-  t.rate <- Stdlib.max t.config.min_rate (Stdlib.min t.config.max_rate r);
-  Stats.Time_avg.update t.rate_avg ~time:(now t) ~value:t.rate
+  t.rate <- Stdlib.max t.config.min_rate (Stdlib.min t.config.max_rate r)
 
 let reset_measurement t =
-  Stats.Time_avg.reset t.rate_avg ~start:(now t) ~value:t.rate;
   t.meas_time <- now t;
   List.iter (fun ep -> Report_receiver.reset_measurement ep ~now:(now t)) t.endpoints
-
-let avg_rate t = Stats.Time_avg.average t.rate_avg ~upto:(now t)
 
 let min_delivered_rate t =
   List.fold_left
@@ -188,9 +189,6 @@ let create ~net ~src ~receivers config =
       sent = 0;
       cuts = 0;
       last_cut = Net.Network.now net;
-      rate_avg =
-        Stats.Time_avg.create ~start:(Net.Network.now net)
-          ~value:config.initial_rate;
       meas_time = Net.Network.now net;
     }
   in

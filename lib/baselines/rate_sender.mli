@@ -47,7 +47,19 @@ type config = {
   policy : policy;
 }
 
+val ltrc : policy
+(** Loss threshold 0.02, EWMA weight 0.25, refractory 1 s. *)
+
+val mbfc : policy
+(** Loss threshold 0.02, population threshold 0.25, refractory 1 s. *)
+
+val random_listening : policy
+(** Loss threshold 0.02, refractory 1 s. *)
+
 val default_config : policy -> config
+(** 10 pkt/s initial rate within [1, 1e5] pkt/s, 0.25 s RTT estimate,
+    1 s report period, {!Wire.data_size}-byte packets.  A CBR source
+    is [default_config Fixed] with all three rates set to its rate. *)
 
 type t
 
@@ -69,12 +81,7 @@ val sent : t -> int
 
 val endpoints : t -> Report_receiver.t list
 
-val flow : t -> Net.Packet.flow
-
 val reset_measurement : t -> unit
-
-val avg_rate : t -> float
-(** Time-weighted sending rate since the last measurement reset. *)
 
 val min_delivered_rate : t -> float
 (** Worst receiver's goodput since the last measurement reset. *)

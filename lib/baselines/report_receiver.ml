@@ -14,8 +14,6 @@ type t = {
   mutable last_loss_rate : float;
 }
 
-let node_id t = Net.Node.id t.node
-
 let received_total t = t.received_total
 
 let delivered_rate t ~since =

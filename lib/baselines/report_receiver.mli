@@ -12,8 +12,6 @@ val create :
   period:float ->
   t
 
-val node_id : t -> Net.Packet.addr
-
 val received_total : t -> int
 
 val delivered_rate : t -> since:float -> float

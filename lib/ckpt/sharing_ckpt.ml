@@ -1,6 +1,3 @@
-let section_names =
-  [ "meta"; "config"; "scheduler"; "network"; "rla"; "tcp"; "registry"; "journal" ]
-
 type meta = { time : float; n_tcps : int }
 
 let w_meta b m =

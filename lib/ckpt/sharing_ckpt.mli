@@ -15,11 +15,6 @@
     session — but {!Faults.Injector.capture} exists and is exercised in
     unit tests. *)
 
-val section_names : string list
-(** The sections a checkpoint carries, in file order: [meta], [config],
-    [scheduler], [network], [rla], [tcp], optionally [registry] and
-    [journal]. *)
-
 type meta = { time : float; n_tcps : int }
 
 val read_meta :

@@ -14,13 +14,6 @@ val w_scheduler : Buffer.t -> Sim.Scheduler.state -> unit
 
 val r_scheduler : Codec.reader -> Sim.Scheduler.state
 
-val w_packet : Buffer.t -> Net.Packet.t -> unit
-(** Payload constructors covered: [Raw], [Tcp_data], [Tcp_ack],
-    [Rla_data], [Rla_ack].  Raises [Invalid_argument] on any other
-    (unknown extension) payload — such packets cannot round-trip. *)
-
-val r_packet : Codec.reader -> Net.Packet.t
-
 val w_network : Buffer.t -> Net.Network.state -> unit
 
 val r_network : Codec.reader -> Net.Network.state

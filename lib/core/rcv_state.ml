@@ -45,8 +45,6 @@ let acks t = t.acks
 
 let count_ack t = t.acks <- t.acks + 1
 
-let last_signal t = t.last_signal
-
 let register_losses t ~now =
   let window = t.params.Params.group_rtt_factor *. srtt t in
   if now -. t.cperiod_start <= window then false

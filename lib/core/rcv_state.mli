@@ -43,10 +43,6 @@ val acks : t -> int
 
 val count_ack : t -> unit
 
-val last_signal : t -> float
-(** Time of the most recent congestion signal; [session_start] before
-    any. *)
-
 val register_losses : t -> now:float -> bool
 (** Called when fresh losses were detected on this receiver's branch.
     Returns [true] when they open a new congestion period (i.e. count

@@ -94,13 +94,9 @@ type t = {
 
 let flow t = t.flow
 
-let group t = t.group
-
 let n_receivers t = Array.length t.rcvrs
 
 let cwnd t = t.cwnd
-
-let awnd t = Stats.Ewma.value t.awnd
 
 let num_trouble_rcvr t = t.num_trouble
 

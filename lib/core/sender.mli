@@ -56,8 +56,6 @@ val create :
 
 val flow : t -> Net.Packet.flow
 
-val group : t -> Net.Packet.group
-
 val n_receivers : t -> int
 (** Receiver slots the session tracks (active or dropped; a re-joined
     address reuses its old slot). *)
@@ -91,9 +89,6 @@ val active_slot : t -> Net.Packet.addr -> int
     which every by-address lookup shares. *)
 
 val cwnd : t -> float
-
-val awnd : t -> float
-(** Moving average of the window size. *)
 
 val num_trouble_rcvr : t -> int
 (** Latest troubled-receiver count (recomputed on each signal). *)

@@ -67,20 +67,32 @@ let run config =
   (* The multicast session spans all three receivers. *)
   let rla = ref None in
   let rate = ref None in
+  let rate_sender rate_config =
+    rate :=
+      Some
+        (Baselines.Rate_sender.create ~net ~src:s ~receivers:leaves rate_config)
+  in
   (match config.scheme with
   | Scheme_rla ->
       rla := Some (Rla.Sender.create ~net ~src:s ~receivers:leaves ())
   | Scheme_ltrc ->
-      rate := Some (Baselines.Ltrc.create ~net ~src:s ~receivers:leaves ())
+      rate_sender
+        (Baselines.Rate_sender.default_config Baselines.Rate_sender.ltrc)
   | Scheme_mbfc ->
-      rate := Some (Baselines.Mbfc.create ~net ~src:s ~receivers:leaves ())
+      rate_sender
+        (Baselines.Rate_sender.default_config Baselines.Rate_sender.mbfc)
   | Scheme_cbr ->
-      rate :=
-        Some
-          (Baselines.Cbr.create ~net ~src:s ~receivers:leaves
-             ~rate:config.cbr_rate ())
+      let c = config.cbr_rate in
+      rate_sender
+        {
+          (Baselines.Rate_sender.default_config Baselines.Rate_sender.Fixed) with
+          initial_rate = c;
+          min_rate = c;
+          max_rate = c;
+        }
   | Scheme_rl_rate ->
-      rate := Some (Baselines.Rl_rate.create ~net ~src:s ~receivers:leaves ()));
+      rate_sender
+        (Baselines.Rate_sender.default_config Baselines.Rate_sender.random_listening));
   let tcps =
     List.init config.n_tcp (fun i ->
         Tcp.Sender.create ~net ~src:s ~dst:(List.nth leaves (i mod 3)) ())

@@ -5,8 +5,6 @@ type gen = {
   flow_rate : float;
 }
 
-let default_gen = { gen_seed = 1; outage_rate = 0.01; churn_rate = 0.02; flow_rate = 0.01 }
-
 type spec =
   | No_faults
   | Default_script
@@ -14,9 +12,6 @@ type spec =
   | Generated of gen
 
 type config = { sharing : Sharing.config; faults : spec }
-
-let default_config ~gateway ~case =
-  { sharing = Sharing.default_config ~gateway ~case; faults = Default_script }
 
 type epoch = {
   t_start : float;

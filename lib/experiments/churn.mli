@@ -24,8 +24,6 @@ type gen = {
   flow_rate : float;  (** Competing-flow starts per second. *)
 }
 
-val default_gen : gen
-
 type spec =
   | No_faults  (** Control: identical to {!Sharing.run}. *)
   | Default_script
@@ -35,8 +33,6 @@ type spec =
   | Generated of gen  (** Poisson churn drawn from [gen_seed]. *)
 
 type config = { sharing : Sharing.config; faults : spec }
-
-val default_config : gateway:Scenario.gateway -> case:Tree.case -> config
 
 type epoch = {
   t_start : float;

@@ -9,14 +9,6 @@ let mix_name = function
   | Optack -> "optack"
   | Rst -> "rst"
 
-let mix_of_string = function
-  | "none" -> Some Honest
-  | "nonbackoff" -> Some Nonbackoff
-  | "ackdiv" -> Some Ackdiv
-  | "optack" -> Some Optack
-  | "rst" -> Some Rst
-  | _ -> None
-
 type topology = Fig6 of Tree.case | Kary of { fanout : int; depth : int }
 
 let topology_name = function

@@ -18,18 +18,11 @@ type mix = Honest | Nonbackoff | Ackdiv | Optack | Rst
 val all_mixes : mix list
 (** [Honest; Nonbackoff; Ackdiv; Optack; Rst]. *)
 
-val mix_name : mix -> string
-(** "none", "nonbackoff", "ackdiv", "optack", "rst". *)
-
-val mix_of_string : string -> mix option
-
 type topology =
   | Fig6 of Tree.case  (** The paper's 27-leaf tree. *)
   | Kary of { fanout : int; depth : int }
       (** Complete k-ary tree on one event loop (PR 7's scale shape);
           every leaf is a receiver, fanout >= 2, depth >= 2. *)
-
-val topology_name : topology -> string
 
 type config = {
   topology : topology;
@@ -80,9 +73,6 @@ type result = {
 
 val run : ?registry:Obs.Registry.t -> config -> result
 
-val run_with_net :
-  ?registry:Obs.Registry.t -> config -> Net.Network.t * result
-
 val print : Format.formatter -> result list -> unit
 
 val csv_header : string
@@ -92,8 +82,6 @@ val to_csv_row : result -> string
     hostile-smoke byte-compare artifact. *)
 
 val to_json : result -> Runner.Json.t
-
-val job : label:string -> config -> result Runner.Job.t
 
 val sweep :
   mixes:mix list ->

@@ -62,8 +62,6 @@ val default_sharded_config : sharded_config
 (** Fanout 22, depth 3: 10648 receivers on 11155 nodes across 23
     shards with a 20 ms lookahead. *)
 
-val sharded_topo : sharded_config -> Net.Topo.t
-
 val run_sharded :
   ?checkpoint:float * string ->
   sharded_config ->

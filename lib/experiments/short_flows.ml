@@ -66,7 +66,15 @@ let run config =
   | Bg_none -> ()
   | Bg_rla -> rla := Some (Rla.Sender.create ~net ~src:s ~receivers:leaves ())
   | Bg_cbr rate ->
-      cbr := Some (Baselines.Cbr.create ~net ~src:s ~receivers:leaves ~rate ())
+      cbr :=
+        Some
+          (Baselines.Rate_sender.create ~net ~src:s ~receivers:leaves
+             {
+               (Baselines.Rate_sender.default_config Baselines.Rate_sender.Fixed) with
+               initial_rate = rate;
+               min_rate = rate;
+               max_rate = rate;
+             })
   | Bg_tcp ->
       bg_tcps :=
         List.map (fun leaf -> Tcp.Sender.create ~net ~src:s ~dst:leaf ()) leaves);

@@ -16,8 +16,6 @@ type background =
   | Bg_rla  (** An RLA session over all branches. *)
   | Bg_cbr of float  (** Constant-rate multicast at this rate (pkt/s). *)
 
-val background_name : background -> string
-
 type config = {
   background : background;
   flow_size : int;  (** Packets per short flow (paper-era web object). *)

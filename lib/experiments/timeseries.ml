@@ -53,8 +53,6 @@ let length t = t.n
 
 let names t = List.map (fun c -> c.probe.name) t.columns
 
-let times t = Array.sub t.times 0 t.n
-
 let column t name =
   match List.find_opt (fun c -> c.probe.name = name) t.columns with
   | Some c -> Array.sub c.data 0 c.len

@@ -20,8 +20,6 @@ val names : t -> string list
 val column : t -> string -> float array
 (** Values for one probe; raises [Not_found] for unknown names. *)
 
-val times : t -> float array
-
 val to_csv : Format.formatter -> t -> unit
 (** Header [time,<probe>...] then one row per sample. *)
 

@@ -45,8 +45,6 @@ type t = {
   probe : probe option;
 }
 
-let timeline t = t.timeline
-
 let applied t = List.rev t.log
 
 let outages t = t.outages

@@ -54,8 +54,6 @@ val install :
 (** Schedule the whole timeline against [net]'s scheduler.  Call after
     the topology exists and before (or during) the run. *)
 
-val timeline : t -> Timeline.t
-
 val applied : t -> applied list
 (** Entries that have fired so far, in application order. *)
 

@@ -38,8 +38,6 @@ let pp_event ppf = function
   | Data_inject { flow; dst; seq } ->
       Fmt.pf ppf "inj flow%d->%d seq %d" flow dst seq
 
-let pp_entry ppf { time; event } = Fmt.pf ppf "%g:%a" time pp_event event
-
 let event_to_string e = Fmt.str "%a" pp_event e
 
 let validate_event = function
@@ -64,9 +62,6 @@ let scripted events =
   List.stable_sort
     (fun a b -> Float.compare a.time b.time)
     (List.map (fun (time, event) -> { time; event }) events)
-
-let merge a b =
-  List.stable_sort (fun x y -> Float.compare x.time y.time) (a @ b)
 
 (* {2 Generation} *)
 

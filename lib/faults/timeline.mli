@@ -48,9 +48,6 @@ val scripted : (float * event) list -> t
     [Invalid_argument] on negative times, nonpositive bandwidths or
     negative delays. *)
 
-val merge : t -> t -> t
-(** Interleave two timelines (stable by time). *)
-
 (** {2 Random generation} *)
 
 type gen_params = {
@@ -109,9 +106,5 @@ val to_spec : t -> string
 
 val spec_grammar : string
 (** One-line grammar summary for [--help] texts. *)
-
-val pp_entry : Format.formatter -> entry -> unit
-
-val pp_event : Format.formatter -> event -> unit
 
 val event_to_string : event -> string

@@ -122,7 +122,7 @@ let unused_export_inputs paths =
           p
           :: List.filter Sys.file_exists
                (List.map (Filename.concat root)
-                  [ "bin"; "test"; "bench"; "examples" ])
+                  [ "bin"; "test"; "bench"; "perfbench"; "examples" ])
         in
         let search_files =
           List.concat_map (fun r -> List.rev (walk [] r)) search_roots

@@ -5,11 +5,14 @@
      unused-export analysis (and the human reader) loses the boundary.
    - unused-export: a value declared in an .mli but never referenced
      outside its own .ml/.mli pair is dead API surface (advisory by
-     default, an error under --strict).  Reference detection is textual
-     (token `Module.value` with identifier boundaries), which matches
-     both same-library siblings (`Module.value`) and wrapped-library
-     consumers (`Lib.Module.value` contains the token) and deliberately
-     errs on the side of silence. *)
+     default, an error under --strict).  Callers are searched for in
+     lib/ and its sibling bin/, test/, bench/, perfbench/ and examples/
+     trees.  Reference detection is textual (token `Module.value` with
+     identifier boundaries), which matches both same-library siblings
+     (`Module.value`) and wrapped-library consumers (`Lib.Module.value`
+     contains the token) and deliberately errs on the side of silence.
+     A test that references an export only to keep it alive is not a
+     caller: the fix for a finding is to delete the export. *)
 
 let read_file path =
   let ic = open_in_bin path in

@@ -25,4 +25,4 @@ val unused_export :
     advisory [unused-export] warning for every value declared in one of
     a library's .mli files ([lib_dirs] maps a library directory to its
     .mli paths) that is never referenced, as a [Module.value] token,
-    in any of [search_files] outside that library directory. *)
+    in any of [search_files] other than its own .ml/.mli pair. *)

@@ -7,9 +7,6 @@
     increase, a mass-conserving halving kernel for multiplicative
     decrease. *)
 
-val center : h:float -> int -> float
-(** Window value at the center of bin [i]. *)
-
 val init_delta : bins:int -> h:float -> float -> float array
 (** Unit point mass at a given window, linearly split between the two
     bracketing bins (clamped to the histogram range). *)

@@ -45,9 +45,6 @@ type t = {
           [steady_tol * (max_th - min_th)]. *)
 }
 
-val default_red : red
-(** The simulator's RED defaults: 5 / 15 / 0.002 / 0.1. *)
-
 val make :
   ?buffer:float ->
   ?red:red ->
@@ -63,18 +60,11 @@ val make :
   capacity:float ->
   tcp_class list ->
   t
-(** Build a configuration with sensible defaults (RED
-    {!default_red}, 64 bins, auto [w_max] / [dt], 30 s horizon). *)
+(** Build a configuration with sensible defaults (RED min_th 5,
+    max_th 15, w_q 0.002, max_p 0.1; 64 bins, auto [w_max] / [dt], 30 s horizon). *)
 
 val validate : t -> unit
 (** Raises [Invalid_argument] on inconsistent configurations. *)
-
-val total_flows : t -> int
-(** TCP flows across classes, plus 1 if an RLA session is present. *)
-
-val min_rtt : t -> float
-
-val max_rtt : t -> float
 
 val w_max_auto : t -> float
 (** Effective histogram ceiling: explicit [w_max] or

@@ -35,11 +35,5 @@ val params_for : ?bins:int -> ?t_max:float -> point -> Params.t
 
 val classify : ?bins:int -> ?t_max:float -> point -> classification
 
-val default_w_qs : float list
-
-val default_max_ps : float list
-
-val default_ns : int list
-
 val default_grid : unit -> point list
 (** Cartesian product of the default axes, n-major. *)

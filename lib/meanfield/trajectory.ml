@@ -44,12 +44,6 @@ let length t = t.len
 
 let time t i = t.time.(i)
 
-let queue t i = t.queue.(i)
-
-let avg t i = t.avg.(i)
-
-let drop t i = t.drop.(i)
-
 let rla_w t i = t.rla_w.(i)
 
 (* First index inside the trailing [window] seconds. *)

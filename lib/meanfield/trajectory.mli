@@ -23,12 +23,6 @@ val length : t -> int
 
 val time : t -> int -> float
 
-val queue : t -> int -> float
-
-val avg : t -> int -> float
-
-val drop : t -> int -> float
-
 val rla_w : t -> int -> float
 
 type tail = {
@@ -46,10 +40,5 @@ val tail_stats : t -> window:float -> tail
 val tail_period : t -> window:float -> float option
 (** Limit-cycle period from upward mean-crossings of the averaged
     queue over the tail; [None] if fewer than two crossings. *)
-
-val pp_csv : Format.formatter -> t -> unit
-(** CSV with header [t,queue,avg_queue,drop_p,lambda,rla_window]; all
-    fields printed as [%.6f], so equal trajectories render to
-    byte-identical text. *)
 
 val to_csv_string : t -> string

@@ -109,8 +109,6 @@ let reset_stats t =
 
 let set_drop_hook t hook = t.drop_hook <- Some hook
 
-let avg_queue t = Queue_disc.avg_queue t.disc
-
 let downtime t =
   t.clock.downtime_acc
   +. if t.up then 0.0 else Sim.Scheduler.now t.sched -. t.clock.down_since

@@ -85,9 +85,6 @@ val set_registry : t -> Obs.Registry.t option -> unit
     registry's taps, and RED's ["red.<id>.avg_queue"] estimate.
     Passive: behaviour and RNG use are unchanged. *)
 
-val avg_queue : t -> float
-(** RED average queue estimate ([nan] for drop-tail links). *)
-
 (** {2 Runtime reconfiguration (fault injection)} *)
 
 val is_up : t -> bool

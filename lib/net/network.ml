@@ -2,7 +2,6 @@ type t = {
   sched : Sim.Scheduler.t;
   root_rng : Sim.Rng.t;
   pool : Packet.Pool.t;
-  trace : Sim.Trace.t;
   mutable nodes : Node.t array;
   mutable n_nodes : int;
   directed : (Packet.addr * Packet.addr, Link.t) Hashtbl.t;
@@ -24,7 +23,6 @@ let create ?(seed = 1) () =
     sched = Sim.Scheduler.create ();
     root_rng = Sim.Rng.create seed;
     pool = Packet.Pool.create ();
-    trace = Sim.Trace.create ();
     nodes = [||];
     n_nodes = 0;
     directed = Hashtbl.create 64;
@@ -40,13 +38,9 @@ let create ?(seed = 1) () =
 
 let scheduler t = t.sched
 
-let rng t = t.root_rng
-
 let pool t = t.pool
 
 let fork_rng t = Sim.Rng.split t.root_rng
-
-let trace t = t.trace
 
 let observer t = t.observer
 

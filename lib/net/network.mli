@@ -12,17 +12,12 @@ val create : ?seed:int -> unit -> t
 
 val scheduler : t -> Sim.Scheduler.t
 
-val rng : t -> Sim.Rng.t
-(** The root RNG; prefer {!fork_rng} for components. *)
-
 val pool : t -> Packet.Pool.t
 (** The network-wide packet pool; every node and link recycles through
     it. *)
 
 val fork_rng : t -> Sim.Rng.t
 (** An independent RNG stream. *)
-
-val trace : t -> Sim.Trace.t
 
 val set_registry : t -> Obs.Registry.t option -> unit
 (** Install (or remove) a metrics registry: the scheduler and every

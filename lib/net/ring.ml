@@ -51,8 +51,6 @@ let take t =
   t.len <- t.len - 1;
   x
 
-let peek t = if t.len = 0 then None else Some t.buf.(t.head)
-
 let clear t =
   let mask = Array.length t.buf - 1 in
   for i = 0 to t.len - 1 do

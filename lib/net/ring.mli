@@ -21,14 +21,6 @@ val take : 'a t -> 'a
     the dummy.  Raises [Invalid_argument] on an empty ring, so callers
     check {!length} or {!is_empty} first — no option cell is built. *)
 
-val peek : 'a t -> 'a option
-
-val clear : 'a t -> unit
-(** Remove all elements, overwriting every occupied slot. *)
-
-val iter : 'a t -> f:('a -> unit) -> unit
-(** Front to back. *)
-
 val capture : 'a t -> 'a list
 (** Contents front-to-back; pure read (checkpoint support). *)
 

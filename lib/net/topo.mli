@@ -56,20 +56,14 @@ val random_graph : seed:int -> n:int -> extra:int -> configs:Link.config array -
 val node_count : t -> int
 val edge_count : t -> int
 
-val neighbors : t -> int list array
-(** Adjacency lists in edge order (each edge contributes to both
-    endpoints). *)
-
-val degrees : t -> int array
-
 val leaves : t -> int list
 (** Degree-1 nodes, ascending. *)
 
 val connected : t -> bool
 
 val bfs_parents : t -> root:int -> int array
-(** [parents.(root) = root]; unreachable nodes get [-1].  Neighbor
-    visit order follows {!neighbors}, so the forest is deterministic. *)
+(** [parents.(root) = root]; unreachable nodes get [-1].  Neighbors
+    are visited in edge-insertion order, so the forest is deterministic. *)
 
 val path_to_root : parents:int array -> int -> int list
 (** [path_to_root ~parents v] is [v; parent v; ...; root].  Raises

@@ -68,8 +68,6 @@ let set g v = g.gauge_value <- v
 
 let gauge_value g = g.gauge_value
 
-let gauge_name g = g.gauge_name
-
 (* --- series --------------------------------------------------------- *)
 
 let series ?limit t name =

@@ -46,8 +46,6 @@ val set : gauge -> float -> unit
 
 val gauge_value : gauge -> float
 
-val gauge_name : gauge -> string
-
 (** {2 Time series} *)
 
 val series : ?limit:int -> t -> string -> Series.t

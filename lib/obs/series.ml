@@ -77,11 +77,6 @@ let values t = Array.sub t.values 0 t.len
 
 let last t = if t.len = 0 then None else Some (t.times.(t.len - 1), t.values.(t.len - 1))
 
-let iter t ~f =
-  for i = 0 to t.len - 1 do
-    f ~time:t.times.(i) t.values.(i)
-  done
-
 (* The buffers are restored at exactly [s_len] capacity: the next add
    that needs room re-grows them, which is unobservable (growth policy
    depends only on [len]/[limit], both restored). *)

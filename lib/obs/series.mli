@@ -48,8 +48,6 @@ val values : t -> float array
 val last : t -> (float * float) option
 (** Most recent stored sample. *)
 
-val iter : t -> f:(time:float -> float -> unit) -> unit
-
 type state = {
   s_times : float array;
   s_values : float array;

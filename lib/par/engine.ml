@@ -47,8 +47,6 @@ let lookahead t = t.lookahead
 
 let rounds t = t.rounds
 
-let now t = t.horizon
-
 let shard_net t i = t.shards.(i).net
 
 let shard_registry t i = t.shards.(i).registry

@@ -54,9 +54,6 @@ val lookahead : t -> float
 val rounds : t -> int
 (** Barrier rounds completed so far. *)
 
-val now : t -> float
-(** The common horizon every shard has reached. *)
-
 val events_fired : t -> int
 (** Sum of the per-shard scheduler counters. *)
 

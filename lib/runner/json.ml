@@ -93,8 +93,6 @@ let to_string t =
   emit buf t;
   Buffer.contents buf
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
 (* --- parsing --------------------------------------------------------
 
    A recursive-descent parser for the subset this library emits (plus

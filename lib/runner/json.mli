@@ -44,8 +44,6 @@ type t =
 
 val to_string : t -> string
 
-val pp : Format.formatter -> t -> unit
-
 (** {2 Parsing}
 
     Recursive-descent reader for the documents this module emits (and

@@ -7,7 +7,3 @@ type t = {
 
 let zero =
   { wall_s = 0.0; events_fired = 0; allocated_mb = 0.0; peak_heap_mb = 0.0 }
-
-let pp ppf t =
-  Format.fprintf ppf "%.3f s, %d events, %.1f MB alloc, %.1f MB peak heap"
-    t.wall_s t.events_fired t.allocated_mb t.peak_heap_mb

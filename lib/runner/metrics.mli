@@ -13,5 +13,3 @@ type t = {
 }
 
 val zero : t
-
-val pp : Format.formatter -> t -> unit

@@ -75,15 +75,6 @@ let registry_json reg =
       ("series", Json.List (List.map series_json (Obs.Registry.all_series reg)));
     ]
 
-let series_csv ppf series_list =
-  Format.fprintf ppf "series,time,value@.";
-  List.iter
-    (fun s ->
-      let name = Obs.Series.name s in
-      Obs.Series.iter s ~f:(fun ~time v ->
-          Format.fprintf ppf "%s,%.6f,%.6f@." name time v))
-    series_list
-
 (* Per-flow trace export: every series named "<flow>.cwnd" is joined
    with its "<flow>.bytes_acked" sibling.  The two series are sampled
    at the same call points with the same decimation limit, so their

@@ -69,9 +69,6 @@ val registry_json : Obs.Registry.t -> Json.t
     [values] array is one pre-rendered {!Json.Verbatim} fragment,
     serialized exactly as a [List] of [Float]s would be. *)
 
-val series_csv : Format.formatter -> Obs.Series.t list -> unit
-(** Long-form CSV: one [series,time,value] row per stored sample. *)
-
 val flow_series_csv : Format.formatter -> Obs.Registry.t -> unit
 (** Figure-7/8/9-style per-flow trace: a [time,flow,cwnd,bytes_acked]
     row for every stored sample of every ["<flow>.cwnd"] series that

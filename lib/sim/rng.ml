@@ -61,8 +61,6 @@ let int t bound =
   let v = Int64.to_int (Int64.shift_right_logical (next t) 2) in
   v mod bound
 
-let bool t = Int64.logand (next t) 1L = 1L
-
 let bernoulli t p = unit_float t < p
 
 let exponential t mean =

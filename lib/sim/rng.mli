@@ -25,9 +25,6 @@ val state : t -> int64
 val set_state : t -> int64 -> unit
 (** Overwrite the generator state in place. *)
 
-val of_state : int64 -> t
-(** Build a generator resuming from a captured {!state}. *)
-
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 
@@ -39,8 +36,6 @@ val uniform : t -> float
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]; [bound] must be positive. *)
-
-val bool : t -> bool
 
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)

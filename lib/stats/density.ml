@@ -14,8 +14,6 @@ let create ~x_lo ~x_hi ~y_lo ~y_hi ~cells =
     invalid_arg "Density.create: empty rectangle";
   { x_lo; x_hi; y_lo; y_hi; n = cells; grid = Array.make (cells * cells) 0; total = 0 }
 
-let cells t = t.n
-
 let index_of t lo hi v =
   let w = (hi -. lo) /. float_of_int t.n in
   let i = int_of_float ((v -. lo) /. w) in

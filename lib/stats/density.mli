@@ -14,8 +14,6 @@ val add : t -> x:float -> y:float -> unit
 val cell : t -> int -> int -> int
 (** [cell t ix iy]: visit count of the cell. *)
 
-val cells : t -> int
-
 val total : t -> int
 
 val peak_cell : t -> int * int
@@ -27,8 +25,6 @@ val centroid : t -> float * float
 val mass_within : t -> cx:float -> cy:float -> radius:float -> float
 (** Fraction of visits whose cell centre lies within [radius] of
     [(cx, cy)]. *)
-
-val cell_center : t -> int -> int -> float * float
 
 val pp : Format.formatter -> t -> unit
 (** ASCII shading of the grid (darker = more visits). *)

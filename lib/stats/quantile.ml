@@ -17,8 +17,6 @@ let add t x =
   t.size <- t.size + 1;
   t.sorted <- false
 
-let count t = t.size
-
 let ensure_sorted t =
   if not t.sorted then begin
     let live = Array.sub t.data 0 t.size in

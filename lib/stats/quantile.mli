@@ -8,8 +8,6 @@ val create : unit -> t
 
 val add : t -> float -> unit
 
-val count : t -> int
-
 val quantile : t -> float -> float
 (** [quantile t q] for [q] in [\[0, 1\]], linear interpolation; raises
     [Invalid_argument] when empty. *)

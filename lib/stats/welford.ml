@@ -29,8 +29,6 @@ let mean t = t.m.mean
 
 let variance t = if t.n < 2 then 0.0 else t.m.m2 /. float_of_int (t.n - 1)
 
-let stddev t = sqrt (variance t)
-
 let min t = t.m.min
 
 let max t = t.m.max

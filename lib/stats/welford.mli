@@ -17,8 +17,6 @@ val mean : t -> float
 val variance : t -> float
 (** Sample variance (unbiased); 0 with fewer than two samples. *)
 
-val stddev : t -> float
-
 val min : t -> float
 (** [infinity] when empty. *)
 

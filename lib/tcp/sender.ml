@@ -107,10 +107,6 @@ let flow t = t.flow
 
 let cwnd t = t.w.cwnd
 
-let ssthresh t = t.w.ssthresh
-
-let in_recovery t = t.in_recovery
-
 let delivered t = Scoreboard.high_ack t.sb
 
 let window_cuts t = t.window_cuts

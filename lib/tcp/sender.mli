@@ -70,10 +70,6 @@ val flow : t -> Net.Packet.flow
 
 val cwnd : t -> float
 
-val ssthresh : t -> float
-
-val in_recovery : t -> bool
-
 val delivered : t -> int
 (** Packets cumulatively acknowledged so far. *)
 
@@ -88,9 +84,6 @@ val sent_new : t -> int
 
 val rtt_stats : t -> Stats.Welford.t
 (** RTT samples since the last {!reset_measurement}. *)
-
-val avg_cwnd : t -> float
-(** Time-weighted average of cwnd since the last {!reset_measurement}. *)
 
 val reset_measurement : t -> unit
 (** Restart the measurement window: cwnd time-average, RTT stats and

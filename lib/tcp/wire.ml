@@ -25,5 +25,3 @@ let no_rwnd = -1
 let rwnd_field_bits = 6
 
 let rwnd_field_max = (1 lsl rwnd_field_bits) - 1
-
-let block_to_string b = Printf.sprintf "[%d,%d)" b.block_lo b.block_hi

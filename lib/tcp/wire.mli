@@ -52,13 +52,5 @@ val ack_size : int
 val no_rwnd : int
 (** -1: sentinel for "no window advertised" in [Tcp_ack]/[Tcp_syn_ack]. *)
 
-val rwnd_field_bits : int
-(** Width of the advertised-window field: 6 bits, the packet-granular
-    analogue of TCP's 16-bit byte-granular field, so windows above
-    {!rwnd_field_max} packets need a negotiated window scale just as
-    byte windows above 64 KiB do (RFC 7323). *)
-
 val rwnd_field_max : int
 (** [2^rwnd_field_bits - 1 = 63] packets at shift 0. *)
-
-val block_to_string : sack_block -> string

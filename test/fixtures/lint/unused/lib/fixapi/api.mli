@@ -1,3 +1,5 @@
 val used : int
 
 val unused : int
+
+val bench_only : int

@@ -29,35 +29,15 @@ let test_pa_window_invalid () =
     (try ignore (Analysis.Tcp_model.pa_window 1.0); false
      with Invalid_argument _ -> true)
 
-let test_pa_window_result_edges () =
-  let open Analysis.Tcp_model in
-  let expect_err name p want =
-    match pa_window_result p with
-    | Error e ->
-        Alcotest.(check string)
-          name
-          (domain_error_to_string want)
-          (domain_error_to_string e)
-    | Ok w -> Alcotest.failf "%s: expected an error, got %g" name w
-  in
-  expect_err "NaN" Float.nan Not_a_probability;
-  expect_err "p=0" 0.0 Below_domain;
-  expect_err "p<0" (-0.25) Below_domain;
-  expect_err "p=1" 1.0 Above_domain;
-  expect_err "p>1" 1.5 Above_domain;
-  match pa_window_result 0.02 with
-  | Ok w -> check_close "interior = pa_window" ~tol:1e-12 (pa_window 0.02) w
-  | Error e -> Alcotest.fail (domain_error_to_string e)
-
 let test_pa_window_clamped_total () =
   let open Analysis.Tcp_model in
   check_close "interior untouched" ~tol:1e-12 (pa_window 0.02)
     (pa_window_clamped 0.02);
   check_close "p=0 clamps to eps" ~tol:1e-3
-    (pa_window default_domain_eps)
+    (pa_window 1e-9)
     (pa_window_clamped 0.0);
   check_close "p=1 clamps to 1-eps" ~tol:1e-12
-    (pa_window (1.0 -. default_domain_eps))
+    (pa_window (1.0 -. 1e-9))
     (pa_window_clamped 1.0);
   Alcotest.(check bool) "finite at 0" true (Float.is_finite (pa_window_clamped 0.0));
   Alcotest.(check bool) "positive at 1" true (pa_window_clamped 1.0 > 0.0);
@@ -73,34 +53,6 @@ let test_pa_window_clamped_total () =
   Alcotest.(check bool) "eps = 0 rejected" true
     (try ignore (pa_window_clamped ~eps:0.0 0.5); false
      with Invalid_argument _ -> true)
-
-let test_window_rate_edges () =
-  let open Analysis.Tcp_model in
-  let rtt = 0.1 in
-  (* Zero exactly at the PA fixed point, for any rtt. *)
-  List.iter
-    (fun p ->
-      let w = pa_window p in
-      check_close (Printf.sprintf "zero at pa_window, p=%.3f" p) ~tol:1e-9 0.0
-        (window_rate ~p ~rtt w))
-    [ 0.001; 0.01; 0.05 ];
-  (* Closed-interval endpoints: pure growth at p=0, pure decay at p=1. *)
-  check_close "p=0 pure growth" ~tol:1e-12 (1.0 /. rtt)
-    (window_rate ~p:0.0 ~rtt 5.0);
-  check_close "p=1 pure halving" ~tol:1e-12
-    (-.(5.0 *. 5.0 /. 2.0) /. rtt)
-    (window_rate ~p:1.0 ~rtt 5.0);
-  List.iter
-    (fun (name, f) ->
-      Alcotest.(check bool) name true
-        (try ignore (f ()); false with Invalid_argument _ -> true))
-    [
-      ("p>1 rejected", fun () -> window_rate ~p:1.5 ~rtt 5.0);
-      ("p<0 rejected", fun () -> window_rate ~p:(-0.1) ~rtt 5.0);
-      ("NaN p rejected", fun () -> window_rate ~p:Float.nan ~rtt 5.0);
-      ("rtt=0 rejected", fun () -> window_rate ~p:0.01 ~rtt:0.0 5.0);
-      ("w=0 rejected", fun () -> window_rate ~p:0.01 ~rtt 0.0);
-    ]
 
 let test_drift_zero_at_pa_window () =
   List.iter
@@ -406,10 +358,7 @@ let () =
           Alcotest.test_case "pa window values" `Quick test_pa_window_values;
           Alcotest.test_case "approximation" `Quick test_pa_window_approx;
           Alcotest.test_case "invalid p" `Quick test_pa_window_invalid;
-          Alcotest.test_case "typed result edges" `Quick
-            test_pa_window_result_edges;
           Alcotest.test_case "clamped total" `Quick test_pa_window_clamped_total;
-          Alcotest.test_case "window rate edges" `Quick test_window_rate_edges;
           Alcotest.test_case "drift zero" `Quick test_drift_zero_at_pa_window;
           Alcotest.test_case "drift signs" `Quick test_drift_signs;
           Alcotest.test_case "mahdavi-floyd" `Quick test_mahdavi_floyd;

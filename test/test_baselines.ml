@@ -1,5 +1,5 @@
 (* Tests for the rate-based baselines: report receiver, paced sender,
-   LTRC / MBFC policies and the CBR source. *)
+   its LTRC / MBFC / random-listening policies and CBR configuration. *)
 
 let star ?(seed = 1) ?(branch_mu = 500.0) ?(capacity = 20) ?(n = 3) () =
   let net = Net.Network.create ~seed () in
@@ -88,13 +88,24 @@ let test_report_receiver_bad_period () =
        false
      with Invalid_argument _ -> true)
 
+let cbr_config rate =
+  {
+    (Baselines.Rate_sender.default_config Baselines.Rate_sender.Fixed) with
+    initial_rate = rate;
+    min_rate = rate;
+    max_rate = rate;
+  }
+
 (* ------------------------------------------------------------------ *)
 (* CBR / pacing                                                       *)
 (* ------------------------------------------------------------------ *)
 
 let test_cbr_rate_fixed () =
   let net, s, leaves = star ~branch_mu:10_000.0 () in
-  let cbr = Baselines.Cbr.create ~net ~src:s ~receivers:leaves ~rate:50.0 () in
+  let cbr =
+    Baselines.Rate_sender.create ~net ~src:s ~receivers:leaves
+      (cbr_config 50.0)
+  in
   Net.Network.run_until net 20.0;
   Alcotest.(check (float 1e-9)) "rate unchanged" 50.0
     (Baselines.Rate_sender.rate cbr);
@@ -108,7 +119,10 @@ let test_cbr_rate_fixed () =
 
 let test_cbr_delivery_all_receivers () =
   let net, s, leaves = star ~branch_mu:10_000.0 () in
-  let cbr = Baselines.Cbr.create ~net ~src:s ~receivers:leaves ~rate:100.0 () in
+  let cbr =
+    Baselines.Rate_sender.create ~net ~src:s ~receivers:leaves
+      (cbr_config 100.0)
+  in
   Net.Network.run_until net 10.0;
   List.iter
     (fun ep ->
@@ -123,7 +137,10 @@ let test_cbr_delivery_all_receivers () =
 
 let test_ltrc_increases_without_loss () =
   let net, s, leaves = star ~branch_mu:10_000.0 () in
-  let ltrc = Baselines.Ltrc.create ~net ~src:s ~receivers:leaves () in
+  let ltrc =
+    Baselines.Rate_sender.create ~net ~src:s ~receivers:leaves
+      (Baselines.Rate_sender.default_config Baselines.Rate_sender.ltrc)
+  in
   let r0 = Baselines.Rate_sender.rate ltrc in
   Net.Network.run_until net 10.0;
   Alcotest.(check bool) "rate increased" true
@@ -132,7 +149,10 @@ let test_ltrc_increases_without_loss () =
 
 let test_ltrc_cuts_on_loss () =
   let net, s, leaves = star ~branch_mu:50.0 ~capacity:5 () in
-  let ltrc = Baselines.Ltrc.create ~net ~src:s ~receivers:leaves () in
+  let ltrc =
+    Baselines.Rate_sender.create ~net ~src:s ~receivers:leaves
+      (Baselines.Rate_sender.default_config Baselines.Rate_sender.ltrc)
+  in
   Net.Network.run_until net 60.0;
   Alcotest.(check bool) "cuts happened" true (Baselines.Rate_sender.cuts ltrc > 0)
 
@@ -140,7 +160,10 @@ let test_ltrc_refractory_limits_cut_rate () =
   (* With a 1 s refractory period there can be at most ~T cuts in T
      seconds. *)
   let net, s, leaves = star ~branch_mu:20.0 ~capacity:3 () in
-  let ltrc = Baselines.Ltrc.create ~net ~src:s ~receivers:leaves () in
+  let ltrc =
+    Baselines.Rate_sender.create ~net ~src:s ~receivers:leaves
+      (Baselines.Rate_sender.default_config Baselines.Rate_sender.ltrc)
+  in
   Net.Network.run_until net 30.0;
   Alcotest.(check bool)
     (Printf.sprintf "cuts %d bounded by refractory" (Baselines.Rate_sender.cuts ltrc))
@@ -149,7 +172,10 @@ let test_ltrc_refractory_limits_cut_rate () =
 
 let test_rate_floor_respected () =
   let net, s, leaves = star ~branch_mu:20.0 ~capacity:3 () in
-  let ltrc = Baselines.Ltrc.create ~net ~src:s ~receivers:leaves () in
+  let ltrc =
+    Baselines.Rate_sender.create ~net ~src:s ~receivers:leaves
+      (Baselines.Rate_sender.default_config Baselines.Rate_sender.ltrc)
+  in
   Net.Network.run_until net 120.0;
   Alcotest.(check bool) "rate never below min" true
     (Baselines.Rate_sender.rate ltrc >= 1.0)
@@ -191,11 +217,16 @@ let test_mbfc_needs_population () =
              }))
       leaves;
     Net.Network.install_routes net;
-    let config =
-      Baselines.Rate_sender.default_config
-        (Baselines.Mbfc.policy ~population_threshold:pop_thresh ())
+    let policy =
+      match Baselines.Rate_sender.mbfc with
+      | Baselines.Rate_sender.Mbfc p ->
+          Baselines.Rate_sender.Mbfc { p with population_threshold = pop_thresh }
+      | p -> p
     in
-    let sender = Baselines.Rate_sender.create ~net ~src:s ~receivers:leaves config in
+    let sender =
+      Baselines.Rate_sender.create ~net ~src:s ~receivers:leaves
+        (Baselines.Rate_sender.default_config policy)
+    in
     Net.Network.run_until net 60.0;
     Baselines.Rate_sender.cuts sender
   in
@@ -204,7 +235,10 @@ let test_mbfc_needs_population () =
 
 let test_mbfc_cuts_when_all_congested () =
   let net, s, leaves = star ~branch_mu:30.0 ~capacity:5 () in
-  let mbfc = Baselines.Mbfc.create ~net ~src:s ~receivers:leaves () in
+  let mbfc =
+    Baselines.Rate_sender.create ~net ~src:s ~receivers:leaves
+      (Baselines.Rate_sender.default_config Baselines.Rate_sender.mbfc)
+  in
   Net.Network.run_until net 60.0;
   Alcotest.(check bool) "cuts" true (Baselines.Rate_sender.cuts mbfc > 0)
 
@@ -214,7 +248,10 @@ let test_mbfc_cuts_when_all_congested () =
 
 let test_rl_rate_grows_without_loss () =
   let net, s, leaves = star ~branch_mu:10_000.0 () in
-  let sender = Baselines.Rl_rate.create ~net ~src:s ~receivers:leaves () in
+  let sender =
+    Baselines.Rate_sender.create ~net ~src:s ~receivers:leaves
+      (Baselines.Rate_sender.default_config Baselines.Rate_sender.random_listening)
+  in
   let r0 = Baselines.Rate_sender.rate sender in
   Net.Network.run_until net 10.0;
   Alcotest.(check bool) "rate increased" true
@@ -223,7 +260,10 @@ let test_rl_rate_grows_without_loss () =
 
 let test_rl_rate_cuts_under_loss () =
   let net, s, leaves = star ~branch_mu:50.0 ~capacity:5 () in
-  let sender = Baselines.Rl_rate.create ~net ~src:s ~receivers:leaves () in
+  let sender =
+    Baselines.Rate_sender.create ~net ~src:s ~receivers:leaves
+      (Baselines.Rate_sender.default_config Baselines.Rate_sender.random_listening)
+  in
   Net.Network.run_until net 90.0;
   Alcotest.(check bool) "cuts happened" true
     (Baselines.Rate_sender.cuts sender > 0)
@@ -232,14 +272,17 @@ let test_rl_rate_cuts_less_than_ltrc () =
   (* Random listening reacts to ~1/n of the congested reports; with all
      three receivers equally congested it should cut no more often than
      LTRC, which reacts to every one. *)
-  let run make =
+  let run policy =
     let net, s, leaves = star ~seed:5 ~branch_mu:40.0 ~capacity:5 () in
-    let sender = make ~net ~src:s ~receivers:leaves in
+    let sender =
+      Baselines.Rate_sender.create ~net ~src:s ~receivers:leaves
+        (Baselines.Rate_sender.default_config policy)
+    in
     Net.Network.run_until net 120.0;
     Baselines.Rate_sender.cuts sender
   in
-  let rl = run (fun ~net ~src ~receivers -> Baselines.Rl_rate.create ~net ~src ~receivers ()) in
-  let ltrc = run (fun ~net ~src ~receivers -> Baselines.Ltrc.create ~net ~src ~receivers ()) in
+  let rl = run Baselines.Rate_sender.random_listening in
+  let ltrc = run Baselines.Rate_sender.ltrc in
   Alcotest.(check bool)
     (Printf.sprintf "rl cuts %d <= ltrc cuts %d + slack" rl ltrc)
     true
@@ -269,9 +312,56 @@ let test_rate_sender_validation () =
        false
      with Invalid_argument _ -> true)
 
+let test_policy_constructors () =
+  let check_float = Alcotest.(check (float 1e-12)) in
+  (match Baselines.Rate_sender.ltrc with
+  | Baselines.Rate_sender.Ltrc { loss_threshold; ewma_weight; refractory } ->
+      check_float "ltrc loss threshold" 0.02 loss_threshold;
+      check_float "ltrc ewma weight" 0.25 ewma_weight;
+      check_float "ltrc refractory" 1.0 refractory
+  | _ -> Alcotest.fail "ltrc must be an Ltrc policy");
+  (match Baselines.Rate_sender.mbfc with
+  | Baselines.Rate_sender.Mbfc
+      { loss_threshold; population_threshold; refractory } ->
+      check_float "mbfc loss threshold" 0.02 loss_threshold;
+      check_float "mbfc population threshold" 0.25 population_threshold;
+      check_float "mbfc refractory" 1.0 refractory
+  | _ -> Alcotest.fail "mbfc must be an Mbfc policy");
+  (match Baselines.Rate_sender.random_listening with
+  | Baselines.Rate_sender.Random_listening { loss_threshold; refractory } ->
+      check_float "rl loss threshold" 0.02 loss_threshold;
+      check_float "rl refractory" 1.0 refractory
+  | _ -> Alcotest.fail "random_listening must be a Random_listening policy");
+  let cfg =
+    Baselines.Rate_sender.default_config Baselines.Rate_sender.random_listening
+  in
+  Alcotest.(check bool) "default config keeps its policy" true
+    (cfg.Baselines.Rate_sender.policy = Baselines.Rate_sender.random_listening);
+  Alcotest.(check bool) "default config rates ordered" true
+    (cfg.Baselines.Rate_sender.min_rate <= cfg.Baselines.Rate_sender.initial_rate
+    && cfg.Baselines.Rate_sender.initial_rate
+       <= cfg.Baselines.Rate_sender.max_rate)
+
+let test_rate_sender_accessors () =
+  let net, s, leaves = star ~branch_mu:10_000.0 () in
+  let ltrc =
+    Baselines.Rate_sender.create ~net ~src:s ~receivers:leaves
+      (Baselines.Rate_sender.default_config Baselines.Rate_sender.ltrc)
+  in
+  Net.Network.run_until net 10.0;
+  Alcotest.(check int) "one endpoint per leaf" (List.length leaves)
+    (List.length (Baselines.Rate_sender.endpoints ltrc));
+  Alcotest.(check bool) "packets sent" true (Baselines.Rate_sender.sent ltrc > 0);
+  Alcotest.(check bool) "rate within the configured bounds" true
+    (Baselines.Rate_sender.rate ltrc >= 1.0
+    && Baselines.Rate_sender.rate ltrc <= 1e5)
+
 let test_measurement_reset () =
   let net, s, leaves = star ~branch_mu:10_000.0 () in
-  let cbr = Baselines.Cbr.create ~net ~src:s ~receivers:leaves ~rate:100.0 () in
+  let cbr =
+    Baselines.Rate_sender.create ~net ~src:s ~receivers:leaves
+      (cbr_config 100.0)
+  in
   Net.Network.run_until net 5.0;
   Baselines.Rate_sender.reset_measurement cbr;
   Net.Network.run_until net 15.0;
@@ -318,6 +408,13 @@ let () =
           Alcotest.test_case "cuts under loss" `Quick test_rl_rate_cuts_under_loss;
           Alcotest.test_case "cuts less than ltrc" `Slow
             test_rl_rate_cuts_less_than_ltrc;
+        ] );
+      ( "baselines",
+        [
+          Alcotest.test_case "rate sender accessors" `Quick
+            test_rate_sender_accessors;
+          Alcotest.test_case "policy constructors" `Quick
+            test_policy_constructors;
         ] );
       ( "config",
         [

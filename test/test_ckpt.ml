@@ -817,6 +817,26 @@ let test_restore_rejects_wrong_topology () =
             (Ckpt.Sharing_ckpt.error_to_string e)
       | Ok _ -> Alcotest.fail "truncated checkpoint restored")
 
+let test_sharing_ckpt_sections () =
+  (* A sharing checkpoint carries the sections [load] requires. *)
+  let path = tmp_file ".ckpt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let session = Experiments.Sharing.setup small_config in
+      Net.Network.run_until session.Experiments.Sharing.net 5.0;
+      Ckpt.Sharing_ckpt.save ~path ~time:5.0 ~config:small_config ~session ();
+      match Ckpt.Codec.load_file ~path with
+      | Error e -> Alcotest.fail (Ckpt.Codec.error_to_string e)
+      | Ok sections ->
+          let names = List.map (fun s -> s.Ckpt.Codec.name) sections in
+          List.iter
+            (fun required ->
+              Alcotest.(check bool)
+                (Printf.sprintf "section %s listed" required)
+                true (List.mem required names))
+            [ "meta"; "config"; "scheduler"; "network" ])
+
 let () =
   Alcotest.run "ckpt"
     [
@@ -878,5 +898,10 @@ let () =
             test_restore_rejects_wrong_topology;
           Alcotest.test_case "hardened endpoint restore at T/2" `Quick
             test_hardened_endpoint_restore_at_half;
+        ] );
+      ( "ckpt",
+        [
+          Alcotest.test_case "sharing sections" `Quick
+            test_sharing_ckpt_sections;
         ] );
     ]

@@ -341,6 +341,85 @@ let test_short_flows_cbr_starves () =
     (r.Experiments.Short_flows.completed
     <= r.Experiments.Short_flows.launched / 4)
 
+(* Each adversary's live behaviour, read through the hostile result on
+   a small k-ary tree. *)
+let hostile_run ?(lookahead = 0) mix =
+  Experiments.Hostile.run
+    {
+      (Experiments.Hostile.default_config ~mix) with
+      Experiments.Hostile.topology =
+        Experiments.Hostile.Kary { fanout = 2; depth = 2 };
+      duration = 20.0;
+      warmup = 5.0;
+      flood_rate = 200.0;
+      optack_lookahead = lookahead;
+    }
+
+let test_flood_accessors () =
+  (* The flood paces at its configured rate into a counting sink. *)
+  let flood = hostile_run Experiments.Hostile.Nonbackoff in
+  Alcotest.(check bool)
+    (Printf.sprintf "flood blasts at 200 pkt/s (%.1f)" flood.adv_send_rate)
+    true
+    (Float.abs (flood.adv_send_rate -. 200.0) < 2.0);
+  Alcotest.(check bool) "flood deliveries counted at the sink" true
+    (flood.adv_delivered_rate > 0.0
+    && flood.adv_delivered_rate <= flood.adv_send_rate)
+
+let test_ackdiv_accessors () =
+  (* The ack divider keeps sending and gets data through. *)
+  let div = hostile_run Experiments.Hostile.Ackdiv in
+  Alcotest.(check bool) "ack divider makes progress" true
+    (div.adv_send_rate > 0.0 && div.adv_delivered_rate > 0.0)
+
+let test_optack_accessors () =
+  (* An optimistic acker claiming only up to max_seen + 1 conceals
+     holes undetectably; claiming past the data it saw is caught. *)
+  let conceal = hostile_run Experiments.Hostile.Optack in
+  Alcotest.(check int) "lookahead 0 leaves no ghost acks" 0
+    conceal.ghost_acks;
+  let ahead = hostile_run ~lookahead:2 Experiments.Hostile.Optack in
+  Alcotest.(check bool) "acks past the sent data are ghost acks" true
+    (ahead.ghost_acks > 0)
+
+let test_hostile_names_and_job () =
+  List.iter
+    (fun (mix, name) ->
+      Alcotest.(check string) "label is topology/mix" ("kary2x2/" ^ name)
+        (hostile_run mix).Experiments.Hostile.label)
+    [
+      (Experiments.Hostile.Honest, "none");
+      (Experiments.Hostile.Nonbackoff, "nonbackoff");
+      (Experiments.Hostile.Ackdiv, "ackdiv");
+      (Experiments.Hostile.Optack, "optack");
+      (Experiments.Hostile.Rst, "rst");
+    ];
+  (* A sweep runs each mix as a labelled pool job; the job's result is
+     the direct run's. *)
+  match
+    Experiments.Hostile.sweep ~mixes:[ Experiments.Hostile.Honest ]
+      ~case_index:1 ~duration:20.0 ~warmup:5.0 ~jobs:1 ()
+  with
+  | [ o ] ->
+      Alcotest.(check string) "job label is mix/seed" "none/seed1"
+        o.Runner.Pool.label;
+      let direct =
+        Experiments.Hostile.run
+          {
+            (Experiments.Hostile.default_config
+               ~mix:Experiments.Hostile.Honest)
+            with
+            Experiments.Hostile.topology =
+              Experiments.Hostile.Fig6 (Experiments.Tree.case_of_index 1);
+            duration = 20.0;
+            warmup = 5.0;
+            seed = 1;
+          }
+      in
+      Alcotest.(check bool) "job and direct runs agree" true
+        (o.Runner.Pool.value = direct)
+  | os -> Alcotest.failf "one job expected, got %d" (List.length os)
+
 let test_ablation_variant_lists () =
   Alcotest.(check int) "grouping" 4
     (List.length (Experiments.Ablation.grouping_variants ()));
@@ -405,6 +484,62 @@ let test_timeseries_csv () =
   Alcotest.(check int) "header + 2 rows" 3 (List.length lines);
   Alcotest.(check string) "header" "time,x" (List.hd lines)
 
+let test_timeseries_times () =
+  (* One timestamp per sample in the CSV's time column, ascending. *)
+  let net = Net.Network.create ~seed:1 () in
+  let ts =
+    Experiments.Timeseries.create ~net ~interval:0.5
+      ~probes:
+        [
+          { Experiments.Timeseries.name = "now"; read = (fun () -> Net.Network.now net) };
+        ]
+  in
+  Net.Network.run_until net 2.0;
+  let csv = Format.asprintf "%a" Experiments.Timeseries.to_csv ts in
+  let times =
+    List.map
+      (fun line -> float_of_string (List.hd (String.split_on_char ',' line)))
+      (List.tl (String.split_on_char '\n' (String.trim csv)))
+  in
+  Alcotest.(check bool) "sampled" true (times <> []);
+  Alcotest.(check int) "one timestamp per sample"
+    (Experiments.Timeseries.length ts) (List.length times);
+  Alcotest.(check bool) "timestamps ascend" true
+    (List.sort compare times = times)
+
+let test_short_flows_background_names () =
+  let row background =
+    {
+      Experiments.Short_flows.config =
+        Experiments.Short_flows.default_config background;
+      launched = 0;
+      completed = 0;
+      mean_completion = 0.0;
+      p95_completion = 0.0;
+      background_throughput = 0.0;
+    }
+  in
+  let table =
+    Format.asprintf "%a" Experiments.Short_flows.print
+      (List.map row
+         [
+           Experiments.Short_flows.Bg_none;
+           Experiments.Short_flows.Bg_tcp;
+           Experiments.Short_flows.Bg_rla;
+           Experiments.Short_flows.Bg_cbr 500.0;
+         ])
+  in
+  let first_words =
+    List.filter_map
+      (fun line ->
+        match String.split_on_char ' ' line with
+        | w :: _ when List.mem w [ "idle"; "TCP"; "RLA"; "CBR@500" ] -> Some w
+        | _ -> None)
+      (String.split_on_char '\n' table)
+  in
+  Alcotest.(check (list string)) "one distinct name per background"
+    [ "idle"; "TCP"; "RLA"; "CBR@500" ] first_words
+
 let test_timeseries_validation () =
   let net = Net.Network.create ~seed:1 () in
   Alcotest.(check bool) "no probes rejected" true
@@ -468,6 +603,20 @@ let test_report_printers_do_not_crash () =
 let () =
   Alcotest.run "experiments"
     [
+      ( "adversary",
+        [
+          Alcotest.test_case "flood accessors" `Quick test_flood_accessors;
+          Alcotest.test_case "ackdiv accessors" `Quick test_ackdiv_accessors;
+          Alcotest.test_case "optack accessors" `Quick test_optack_accessors;
+          Alcotest.test_case "hostile names and job" `Quick
+            test_hostile_names_and_job;
+        ] );
+      ( "experiments",
+        [
+          Alcotest.test_case "short-flow background names" `Quick
+            test_short_flows_background_names;
+          Alcotest.test_case "timeseries times" `Quick test_timeseries_times;
+        ] );
       ( "scenario",
         [
           Alcotest.test_case "gateway names" `Quick test_scenario_gateway_names;

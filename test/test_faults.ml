@@ -277,15 +277,28 @@ let test_injector_redundant_and_unknown () =
         (3.0, Faults.Timeline.Link_up (a, b));
         (4.0, Faults.Timeline.Link_down (7, 9));
         (* no such link *)
+        (4.5, Faults.Timeline.Receiver_leave b);
+        (4.6, Faults.Timeline.Receiver_join b);
+        (4.7, Faults.Timeline.Flow_start { id = 1; dst = b });
+        (4.8, Faults.Timeline.Flow_stop { id = 1 });
+        (* the default null handlers refuse all four *)
       ]
   in
   let inj = Faults.Injector.install ~net timeline in
   Net.Network.run_until net 6.0;
-  Alcotest.(check int) "all entries fired" 5 (Faults.Injector.injected inj);
+  Alcotest.(check int) "all entries fired" 9 (Faults.Injector.injected inj);
   Alcotest.(check int) "one real outage" 1 (Faults.Injector.outages inj);
-  Alcotest.(check int) "three skipped" 3 (Faults.Injector.skipped inj);
+  Alcotest.(check int) "seven skipped" 7 (Faults.Injector.skipped inj);
   Alcotest.(check bool) "link healthy at the end" true
     (Net.Link.is_up (Option.get (Net.Network.link_between net a b)))
+
+let test_injector_null_handlers () =
+  let h = Faults.Injector.null_handlers in
+  Alcotest.(check bool) "leave refused" false (h.on_receiver_leave 1);
+  Alcotest.(check bool) "join refused" false (h.on_receiver_join 1);
+  Alcotest.(check bool) "flow start refused" false (h.on_flow_start ~id:1 ~dst:2);
+  Alcotest.(check bool) "flow stop refused" false (h.on_flow_stop ~id:1);
+  Alcotest.(check int) "no members" 0 (h.membership ())
 
 let test_injector_degradation () =
   let net, a, b, arrivals = two_node_flood () in
@@ -516,6 +529,11 @@ let () =
           Alcotest.test_case "degradation" `Quick test_injector_degradation;
           Alcotest.test_case "membership churn" `Quick
             test_injector_membership_churn;
+        ] );
+      ( "faults",
+        [
+          Alcotest.test_case "injector null handlers" `Quick
+            test_injector_null_handlers;
         ] );
       ( "churn",
         [

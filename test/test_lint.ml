@@ -78,7 +78,9 @@ let test_parse_error () =
 
 let test_unused_export () =
   let fs = run [ fx (Filename.concat "unused" "lib") ] in
-  (* Api.used is referenced from the sibling bin/; Api.unused is not. *)
+  (* Api.used is referenced from the sibling bin/ and Api.bench_only
+     from the sibling perfbench/, the benchmark of record; Api.unused
+     is not referenced at all. *)
   check_count fs ~rule:"unused-export" 1;
   (match List.find_opt (fun (f : Lint.Finding.t) -> f.rule = "unused-export") fs with
   | Some f ->

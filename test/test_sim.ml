@@ -1,4 +1,4 @@
-(* Tests for the simulation substrate: heap, rng, scheduler, trace. *)
+(* Tests for the simulation substrate: heap, rng, scheduler, invariant. *)
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -374,6 +374,28 @@ let test_sched_cancel_after_fire () =
   Alcotest.(check bool) "new event fires" true !fired;
   Alcotest.(check int) "pending back to zero" 0 (Sim.Scheduler.pending s)
 
+(* The Done / Fired / Skipped contract of [step], one event at a time,
+   including a cancel after the event fired. *)
+let test_sched_step () =
+  let s = Sim.Scheduler.create () in
+  let step horizon = Sim.Scheduler.step s horizon in
+  Alcotest.(check bool) "empty queue is Done" true (step infinity = `Done);
+  let hits = ref 0 in
+  let id = Sim.Scheduler.schedule_at s 1.0 (fun () -> incr hits) in
+  ignore (Sim.Scheduler.schedule_at s 2.0 (fun () -> incr hits));
+  Alcotest.(check bool) "beyond horizon is Done" true (step 0.5 = `Done);
+  Alcotest.(check bool) "first event Fired" true (step 10.0 = `Fired);
+  Alcotest.(check int) "closure ran" 1 !hits;
+  check_float "clock follows the event" 1.0 (Sim.Scheduler.now s);
+  Sim.Scheduler.cancel s id;
+  Alcotest.(check bool) "cancel after fire: next event Fired" true
+    (step 10.0 = `Fired);
+  let id3 = Sim.Scheduler.schedule_at s 3.0 (fun () -> incr hits) in
+  Sim.Scheduler.cancel s id3;
+  Alcotest.(check bool) "cancelled entry is Skipped" true (step 10.0 = `Skipped);
+  Alcotest.(check bool) "then Done" true (step 10.0 = `Done);
+  Alcotest.(check int) "cancelled closure never ran" 2 !hits
+
 let test_sched_double_cancel_then_fire_others () =
   let s = Sim.Scheduler.create () in
   let hit = ref 0 in
@@ -570,7 +592,7 @@ let prop_sched_cancel_survivors =
       && Sim.Scheduler.events_fired s = List.length expected)
 
 (* ------------------------------------------------------------------ *)
-(* Trace                                                              *)
+(* Invariant                                                          *)
 (* ------------------------------------------------------------------ *)
 
 let test_invariant_counters () =
@@ -602,38 +624,6 @@ let test_invariant_scheduler_clean () =
       Sim.Scheduler.run_until_empty s ~max_events:1000;
       Alcotest.(check bool) "checks ran" true (Sim.Invariant.checks_run () > 0);
       Alcotest.(check int) "no violations" 0 (Sim.Invariant.failures_seen ()))
-
-let test_trace_disabled_by_default () =
-  let t = Sim.Trace.create () in
-  Alcotest.(check bool) "disabled" false (Sim.Trace.enabled t);
-  (* Emitting without a sink is a no-op, not an error. *)
-  Sim.Trace.emit t ~time:0.0 ~level:Sim.Trace.Info ~component:"x" "hello"
-
-let test_trace_memory_sink () =
-  let t = Sim.Trace.create () in
-  let sink, records = Sim.Trace.memory_sink () in
-  Sim.Trace.set_sink t sink;
-  Sim.Trace.emit t ~time:1.0 ~level:Sim.Trace.Warn ~component:"link" "drop";
-  Sim.Trace.emitf t ~time:2.0 ~level:Sim.Trace.Debug ~component:"tcp" "cwnd=%d" 5;
-  let rs = records () in
-  Alcotest.(check int) "two records" 2 (List.length rs);
-  let r1 = List.nth rs 0 and r2 = List.nth rs 1 in
-  Alcotest.(check string) "message" "drop" r1.Sim.Trace.message;
-  Alcotest.(check string) "formatted" "cwnd=5" r2.Sim.Trace.message;
-  check_float "time" 1.0 r1.Sim.Trace.time
-
-let test_trace_clear_sink () =
-  let t = Sim.Trace.create () in
-  let sink, records = Sim.Trace.memory_sink () in
-  Sim.Trace.set_sink t sink;
-  Sim.Trace.clear_sink t;
-  Sim.Trace.emit t ~time:0.0 ~level:Sim.Trace.Info ~component:"x" "gone";
-  Alcotest.(check int) "nothing recorded" 0 (List.length (records ()))
-
-let test_trace_level_names () =
-  Alcotest.(check string) "debug" "debug" (Sim.Trace.level_to_string Sim.Trace.Debug);
-  Alcotest.(check string) "info" "info" (Sim.Trace.level_to_string Sim.Trace.Info);
-  Alcotest.(check string) "warn" "warn" (Sim.Trace.level_to_string Sim.Trace.Warn)
 
 let () =
   Alcotest.run "sim"
@@ -702,11 +692,5 @@ let () =
           Alcotest.test_case "scheduler clean" `Quick
             test_invariant_scheduler_clean;
         ] );
-      ( "trace",
-        [
-          Alcotest.test_case "disabled by default" `Quick test_trace_disabled_by_default;
-          Alcotest.test_case "memory sink" `Quick test_trace_memory_sink;
-          Alcotest.test_case "clear sink" `Quick test_trace_clear_sink;
-          Alcotest.test_case "level names" `Quick test_trace_level_names;
-        ] );
+      ("sim", [ Alcotest.test_case "scheduler step" `Quick test_sched_step ]);
     ]

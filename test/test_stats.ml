@@ -156,75 +156,6 @@ let test_time_avg_reset () =
   check_float "current" 2.0 (Stats.Time_avg.current t)
 
 (* ------------------------------------------------------------------ *)
-(* Counter                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let test_counter_basic () =
-  let c = Stats.Counter.create () in
-  Stats.Counter.incr c ~now:1.0;
-  Stats.Counter.add c ~now:2.0 3;
-  Alcotest.(check int) "value" 4 (Stats.Counter.value c)
-
-let test_counter_warmup () =
-  let c = Stats.Counter.create ~enable_after:100.0 () in
-  Stats.Counter.incr c ~now:50.0;
-  Stats.Counter.incr c ~now:150.0;
-  Alcotest.(check int) "warm-up discarded" 1 (Stats.Counter.value c)
-
-let test_counter_rate () =
-  let c = Stats.Counter.create ~enable_after:10.0 () in
-  for i = 11 to 20 do
-    Stats.Counter.incr c ~now:(float_of_int i)
-  done;
-  check_float "rate" 1.0 (Stats.Counter.rate c ~now:20.0)
-
-let test_counter_reset () =
-  let c = Stats.Counter.create () in
-  Stats.Counter.incr c ~now:0.0;
-  Stats.Counter.reset c;
-  Alcotest.(check int) "reset" 0 (Stats.Counter.value c)
-
-(* ------------------------------------------------------------------ *)
-(* Histogram                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let test_histogram_binning () =
-  let h = Stats.Histogram.create ~lo:0.0 ~hi:10.0 ~bins:10 in
-  List.iter (Stats.Histogram.add h) [ 0.5; 1.5; 1.7; 9.99 ];
-  Alcotest.(check int) "bin 0" 1 (Stats.Histogram.bin_count h 0);
-  Alcotest.(check int) "bin 1" 2 (Stats.Histogram.bin_count h 1);
-  Alcotest.(check int) "bin 9" 1 (Stats.Histogram.bin_count h 9);
-  Alcotest.(check int) "total" 4 (Stats.Histogram.count h)
-
-let test_histogram_out_of_range () =
-  let h = Stats.Histogram.create ~lo:0.0 ~hi:1.0 ~bins:4 in
-  Stats.Histogram.add h (-1.0);
-  Stats.Histogram.add h 2.0;
-  Stats.Histogram.add h 1.0;
-  Alcotest.(check int) "underflow" 1 (Stats.Histogram.underflow h);
-  Alcotest.(check int) "overflow (hi inclusive)" 2 (Stats.Histogram.overflow h);
-  Alcotest.(check int) "total counts everything" 3 (Stats.Histogram.count h)
-
-let test_histogram_mode () =
-  let h = Stats.Histogram.create ~lo:0.0 ~hi:10.0 ~bins:10 in
-  Alcotest.(check (option int)) "empty mode" None (Stats.Histogram.mode_bin h);
-  List.iter (Stats.Histogram.add h) [ 5.5; 5.6; 5.7; 1.0 ];
-  Alcotest.(check (option int)) "mode bin" (Some 5) (Stats.Histogram.mode_bin h)
-
-let test_histogram_centers () =
-  let h = Stats.Histogram.create ~lo:0.0 ~hi:10.0 ~bins:10 in
-  check_float "center of bin 0" 0.5 (Stats.Histogram.bin_center h 0);
-  check_float "center of bin 9" 9.5 (Stats.Histogram.bin_center h 9)
-
-let test_histogram_invalid () =
-  Alcotest.(check bool) "bad bins" true
-    (try ignore (Stats.Histogram.create ~lo:0.0 ~hi:1.0 ~bins:0); false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "bad range" true
-    (try ignore (Stats.Histogram.create ~lo:1.0 ~hi:1.0 ~bins:4); false
-     with Invalid_argument _ -> true)
-
-(* ------------------------------------------------------------------ *)
 (* Density                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -334,21 +265,6 @@ let () =
           Alcotest.test_case "zero span" `Quick test_time_avg_zero_span;
           Alcotest.test_case "backwards rejected" `Quick test_time_avg_backwards_rejected;
           Alcotest.test_case "reset" `Quick test_time_avg_reset;
-        ] );
-      ( "counter",
-        [
-          Alcotest.test_case "basic" `Quick test_counter_basic;
-          Alcotest.test_case "warm-up" `Quick test_counter_warmup;
-          Alcotest.test_case "rate" `Quick test_counter_rate;
-          Alcotest.test_case "reset" `Quick test_counter_reset;
-        ] );
-      ( "histogram",
-        [
-          Alcotest.test_case "binning" `Quick test_histogram_binning;
-          Alcotest.test_case "out of range" `Quick test_histogram_out_of_range;
-          Alcotest.test_case "mode" `Quick test_histogram_mode;
-          Alcotest.test_case "centers" `Quick test_histogram_centers;
-          Alcotest.test_case "invalid" `Quick test_histogram_invalid;
         ] );
       ( "density",
         [
