@@ -49,10 +49,11 @@ let run_lint rules format json strict list_only graph paths =
       | findings ->
           (match format with
           | "json" ->
-              print_endline (Lint.Json.to_string (Lint.Driver.to_json findings))
+              print_endline
+                (Rla_json.Json.to_string (Lint.Driver.to_json findings))
           | "sarif" ->
               print_endline
-                (Lint.Json.to_string (Lint.Driver.to_sarif findings))
+                (Rla_json.Json.to_string (Lint.Driver.to_sarif findings))
           | _ ->
               print_string (Lint.Driver.render_text findings);
               let errors =

@@ -3,6 +3,8 @@
    checks, filter by rule scope and --rules, apply suppression
    annotations, and render text, JSON or SARIF. *)
 
+open Rla_json
+
 let read_file path =
   let ic = open_in_bin path in
   let n = in_channel_length ic in

@@ -2,6 +2,8 @@
     rendering.  This is the API both [bin/rla_lint] and the test suite
     drive. *)
 
+open Rla_json
+
 val run : ?rules:string list -> paths:string list -> unit -> Finding.t list
 (** Lints every .ml/.mli under [paths] (files or directories).  With
     [?rules], only those rules (plus {!Rules.always_on}) report.

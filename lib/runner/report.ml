@@ -42,11 +42,10 @@ let write_file ~path json =
 let float_array xs =
   let buf = Buffer.create ((20 * Array.length xs) + 2) in
   Buffer.add_char buf '[';
-  Array.iteri
-    (fun i x ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Json.to_string (Json.Float x)))
-    xs;
+  for i = 0 to Array.length xs - 1 do
+    if i > 0 then Buffer.add_char buf ',';
+    Json.add_float buf xs.(i)
+  done;
   Buffer.add_char buf ']';
   Json.Verbatim (Buffer.contents buf)
 
@@ -80,9 +79,13 @@ let registry_json reg =
    at the same call points with the same decimation limit, so their
    sample times coincide (see [Obs.Series]); zipping by index is exact.
    Flows appear in registry creation order and samples in time order,
-   both deterministic, so the same seed yields byte-identical output. *)
+   both deterministic, so the same seed yields byte-identical output.
+   The rows are rendered into a buffer ("%.6f,%s,%.6f,%.0f" each) and
+   handed to [ppf] as one string; the final flush leaves [ppf] as the
+   per-row newlines of [Format] would. *)
 let flow_series_csv ppf reg =
-  Format.fprintf ppf "time,flow,cwnd,bytes_acked@.";
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf "time,flow,cwnd,bytes_acked\n";
   List.iter
     (fun s ->
       let name = Obs.Series.name s in
@@ -98,10 +101,18 @@ let flow_series_csv ppf reg =
               and bs = Obs.Series.values bytes in
               let n = Stdlib.min (Array.length ts) (Array.length bs) in
               for i = 0 to n - 1 do
-                Format.fprintf ppf "%.6f,%s,%.6f,%.0f@." ts.(i) flow cwnds.(i)
-                  bs.(i)
+                Json.add_fixed buf 6 ts.(i);
+                Buffer.add_char buf ',';
+                Buffer.add_string buf flow;
+                Buffer.add_char buf ',';
+                Json.add_fixed buf 6 cwnds.(i);
+                Buffer.add_char buf ',';
+                Json.add_fixed buf 0 bs.(i);
+                Buffer.add_char buf '\n'
               done))
-    (Obs.Registry.all_series reg)
+    (Obs.Registry.all_series reg);
+  Format.pp_print_string ppf (Buffer.contents buf);
+  Format.pp_print_flush ppf ()
 
 let pp_metrics_table ppf outcomes =
   Format.fprintf ppf "%-24s %10s %14s %12s@." "job" "wall (s)" "events"

@@ -174,6 +174,43 @@ let test_rla_acks () =
   check_at_most "words per receiver ack" ~bound:55.3
     (w /. float_of_int (acks () - acks0))
 
+(* 10k floats boxed once here (a list, so none is boxed again on the
+   way to the printer): 9k non-integral ones at binary exponents [lo]
+   to [hi], both signs, and 1k integral ones. *)
+let floats ~lo ~hi =
+  List.init 10_000 (fun i ->
+      if i mod 10 = 0 then float_of_int (i * 7919)
+      else
+        let frac = float_of_int (i * 7919 mod 10_007) /. 10_007. in
+        let x = Float.ldexp (1.0 +. frac) (lo + (i mod (hi - lo + 1))) in
+        if i land 1 = 0 then x else -.x)
+
+(* Words per float rendered into a buffer that is already large enough,
+   so the output buffer itself is not counted. *)
+let render_words add xs =
+  let buf = Buffer.create (32 * List.length xs) in
+  let each f = add buf f in
+  let render () =
+    Buffer.clear buf;
+    List.iter each xs
+  in
+  render ();
+  measured render /. float_of_int (List.length xs)
+
+let test_export_floats () =
+  (* The JSON form (Runner.Json.Float) over the printing kernel's whole
+     domain [1e-10, 1e15), and the trace CSV's %.6f and %.0f columns
+     over [2^-9, 2^30), where both take the kernel too: digits go
+     straight into the buffer, with no string, tuple or scratch bytes
+     per float. *)
+  Alcotest.(check (float 0.0)) "JSON words per float" 0.0
+    (render_words Runner.Json.add_float (floats ~lo:(-33) ~hi:48));
+  let csv = floats ~lo:(-9) ~hi:29 in
+  Alcotest.(check (float 0.0)) "%.6f words per float" 0.0
+    (render_words (fun buf f -> Runner.Json.add_fixed buf 6 f) csv);
+  Alcotest.(check (float 0.0)) "%.0f words per float" 0.0
+    (render_words (fun buf f -> Runner.Json.add_fixed buf 0 f) csv)
+
 let () =
   Alcotest.run "alloc"
     [
@@ -185,4 +222,6 @@ let () =
           Alcotest.test_case "one TCP flow" `Quick test_tcp_flow;
           Alcotest.test_case "RLA acks" `Quick test_rla_acks;
         ] );
+      ( "export",
+        [ Alcotest.test_case "float printing" `Quick test_export_floats ] );
     ]

@@ -296,9 +296,10 @@ let test_json_round_trip () =
   let fs = run [ fx "poly_compare"; fx "wall_clock" ] in
   Alcotest.(check bool) "fixture produced findings" true (fs <> []);
   let json = Lint.Driver.to_json fs in
-  match Lint.Json.of_string (Lint.Json.to_string json) with
-  | Error e -> Alcotest.fail ("json reparse failed: " ^ e)
-  | Ok reparsed -> (
+  match Rla_json.Json.of_string (Rla_json.Json.to_string json) with
+  | exception Rla_json.Json.Parse_error e ->
+      Alcotest.fail ("json reparse failed: " ^ e)
+  | reparsed -> (
       match Lint.Driver.of_json reparsed with
       | Error e -> Alcotest.fail ("findings decode failed: " ^ e)
       | Ok fs' ->
@@ -329,7 +330,7 @@ let test_text_rendering () =
 let test_sarif_output () =
   let fs = run [ fx "wall_clock"; fx (Filename.concat "hot" "firing.ml") ] in
   Alcotest.(check bool) "fixtures produced findings" true (fs <> []);
-  let sarif = Lint.Json.to_string (Lint.Driver.to_sarif fs) in
+  let sarif = Rla_json.Json.to_string (Lint.Driver.to_sarif fs) in
   Alcotest.(check bool) "declares SARIF 2.1.0" true
     (has_sub sarif "\"version\":\"2.1.0\"");
   Alcotest.(check bool) "carries the schema URI" true
@@ -349,9 +350,10 @@ let test_sarif_output () =
   Alcotest.(check bool) "results carry physical locations" true
     (has_sub sarif "physicalLocation" && has_sub sarif "startLine");
   (* SARIF must remain parseable JSON. *)
-  match Lint.Json.of_string sarif with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail ("SARIF output is not valid JSON: " ^ e)
+  match Rla_json.Json.of_string sarif with
+  | _ -> ()
+  | exception Rla_json.Json.Parse_error e ->
+      Alcotest.fail ("SARIF output is not valid JSON: " ^ e)
 
 (* --- the tree itself ----------------------------------------------- *)
 

@@ -280,6 +280,19 @@ let test_registry_json_golden () =
   Alcotest.(check string) "digest" "ef420ba70be647e26de6c4d3b01b2e40"
     (Digest.to_hex (Digest.string json))
 
+(* The flow trace CSV of the same run, pinned by a digest recorded
+   before the CSV renderer was rewritten. *)
+let test_flow_csv_golden () =
+  let _, registry = Golden_run.run () in
+  let buf = Buffer.create (1 lsl 20) in
+  let ppf = Format.formatter_of_buffer buf in
+  Runner.Report.flow_series_csv ppf registry;
+  Format.pp_print_flush ppf ();
+  let csv = Buffer.contents buf in
+  Alcotest.(check int) "length" 666_651 (String.length csv);
+  Alcotest.(check string) "digest" "1b7aa6e05f4ca9487962a1135f59808b"
+    (Digest.to_hex (Digest.string csv))
+
 let () =
   Alcotest.run "obs"
     [
@@ -304,6 +317,7 @@ let () =
             test_flow_series_csv_shape;
           Alcotest.test_case "registry json golden" `Slow
             test_registry_json_golden;
+          Alcotest.test_case "flow csv golden" `Slow test_flow_csv_golden;
         ] );
       ( "determinism",
         [

@@ -146,9 +146,10 @@ let test_json_float_roundtrip () =
             f (float_of_string s))
     [ 0.1; 1.0 /. 3.0; 2.492776886035313; 1e-9; 123456.789; 54.0 ]
 
-(* The formatter every committed document was written with: the first
-   of %.1g .. %.17g that round-trips, integral values below 1e15 as
-   %.1f, non-finite floats as null.  The emitter must match it exactly. *)
+(* json.mli's definition, verbatim: null for non-finite floats,
+   integral values below 1e15 as %.1f, otherwise the first of %.1g ..
+   %.17g that reads back.  Every committed document was written with
+   it; the emitter must match it byte for byte. *)
 let reference_float_repr f =
   if not (Float.is_finite f) then "null"
   else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
@@ -163,9 +164,16 @@ let reference_float_repr f =
 
 let float_json f = Runner.Json.to_string (Runner.Json.Float f)
 
-(* Random bit patterns, subnormals, floats with few significant digits
-   (where the short forms win), and neighbours of powers of two (where
-   the rounding interval is lopsided). *)
+let fixed_csv decimals f =
+  let buf = Buffer.create 32 in
+  Runner.Json.add_fixed buf decimals f;
+  Buffer.contents buf
+
+(* Nine classes: random bit patterns, subnormals, uniform over the
+   kernel's domain [1e-10, 1e15), decimals of 1 to 17 digits k·10^j
+   (where the short forms win) and their two neighbours, 10^U(-12,18),
+   neighbours of powers of two (where the rounding interval is
+   lopsided), and negatives of the domain class. *)
 let gen_float =
   let open QCheck.Gen in
   let short_decimal =
@@ -182,6 +190,11 @@ let gen_float =
         if neg then -.f else f)
       int64 bool
   in
+  let in_domain =
+    map2
+      (fun frac e -> Float.ldexp (1.0 +. frac) e)
+      (float_bound_exclusive 1.0) (int_range (-34) 49)
+  in
   let near_power_of_two =
     map2
       (fun k d ->
@@ -190,7 +203,17 @@ let gen_float =
       (int_range (-1074) 1023) (int_range (-2) 2)
   in
   oneof
-    [ map Int64.float_of_bits int64; subnormal; short_decimal; near_power_of_two ]
+    [
+      map Int64.float_of_bits int64;
+      subnormal;
+      in_domain;
+      short_decimal;
+      map Float.succ short_decimal;
+      map Float.pred short_decimal;
+      map (fun x -> 10. ** x) (float_range (-12.) 18.);
+      near_power_of_two;
+      map Float.neg in_domain;
+    ]
 
 let prop_float_matches_reference =
   QCheck.Test.make ~name:"float emitter matches the 17-probe reference"
@@ -198,22 +221,82 @@ let prop_float_matches_reference =
     (QCheck.make ~print:(Printf.sprintf "%h") gen_float)
     (fun f -> String.equal (float_json f) (reference_float_repr f))
 
+(* The trace CSV's "%.6f" (times, cwnd) and "%.0f" (bytes) columns. *)
+let prop_fixed_matches_printf =
+  let open QCheck.Gen in
+  let value =
+    oneof
+      [
+        float_range 0.0 1000.0;
+        map (fun x -> -.x) (float_range 0.0 1.0);
+        map (fun k -> float_of_int k /. 2e6) (int_bound 10_000_000);
+        map (fun k -> float_of_int k +. 0.5) (int_bound 1_000_000);
+        map Float.round (float_range 0.0 1e12);
+        map Int64.float_of_bits int64;
+      ]
+  in
+  QCheck.Test.make ~name:"fixed emitter matches Printf %.6f and %.0f"
+    ~count:20_000
+    (QCheck.make ~print:(Printf.sprintf "%h") value)
+    (fun f ->
+      String.equal (fixed_csv 6 f) (Printf.sprintf "%.6f" f)
+      && String.equal (fixed_csv 0 f) (Printf.sprintf "%.0f" f))
+
 let test_float_edge_cases () =
   let two53 = Float.ldexp 1.0 53 in
+  (* Exact ties at the 16th to 18th digit, so rounding to 15 to 17
+     digits is a tie: an odd multiple of 1/32 has five decimals, the
+     last a 5, after an integer part of 11 to 13 digits. *)
+  let ties =
+    List.concat_map
+      (fun base ->
+        List.init 16 (fun j -> base +. (float_of_int ((2 * j) + 1) /. 32.0)))
+      [ 12345678901.0; 99999999999.0; 123456789012.0; 1234567890123.0 ]
+  in
+  (* 9.99...e{n}: rounding to 15 or 16 digits carries into a new
+     decimal exponent. *)
+  let carries =
+    List.concat_map
+      (fun e ->
+        List.concat_map
+          (fun nines ->
+            let f =
+              float_of_string
+                (Printf.sprintf "9.%se%d" (String.make nines '9') e)
+            in
+            [ f; Float.pred f; Float.succ f ])
+          [ 14; 15; 16 ])
+      (List.init 28 (fun i -> i - 13))
+  in
+  let powers =
+    List.concat_map
+      (fun k ->
+        let p = Float.ldexp 1.0 k in
+        [ p; Float.succ p; Float.pred p ])
+      (List.init 121 (fun i -> i - 60))
+  in
   let edges =
     [
       0.0; -0.0; 5e-324; -5e-324; Float.min_float; Float.pred Float.min_float;
       Float.max_float; -.Float.max_float; 1e15; Float.pred 1e15;
-      Float.succ 1e15; -1e15; two53; Float.succ two53; two53 +. 1.0;
-      1e-5; Float.pred 1e-5; Float.succ 1e-5; 1e-4; Float.pred 1e-4;
-      Float.succ 1e-4; 0.1; 1.0 /. 3.0; 0.30000000000000004;
-      123456789012345.6; Float.nan; Float.infinity; Float.neg_infinity;
+      Float.succ 1e15; -1e15; 1e-10; Float.pred 1e-10; Float.succ 1e-10;
+      two53; Float.succ two53; two53 +. 1.0; 1e-5; Float.pred 1e-5;
+      Float.succ 1e-5; 1e-4; Float.pred 1e-4; Float.succ 1e-4; 0.1;
+      1.0 /. 3.0; 0.30000000000000004; 123456789012345.6; Float.nan;
+      Float.infinity; Float.neg_infinity;
     ]
+    @ ties @ carries @ powers
   in
   List.iter
     (fun f ->
       Alcotest.(check string) (Printf.sprintf "%h" f) (reference_float_repr f)
-        (float_json f))
+        (float_json f);
+      List.iter
+        (fun d ->
+          Alcotest.(check string)
+            (Printf.sprintf "%%.%df %h" d f)
+            (Printf.sprintf "%.*f" d f) (fixed_csv d f))
+        [ 0; 6 ])
     edges;
   for k = -1074 to 1023 do
     let f = Float.ldexp 1.0 k in
@@ -333,6 +416,7 @@ let () =
           Alcotest.test_case "emitter" `Quick test_json_emitter;
           Alcotest.test_case "float roundtrip" `Quick test_json_float_roundtrip;
           QCheck_alcotest.to_alcotest prop_float_matches_reference;
+          QCheck_alcotest.to_alcotest prop_fixed_matches_printf;
           Alcotest.test_case "float edge cases" `Quick test_float_edge_cases;
           Alcotest.test_case "bench corpus round-trip" `Quick
             test_bench_corpus_round_trip;
