@@ -23,25 +23,52 @@ let error_to_string = function
 
 type section = { name : string; payload : string }
 
-(* --- CRC-32 (IEEE 802.3, reflected), table-driven ------------------- *)
+(* --- CRC-32 (IEEE 802.3, reflected), slicing-by-8 ------------------- *)
 
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+(* Eight 256-entry tables, [crc_tables.(256 * j + b)] being the CRC of
+   byte [b] followed by [j] zero bytes: row 0 is the bytewise table. *)
+let crc_tables =
+  let t = Array.make (8 * 256) 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for i = 256 to (8 * 256) - 1 do
+    let c = t.(i - 256) in
+    t.(i) <- t.(c land 0xFF) lxor (c lsr 8)
+  done;
+  t
 
-(* The register stays within 32 bits, so a native [int] holds it. *)
+(* The low 32 bits of a little-endian word; [Int64.to_int] of a 64-bit
+   read would drop bit 63, so words are read 32 bits at a time. *)
+let word s i = Int32.to_int (String.get_int32_le s i) land 0xFFFFFFFF
+
+(* The register stays within 32 bits, so a native [int] holds it.  Eight
+   bytes per step: the register folded into the first four, the next
+   four as they are, each byte looked up in the table for its distance
+   from the end of the step; the tail goes a byte at a time. *)
 let crc32 s =
-  let table = Lazy.force crc_table in
-  let crc = ref 0xFFFFFFFF in
-  String.iter
-    (fun ch ->
-      crc := table.((!crc lxor Char.code ch) land 0xFF) lxor (!crc lsr 8))
-    s;
+  let t = crc_tables and len = String.length s in
+  let crc = ref 0xFFFFFFFF and i = ref 0 in
+  while !i + 8 <= len do
+    let lo = !crc lxor word s !i and hi = word s (!i + 4) in
+    crc :=
+      t.((7 * 256) + (lo land 0xFF))
+      lxor t.((6 * 256) + ((lo lsr 8) land 0xFF))
+      lxor t.((5 * 256) + ((lo lsr 16) land 0xFF))
+      lxor t.((4 * 256) + (lo lsr 24))
+      lxor t.((3 * 256) + (hi land 0xFF))
+      lxor t.((2 * 256) + ((hi lsr 8) land 0xFF))
+      lxor t.(256 + ((hi lsr 16) land 0xFF))
+      lxor t.(hi lsr 24);
+    i := !i + 8
+  done;
+  for j = !i to len - 1 do
+    crc := t.((!crc lxor Char.code s.[j]) land 0xFF) lxor (!crc lsr 8)
+  done;
   Int64.of_int (!crc lxor 0xFFFFFFFF)
 
 (* --- primitives ----------------------------------------------------- *)
@@ -124,18 +151,24 @@ let r_pair ra rb r =
 
 (* --- container ------------------------------------------------------ *)
 
-let encode sections =
-  let b = Buffer.create 4096 in
+(* Writes the container through [b]: the header and each section's
+   header are appended to [b], and [add_payload b p] takes each payload,
+   so a file writer can pass payloads through without copying them. *)
+let write b ~add_payload sections =
   Buffer.add_string b magic;
   w_int b version;
   w_int b (List.length sections);
   List.iter
-    (fun { name; payload } ->
+    (fun { name; payload = p } ->
       w_string b name;
-      w_int b (String.length payload);
-      w_i64 b (crc32 payload);
-      Buffer.add_string b payload)
-    sections;
+      w_int b (String.length p);
+      w_i64 b (crc32 p);
+      add_payload b p)
+    sections
+
+let encode sections =
+  let b = Buffer.create 4096 in
+  write b ~add_payload:Buffer.add_string sections;
   Buffer.contents b
 
 let decode s =
@@ -196,10 +229,22 @@ let parse_payload { name; payload } f =
 let save_file ~path sections =
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (encode sections));
-  Sys.rename tmp path
+  try
+    Fun.protect
+      ~finally:(fun () -> close_out oc)
+      (fun () ->
+        let b = Buffer.create 256 in
+        write b sections ~add_payload:(fun b p ->
+            Buffer.output_buffer oc b;
+            Buffer.clear b;
+            output_string oc p);
+        (* The header alone when there are no sections. *)
+        Buffer.output_buffer oc b);
+    Sys.rename tmp path
+  with e ->
+    let bt = Printexc.get_raw_backtrace () in
+    (try Sys.remove tmp with Sys_error _ -> ());
+    Printexc.raise_with_backtrace e bt
 
 let load_file ~path =
   match

@@ -45,15 +45,20 @@ val encode : section list -> string
 val decode : string -> (section list, error) result
 
 val save_file : path:string -> section list -> unit
-(** Write-then-rename, so a crash mid-write never leaves a truncated
-    file under the final name. *)
+(** Streams the header and each payload to [path ^ ".tmp"], then
+    renames it to [path], so a crash mid-write never leaves a truncated
+    file under the final name.  When the write or the rename fails, the
+    temporary file is removed and the exception re-raised. *)
 
 val load_file : path:string -> (section list, error) result
 (** Never raises: a missing or unreadable file maps to
     [Error (Malformed <os message>)], a short read to [Error Truncated]. *)
 
 val crc32 : string -> int64
-(** CRC-32 (IEEE 802.3 polynomial) of the whole string. *)
+(** CRC-32 (IEEE 802.3 polynomial) of the whole string, computed eight
+    bytes per step (slicing-by-8: eight 256-entry tables, two 32-bit
+    little-endian reads per step, the last [length mod 8] bytes one at
+    a time).  The values are those of the byte-at-a-time algorithm. *)
 
 (** {1:primitives Payload primitives}
 

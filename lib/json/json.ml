@@ -10,21 +10,40 @@ type t =
 
 (* --- exact float printing ---------------------------------------------
 
-   A finite normal float is [f = ±m·2^e] with [2^52 <= m < 2^53].  For a
-   decimal scale [k >= 0], [f·10^k = m·5^k / 2^s] with [s = -(e+k)], so
-   rounding [f] to [k] decimals is an integer division of [X = m·5^k],
-   computed exactly in two 62-bit limbs.  See json.mli for the domain
-   and why the result equals the [%g] definition. *)
+   A finite normal float is [f = ±m·2^e] with [2^52 <= m < 2^53] and
+   [e >= -1074].  For a decimal scale [k >= 0], [f·10^k = m·5^k / 2^s]
+   with [s = -(e+k)], so rounding [f] to [k] decimals is an integer
+   division of [X = m·5^k], computed exactly in 62-bit limbs.  See
+   json.mli for the domain and why the result equals the [%g]
+   definition. *)
 
-(* 5^k for 0 <= k <= 26; 5^26 < 2^61. *)
+(* The largest scale: [%.17g] of a float below 1e-307 rounds at
+   [k = 16 + 308]. *)
+let kmax = 324
+
+let mask31 = (1 lsl 31) - 1
+
+(* 5^k for 0 <= k <= kmax as little-endian 62-bit limbs followed by one
+   zero limb, built from 31-bit halves multiplied by 5. *)
 let pow5 =
-  [|
-    1; 5; 25; 125; 625; 3125; 15625; 78125; 390625; 1953125; 9765625;
-    48828125; 244140625; 1220703125; 6103515625; 30517578125; 152587890625;
-    762939453125; 3814697265625; 19073486328125; 95367431640625;
-    476837158203125; 2384185791015625; 11920928955078125; 59604644775390625;
-    298023223876953125; 1490116119384765625;
-  |]
+  let halves = ref [| 1 |] in
+  Array.init (kmax + 1) (fun k ->
+      if k > 0 then begin
+        let p = !halves in
+        let n = Array.length p in
+        let q = Array.make (n + 1) 0 in
+        for i = 0 to n - 1 do
+          let v = (p.(i) * 5) + q.(i) in
+          q.(i) <- v land mask31;
+          q.(i + 1) <- v lsr 31
+        done;
+        halves := if q.(n) = 0 then Array.sub q 0 n else q
+      end;
+      let p = !halves in
+      let half i = if i < Array.length p then p.(i) else 0 in
+      Array.init
+        (((Array.length p + 1) / 2) + 1)
+        (fun j -> half (2 * j) lor (half ((2 * j) + 1) lsl 31)))
 
 (* 10^j for 0 <= j <= 18; 10^18 < 2^62. *)
 let pow10 =
@@ -36,54 +55,91 @@ let pow10 =
     1_000_000_000_000_000_000;
   |]
 
-let mask31 = (1 lsl 31) - 1
+(* Unchecked limb access: [scaled]'s guards [k <= kmax] and [s <= 1074]
+   bound every index by the table row and the scratch length. *)
+external ( .%() ) : int array -> int -> int = "%array_unsafe_get"
 
-(* [scaled m e k] rounds [m·2^e·10^k] to the nearest integer [N], ties
+external ( .%()<- ) : int array -> int -> int -> unit = "%array_unsafe_set"
+
+(* [scaled x m e k] rounds [m·2^e·10^k] to the nearest integer [N], ties
    to even, and returns [2N+1] when the decimal [N·10^-k] lies within
    half a unit in the last place of [m·2^e] (so it reads back as
    [m·2^e], given [m <> 2^52]), [2N] when it does not.  Returns a
-   negative value unless [0 <= k <= 26], [1 <= -(e+k) <= 62] and
-   [N < 2^61].
+   negative value unless [0 <= k <= kmax], [1 <= s <= 1074] for
+   [s = -(e+k)], and [N < 2^61].  [x] is scratch for the limbs of [X].
 
    The distance [d = |N·2^s - X|] reads back iff [2d < 5^k], i.e.
    [d <= 5^k lsr 1] as [5^k] is odd; for the same reason a tie with
    the half-unit bound, which [strtod] would break to even, cannot
    occur. *)
-let scaled m e k =
+let scaled x m e k =
   let s = -(e + k) in
-  if k < 0 || k > 26 || s < 1 || s > 62 then -1
-  else
+  if k < 0 || k > kmax || s < 1 || s > 1074 then -1
+  else begin
     let q = pow5.(k) in
-    let m1 = m lsr 31 and m0 = m land mask31 in
-    let q1 = q lsr 31 and q0 = q land mask31 in
-    let mid = (m1 * q0) + (m0 * q1) in
-    (* Below 2^63, so exact in the unsigned reading of the 63 bits. *)
-    let low = (m0 * q0) + ((mid land mask31) lsl 31) in
-    let lo = low land max_int in
-    let hi = (m1 * q1) + (mid lsr 31) + (low lsr 62) in
-    (* X = hi·2^62 + lo *)
-    if hi lsr (s - 1) <> 0 then -1
+    let n = Array.length q - 1 in
+    (* X = q·m, each limb product taken in 31-bit halves; every sum is
+       below 2^63, so exact in the unsigned reading of the 63 bits. *)
+    let mh = m lsr 31 and ml = m land mask31 and c = ref 0 in
+    for i = 0 to n - 1 do
+      let qh = q.%(i) lsr 31 and ql = q.%(i) land mask31 in
+      let mid = (qh * ml) + (ql * mh) in
+      let low = (ql * ml) + ((mid land mask31) lsl 31) in
+      let t = (low land max_int) + !c in
+      x.%(i) <- t land max_int;
+      c := (qh * mh) + (mid lsr 31) + (low lsr 62) + (t lsr 62)
+    done;
+    x.%(n) <- !c;
+    (* N = X lsr s, below 2^61 iff X lsr (s + 61) = 0. *)
+    let a = s / 62 and b = s mod 62 and a61 = (s + 61) / 62 in
+    for i = n + 1 to a + 1 do
+      x.%(i) <- 0
+    done;
+    let fits = ref (x.%(a61) lsr ((s + 61) mod 62) = 0) in
+    for i = a61 + 1 to n do
+      if x.%(i) <> 0 then fits := false
+    done;
+    if not !fits then -1
     else
-      let n = (hi lsl (62 - s)) lor (lo lsr s) in
-      let r = lo land ((1 lsl s) - 1) in
-      let half = 1 lsl (s - 1) in
-      if r > half || (r = half && n land 1 = 1) then
-        (* [1 lsl 62] wraps; the difference is still exact. *)
-        let d = (1 lsl s) - r in
-        ((n + 1) lsl 1) lor Bool.to_int (d <= q lsr 1)
-      else (n lsl 1) lor Bool.to_int (r <= q lsr 1)
+      let n0 = (x.%(a) lsr b) lor (x.%(a + 1) lsl (62 - b)) in
+      (* Up iff bit s-1 of X is set and a lower one is or N is odd.  As
+         5^k is odd, X has a set bit below s-1 iff m does; m < 2^53, so
+         capping the mask at 62 bits keeps the shift defined. *)
+      let up =
+        (x.%((s - 1) / 62) lsr ((s - 1) mod 62))
+        land (Bool.to_int (m land ((1 lsl Int.min (s - 1) 62) - 1) <> 0) lor n0)
+        land 1
+      in
+      (* With r = X mod 2^s: down, d = r and the test is r <= h for
+         h = 5^k lsr 1; up, d = 2^s - r = ~r + 1 for the s-bit
+         complement ~r, and the test is ~r < h.  [flip] turns r into ~r
+         limb by limb; the compare runs from the top limb down. *)
+      let low = (1 lsl b) - 1 and flip = -up in
+      let i = ref (Int.max a (n - 1)) and cmp = ref 0 in
+      while !cmp = 0 && !i >= 0 do
+        let j = !i in
+        let bits = if j < a then max_int else if j = a then low else 0 in
+        let h =
+          if j < n then (q.%(j) lsr 1) lor ((q.%(j + 1) land 1) lsl 61) else 0
+        in
+        cmp := Int.compare ((x.%(j) lxor flip) land bits) h;
+        decr i
+      done;
+      ((n0 + up) lsl 1) lor Bool.to_int (!cmp + up <= 0)
+  end
 
-(* 10^j for -10 <= j <= 15, as doubles, at index [j + 10]. *)
+(* 10^j for -307 <= j <= 15, as the nearest doubles, at index
+   [j + 307]. *)
 let tens =
-  [|
-    1e-10; 1e-9; 1e-8; 1e-7; 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 1e-1; 1e0; 1e1;
-    1e2; 1e3; 1e4; 1e5; 1e6; 1e7; 1e8; 1e9; 1e10; 1e11; 1e12; 1e13; 1e14;
-    1e15;
-  |]
+  Array.init 323 (fun i -> float_of_string (Printf.sprintf "1e%d" (i - 307)))
 
-(* One number (at most 23 characters) is assembled right to left in a
-   per-domain scratch buffer and copied to the output in one blit. *)
-let scratch = Domain.DLS.new_key (fun () -> Bytes.create 24)
+(* Per-domain scratch: the limbs of [X], zero-filled up to index
+   [s / 62 + 1], and the bytes of one number (at most 24, as in
+   [-1.0000000000000002e-300]), assembled right to left and copied to
+   the output in one blit.  Printing allocates nothing. *)
+let scratch =
+  Domain.DLS.new_key (fun () ->
+      (Array.make ((1074 / 62) + 2) 0, Bytes.create 24))
 
 (* [put_digits b n first last dot] writes [n]'s low decimal digits into
    [b.[first..last]], least significant at [last], zero padded on the
@@ -104,8 +160,8 @@ let rec digit_count n d =
   if d <= 18 && n >= pow10.(d) then digit_count n (d + 1) else d
 
 (* [-]n·10^-decimals with exactly [decimals] digits after the point. *)
-let add_point buf ~neg n decimals =
-  let b = Domain.DLS.get scratch and first = Bool.to_int neg in
+let add_point buf b ~neg n decimals =
+  let first = Bool.to_int neg in
   if neg then Bytes.unsafe_set b 0 '-';
   let digits = max (digit_count n 1) (decimals + 1) in
   let last = first + digits - Bool.to_int (decimals = 0) in
@@ -115,10 +171,11 @@ let add_point buf ~neg n decimals =
 (* Appends [%.{p}g] of a value whose rounding to [p] digits is
    [n·10^(e10-p+1)], [10^(p-1) <= n <= 10^p]; [n = 10^p] is a carry into
    exponent [e10+1].  Trailing zeros are stripped; the layout is fixed
-   for [-4 <= e10 < p], [d.ddde±XX] otherwise.  The value reads back as
-   a non-integral float, so in fixed layout digits follow the point,
-   and [|e10| < 100]. *)
-let add_g buf ~neg n p e10 =
+   for [-4 <= e10 < p], [d.ddde±XX] otherwise, with a third exponent
+   digit from [e10 <= -100].  The value reads back as a non-integral
+   float, so in fixed layout digits follow the point, and
+   [e10 < 100]. *)
+let add_g buf b ~neg n p e10 =
   let carry = n = pow10.(p) in
   let e10 = if carry then e10 + 1 else e10 in
   let n = ref (if carry then pow10.(p - 1) else n) and len = ref p in
@@ -127,7 +184,7 @@ let add_g buf ~neg n p e10 =
     decr len
   done;
   let n = !n and len = !len in
-  let b = Domain.DLS.get scratch and first = Bool.to_int neg in
+  let first = Bool.to_int neg in
   if neg then Bytes.unsafe_set b 0 '-';
   let stop =
     if e10 < -4 || e10 >= p then begin
@@ -135,8 +192,9 @@ let add_g buf ~neg n p e10 =
       put_digits b n first last (if len > 1 then first + 1 else -1);
       Bytes.unsafe_set b (last + 1) 'e';
       Bytes.unsafe_set b (last + 2) (if e10 < 0 then '-' else '+');
-      put_digits b (abs e10) (last + 3) (last + 4) (-1);
-      last + 5
+      let stop = last + if e10 <= -100 then 6 else 5 in
+      put_digits b (abs e10) (last + 3) (stop - 1) (-1);
+      stop
     end
     else if e10 < 0 then begin
       (* 0.000ddd: the zeros are [put_digits]' left padding. *)
@@ -157,17 +215,19 @@ let add_g buf ~neg n p e10 =
    exponent [e10]; [false] when a step leaves [scaled]'s range and
    nothing was written. *)
 let add_shortest buf ~neg m e e10 =
-  let r16 = scaled m e (15 - e10) in
+  let x, digits = Domain.DLS.get scratch in
+  let r16 = scaled x m e (15 - e10) in
   if r16 < 0 then false
   else
     let r =
-      if r16 land 1 = 1 then scaled m e (14 - e10) else scaled m e (16 - e10)
+      if r16 land 1 = 1 then scaled x m e (14 - e10)
+      else scaled x m e (16 - e10)
     in
     if r < 0 then false
     else begin
-      if r16 land 1 = 0 then add_g buf ~neg (r lsr 1) 17 e10
-      else if r land 1 = 1 then add_g buf ~neg (r lsr 1) 15 e10
-      else add_g buf ~neg (r16 lsr 1) 16 e10;
+      if r16 land 1 = 0 then add_g buf digits ~neg (r lsr 1) 17 e10
+      else if r land 1 = 1 then add_g buf digits ~neg (r lsr 1) 15 e10
+      else add_g buf digits ~neg (r16 lsr 1) 16 e10;
       true
     end
 
@@ -189,17 +249,17 @@ let add_searched buf f =
   Buffer.add_string buf (go 1)
 
 let add_fixed buf decimals f =
-  let a = Float.abs f in
+  let a = Float.abs f and x, digits = Domain.DLS.get scratch in
   let r =
     if decimals < 0 || decimals > 17 then -1
     else if a = 0.0 then 0
     else if a < Float.min_float then -1
     else
       let b = Int64.to_int (Int64.bits_of_float f) in
-      scaled (significand b) (exponent_of b) decimals
+      scaled x (significand b) (exponent_of b) decimals
   in
   if r < 0 then Buffer.add_string buf (Printf.sprintf "%.*f" decimals f)
-  else add_point buf ~neg:(Float.sign_bit f) (r lsr 1) decimals
+  else add_point buf digits ~neg:(Float.sign_bit f) (r lsr 1) decimals
 
 let add_float buf f =
   if not (Float.is_finite f) then Buffer.add_string buf "null"
@@ -208,14 +268,16 @@ let add_float buf f =
     if Float.is_integer f && a < 1e15 then add_fixed buf 1 f
     else
       let b = Int64.to_int (Int64.bits_of_float f) in
-      if not (a >= 1e-10 && a < 1e15 && b land 0xF_FFFF_FFFF_FFFF <> 0) then
-        add_searched buf f
+      if
+        not
+          (a >= Float.min_float && a < 1e15 && b land 0xF_FFFF_FFFF_FFFF <> 0)
+      then add_searched buf f
       else
         (* The decimal exponent is g or g+1, g = floor(log10 2^(e+52)).
            The double nearest 10^(g+1) decides it, except when [a] is
            that double: a negative power of ten is inexact. *)
         let g = ((((b lsr 52) land 0x7ff) - 1023) * 78913) asr 18 in
-        let t = tens.(g + 11) in
+        let t = tens.(g + 308) in
         if
           a = t
           || not

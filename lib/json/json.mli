@@ -9,31 +9,34 @@
     integral [f] with [|f| < 1e15] prints as [%.1f] (["54.0"]).
 
     {b How it is computed.}  Integral values below [1e15] print as
-    {!add_fixed} at one decimal, whose [N = 10·|f|] is exact.  A normal, non-integral [f = ±m·2^e] with
-    [1e-10 <= |f| < 1e15] whose significand [m] is not [2^52] (not a
-    power of two) goes through an exact integer kernel that calls
-    neither [printf] nor [strtod]:
+    {!add_fixed} at one decimal, whose [N = 10·|f|] is exact.  A
+    normal, non-integral [f = ±m·2^e] with [|f| < 1e15] (so
+    [Float.min_float <= |f|]) whose significand [m] is not [2^52]
+    (not a power of two) goes through an exact integer kernel that
+    calls neither [printf] nor [strtod]:
     - its decimal exponent [e10 = floor(log10 |f|)] is [g] or [g+1],
       [g = floor((e+52)·log10 2)]; comparing [|f|] with the double
       nearest [10^(g+1)] decides which (a float equal to that double,
       an inexact negative power of ten, takes the search below);
     - to round [f] to [p] significant digits it sets [k = p-1-e10] and
-      [s = -(e+k)] (here [0 <= k <= 26] and [1 <= s <= 62]), forms
-      [X = m·5^k] exactly in two 62-bit limbs and rounds
-      [N = X / 2^s] half to even on the exact remainder; [N = 10^p] is
-      a carry into exponent [e10+1];
+      [s = -(e+k)] (here [0 <= k <= 324] and [1 <= s <= 1074]), forms
+      [X = m·5^k] exactly in 62-bit limbs (a table of [5^k] built at
+      start-up, times [m]) and rounds [N = X / 2^s] half to even on the
+      exact remainder; [N = 10^p] is a carry into exponent [e10+1];
     - the [p]-digit decimal reads back as [f] iff
-      [2·|N·2^s - X| < 5^k];
+      [2·|N·2^s - X| < 5^k], compared limb by limb from the top;
     - it tries [p = 16]; if that reads back it tries [15] and keeps it
       when it reads back too; otherwise the answer is [17];
     - the digits are laid out as [%g] does: trailing zeros stripped,
       exponent notation iff [e10 < -4] or [e10 >= p], with a signed
-      exponent of at least two digits.  They are assembled in a
-      per-domain scratch buffer and copied into the output in one
-      blit, so printing allocates nothing.
-    Every other finite float (powers of two, subnormals, [|f| < 1e-10],
-    non-integral or integral [|f| >= 1e15]) takes the defining
-    [%.1g] .. [%.17g] search.
+      exponent of at least two digits (three when [e10 <= -100]).  The
+      limbs and the at most 24 bytes of a number
+      ([-1.0000000000000002e-300]) live in per-domain scratch, and the
+      bytes are copied into the output in one blit, so printing
+      allocates nothing.
+    Every other finite float (powers of two, subnormals, non-integral
+    or integral [|f| >= 1e15]) takes the defining [%.1g] .. [%.17g]
+    search.
 
     {b Why the kernel prints the same bytes.}
     - Same digits: [%.{p}g] prints [f] correctly rounded to [p] digits,
@@ -76,8 +79,8 @@ val add_float : Buffer.t -> float -> unit
 
 val add_fixed : Buffer.t -> int -> float -> unit
 (** [add_fixed buf d f] appends [Printf.sprintf "%.*f" d f].  For
-    [0 <= d <= 17], zeros and the values with
-    [2^-(10+d) <= |f| < 2^(52-d)] and [|f|·10^d < 2^61] go through the
+    [0 <= d <= 17], zeros and the normal values with
+    [|f| < 2^(52-d)] and [|f|·10^d < 2^61] go through the
     same kernel at the fixed scale [k = d]:
     [N = round_half_even(m·5^d / 2^s)], printed as [N / 10^d], a point
     and [d] zero-padded digits.  The rest go to [Printf]. *)

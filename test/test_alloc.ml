@@ -197,14 +197,23 @@ let render_words add xs =
   render ();
   measured render /. float_of_int (List.length xs)
 
+(* 10k normal floats below 1e-10 (binary exponents -1022 to -35), both
+   signs, none a power of two. *)
+let tiny_floats =
+  List.init 10_000 (fun i ->
+      let frac = float_of_int (1 + (i * 7919 mod 10_006)) /. 10_007. in
+      let x = Float.ldexp (1.0 +. frac) (-1022 + (i mod 988)) in
+      if i land 1 = 0 then x else -.x)
+
 let test_export_floats () =
-  (* The JSON form (Runner.Json.Float) over the printing kernel's whole
-     domain [1e-10, 1e15), and the trace CSV's %.6f and %.0f columns
-     over [2^-9, 2^30), where both take the kernel too: digits go
-     straight into the buffer, with no string, tuple or scratch bytes
-     per float. *)
+  (* The JSON form (Runner.Json.Float) over the printing kernel's
+     domain, [1e-10, 1e15) and the normals below 1e-10, and the trace
+     CSV's %.6f and %.0f columns over [2^-9, 2^30), where both take the
+     kernel too: digits go straight into the buffer, with no string,
+     tuple, limb array or scratch bytes per float. *)
   Alcotest.(check (float 0.0)) "JSON words per float" 0.0
-    (render_words Runner.Json.add_float (floats ~lo:(-33) ~hi:48));
+    (render_words Runner.Json.add_float
+       (floats ~lo:(-33) ~hi:48 @ tiny_floats));
   let csv = floats ~lo:(-9) ~hi:29 in
   Alcotest.(check (float 0.0)) "%.6f words per float" 0.0
     (render_words (fun buf f -> Runner.Json.add_fixed buf 6 f) csv);

@@ -148,6 +148,66 @@ let test_crc32_check_value () =
     (Ckpt.Codec.crc32 "123456789");
   Alcotest.(check int64) "empty string" 0L (Ckpt.Codec.crc32 "")
 
+(* The byte-at-a-time loop [Codec.crc32] used before slicing-by-8,
+   kept as the oracle. *)
+let reference_crc32 s =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let crc = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch ->
+      crc := table.((!crc lxor Char.code ch) land 0xFF) lxor (!crc lsr 8))
+    s;
+  Int64.of_int (!crc lxor 0xFFFFFFFF)
+
+(* Every length up to 64 (up to eight 8-byte steps, every tail).  Each
+   byte has its top bit set, so every 32-bit word reads as a negative
+   [int32]. *)
+let test_crc32_every_short_length () =
+  let bytes =
+    String.init 64 (fun i -> Char.chr (0x80 lor ((i * 37) land 0x7F)))
+  in
+  for len = 0 to 64 do
+    let s = String.sub bytes 0 len in
+    Alcotest.(check int64)
+      (Printf.sprintf "length %d" len)
+      (reference_crc32 s) (Ckpt.Codec.crc32 s)
+  done
+
+let prop_crc32_matches_bytewise =
+  QCheck.Test.make ~name:"crc32 matches the bytewise reference" ~count:500
+    QCheck.(string_of_size Gen.(int_bound 4096))
+    (fun s -> Int64.equal (Ckpt.Codec.crc32 s) (reference_crc32 s))
+
+(* A failed save (here the rename onto a non-empty directory) raises and
+   leaves no [.tmp] file behind. *)
+let test_save_failure_removes_tmp () =
+  let dir = Filename.temp_dir "rla_ckpt_test" "" in
+  let inner = Filename.concat dir "occupied" in
+  Out_channel.with_open_bin inner (fun oc -> Out_channel.output_string oc "x");
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun f -> Sys.remove (Filename.concat dir f))
+        (Sys.readdir dir);
+      Sys.rmdir dir;
+      if Sys.file_exists (dir ^ ".tmp") then Sys.remove (dir ^ ".tmp"))
+    (fun () ->
+      (match Ckpt.Codec.save_file ~path:dir sections_fixture with
+      | () -> Alcotest.fail "saved onto a non-empty directory"
+      | exception Sys_error _ -> ());
+      Alcotest.(check bool)
+        "no .tmp left" false
+        (Sys.file_exists (dir ^ ".tmp"));
+      Alcotest.(check (list string)) "directory untouched" [ "occupied" ]
+        (Array.to_list (Sys.readdir dir)))
+
 let test_short_i64_is_parse_error () =
   let r = Ckpt.Codec.reader "\001\002\003\004\005\006\007" in
   match Ckpt.Codec.r_i64 r with
@@ -856,6 +916,11 @@ let () =
             test_corruption_detected_per_section;
           Alcotest.test_case "file save/load errors" `Quick test_load_file_errors;
           Alcotest.test_case "crc32 check value" `Quick test_crc32_check_value;
+          Alcotest.test_case "crc32 every length to 64" `Quick
+            test_crc32_every_short_length;
+          QCheck_alcotest.to_alcotest prop_crc32_matches_bytewise;
+          Alcotest.test_case "failed save leaves no tmp" `Quick
+            test_save_failure_removes_tmp;
           Alcotest.test_case "short int64 -> Parse" `Quick
             test_short_i64_is_parse_error;
           Alcotest.test_case "cut mid-section -> Truncated" `Quick

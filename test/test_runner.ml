@@ -169,11 +169,13 @@ let fixed_csv decimals f =
   Runner.Json.add_fixed buf decimals f;
   Buffer.contents buf
 
-(* Nine classes: random bit patterns, subnormals, uniform over the
-   kernel's domain [1e-10, 1e15), decimals of 1 to 17 digits k·10^j
-   (where the short forms win) and their two neighbours, 10^U(-12,18),
-   neighbours of powers of two (where the rounding interval is
-   lopsided), and negatives of the domain class. *)
+(* Ten classes: random bit patterns, subnormals, log-uniform over
+   [1e-10, 1e15) and, either sign, over the normals below 1e-10 (random
+   significand, binary exponent uniform in [-1022, -35]), decimals of 1
+   to 17 digits k·10^j (where the short forms win) and their two
+   neighbours, 10^U(-12,18), neighbours of powers of two (where the
+   rounding interval is lopsided), and negatives of the [1e-10, 1e15)
+   class. *)
 let gen_float =
   let open QCheck.Gen in
   let short_decimal =
@@ -195,6 +197,13 @@ let gen_float =
       (fun frac e -> Float.ldexp (1.0 +. frac) e)
       (float_bound_exclusive 1.0) (int_range (-34) 49)
   in
+  let tiny =
+    map3
+      (fun frac e neg ->
+        let f = Float.ldexp (1.0 +. frac) e in
+        if neg then -.f else f)
+      (float_bound_exclusive 1.0) (int_range (-1022) (-35)) bool
+  in
   let near_power_of_two =
     map2
       (fun k d ->
@@ -207,6 +216,7 @@ let gen_float =
       map Int64.float_of_bits int64;
       subnormal;
       in_domain;
+      tiny;
       short_decimal;
       map Float.succ short_decimal;
       map Float.pred short_decimal;
@@ -278,6 +288,7 @@ let test_float_edge_cases () =
   let edges =
     [
       0.0; -0.0; 5e-324; -5e-324; Float.min_float; Float.pred Float.min_float;
+      Float.succ Float.min_float; -.Float.min_float;
       Float.max_float; -.Float.max_float; 1e15; Float.pred 1e15;
       Float.succ 1e15; -1e15; 1e-10; Float.pred 1e-10; Float.succ 1e-10;
       two53; Float.succ two53; two53 +. 1.0; 1e-5; Float.pred 1e-5;
@@ -309,7 +320,34 @@ let test_float_edge_cases () =
       (0.1, "0.1"); (-0.0, "-0.0"); (5e-324, "5e-324");
       (1e15, "1e+15"); (0.30000000000000004, "0.30000000000000004");
       (1e-5, "1e-05"); (1e-4, "0.0001");
+      (* The widest rendering (24 bytes, the size of the scratch), and
+         both sides of the switch to a three-digit exponent. *)
+      (-.Float.succ 1e-300, "-1.0000000000000002e-300");
+      (-.Float.succ 1e-100, "-1.0000000000000001e-100");
+      (Float.succ 1e-99, "1.0000000000000002e-99");
     ]
+
+(* The decimal exponent comes from the binary one and one comparison
+   with the double nearest a power of ten.  At both ends of every
+   binary exponent (the extreme non-power-of-two significands), and at
+   every 10^j from 1e-308 to 1e308 and its two neighbours, the
+   rendering, exponent included, matches the oracle. *)
+let test_float_exponent_boundaries () =
+  let check f =
+    Alcotest.(check string) (Printf.sprintf "%h" f) (reference_float_repr f)
+      (float_json f)
+  in
+  for biased = 1 to 2046 do
+    let p = Float.ldexp 1.0 (biased - 1023) in
+    check (Float.succ p);
+    check (Float.pred (2.0 *. p))
+  done;
+  for j = -308 to 308 do
+    let t = float_of_string (Printf.sprintf "1e%d" j) in
+    check t;
+    check (Float.pred t);
+    check (Float.succ t)
+  done
 
 (* Every committed BENCH document was written by the reference
    formatter; reading one and writing it again must give it back byte
@@ -418,6 +456,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_float_matches_reference;
           QCheck_alcotest.to_alcotest prop_fixed_matches_printf;
           Alcotest.test_case "float edge cases" `Quick test_float_edge_cases;
+          Alcotest.test_case "float exponent boundaries" `Quick
+            test_float_exponent_boundaries;
           Alcotest.test_case "bench corpus round-trip" `Quick
             test_bench_corpus_round_trip;
           Alcotest.test_case "parse roundtrip" `Quick test_json_parse_roundtrip;
