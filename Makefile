@@ -7,7 +7,9 @@
 # invariant smoke (a run under RLA_DEBUG_INVARIANTS=1 must stay
 # byte-identical to the uninstrumented run), and a checkpoint smoke
 # (checkpointed and restored runs must reproduce the uninterrupted
-# trace CSV and registry JSON byte-for-byte).
+# trace CSV and registry JSON byte-for-byte, and a checkpoint whose
+# first section-name length is overwritten with max_int must be
+# refused with a typed error).
 
 SMOKE_JSON ?= /tmp/rla_sweep_smoke.json
 TRACE_CSV ?= /tmp/rla_trace_smoke.csv
@@ -75,7 +77,10 @@ invariant-smoke: build
 
 # Checkpoint/restore byte-identity: an uninterrupted run, a run that
 # writes checkpoints every 10 s, and a run restored from the mid-run
-# checkpoint must all dump identical trace CSV and registry JSON.
+# checkpoint must all dump identical trace CSV and registry JSON.  A
+# copy of that checkpoint whose first section-name length reads max_int
+# (0x3fff...; the header has no CRC) must fail `rla_ckpt validate` with
+# exit 1 and a typed message, not an uncaught exception.
 ckpt-smoke: build
 	@rm -rf $(CKPT_DIR) && mkdir -p $(CKPT_DIR)
 	dune exec bin/rla_trace.exe -- --scenario sharing --gateway droptail \
@@ -89,12 +94,20 @@ ckpt-smoke: build
 	@cmp $(CKPT_DIR)/plain.json $(CKPT_DIR)/ckpt.json
 	dune exec bin/rla_ckpt.exe -- validate \
 	  $(CKPT_DIR)/ckpts/case3_seed7_t000020.000.ckpt
+	cp $(CKPT_DIR)/ckpts/case3_seed7_t000020.000.ckpt $(CKPT_DIR)/damaged.ckpt
+	printf '\077\377\377\377\377\377\377\377' \
+	  | dd of=$(CKPT_DIR)/damaged.ckpt bs=1 seek=24 conv=notrunc status=none
+	@dune exec bin/rla_ckpt.exe -- validate $(CKPT_DIR)/damaged.ckpt \
+	  > /dev/null 2> $(CKPT_DIR)/damaged_err.txt; \
+	  status=$$?; test $$status -eq 1 \
+	  && grep -q 'truncated checkpoint' $(CKPT_DIR)/damaged_err.txt \
+	  || { echo "ckpt-smoke: damaged header must be a typed error (exit 1), got $$status"; exit 1; }
 	dune exec bin/rla_trace.exe -- \
 	  --restore $(CKPT_DIR)/ckpts/case3_seed7_t000020.000.ckpt \
 	  --csv $(CKPT_DIR)/restored.csv --json $(CKPT_DIR)/restored.json
 	@cmp $(CKPT_DIR)/plain.csv $(CKPT_DIR)/restored.csv
 	@cmp $(CKPT_DIR)/plain.json $(CKPT_DIR)/restored.json
-	@echo "ckpt smoke OK (checkpointed and restored runs byte-identical)"
+	@echo "ckpt smoke OK (checkpointed and restored runs byte-identical, damaged header refused)"
 
 # Sharded-run determinism: the scale experiment's report must be
 # byte-identical for --shards 1, 2 and 4 (the shard structure is fixed

@@ -36,8 +36,9 @@ let inspect path =
         config.Experiments.Sharing.seed meta.Ckpt.Sharing_ckpt.n_tcps);
   pf "  %-12s %10s  %s\n" "section" "bytes" "crc32";
   List.iter
-    (fun { Ckpt.Codec.name; payload } ->
-      pf "  %-12s %10d  %08Lx\n" name (String.length payload)
+    (fun s ->
+      let payload = Ckpt.Codec.payload s in
+      pf "  %-12s %10d  %08Lx\n" (Ckpt.Codec.name s) (String.length payload)
         (Ckpt.Codec.crc32 payload))
     sections;
   0

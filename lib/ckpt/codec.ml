@@ -21,8 +21,6 @@ let error_to_string = function
   | Crc_mismatch name -> Printf.sprintf "section %S failed its CRC-32" name
   | Malformed msg -> Printf.sprintf "malformed checkpoint: %s" msg
 
-type section = { name : string; payload : string }
-
 (* --- CRC-32 (IEEE 802.3, reflected), slicing-by-8 ------------------- *)
 
 (* Eight 256-entry tables, [crc_tables.(256 * j + b)] being the CRC of
@@ -50,10 +48,10 @@ let word s i = Int32.to_int (String.get_int32_le s i) land 0xFFFFFFFF
    bytes per step: the register folded into the first four, the next
    four as they are, each byte looked up in the table for its distance
    from the end of the step; the tail goes a byte at a time. *)
-let crc32 s =
-  let t = crc_tables and len = String.length s in
-  let crc = ref 0xFFFFFFFF and i = ref 0 in
-  while !i + 8 <= len do
+let crc32_range s off len =
+  let t = crc_tables and stop = off + len in
+  let crc = ref 0xFFFFFFFF and i = ref off in
+  while !i + 8 <= stop do
     let lo = !crc lxor word s !i and hi = word s (!i + 4) in
     crc :=
       t.((7 * 256) + (lo land 0xFF))
@@ -66,165 +64,258 @@ let crc32 s =
       lxor t.(hi lsr 24);
     i := !i + 8
   done;
-  for j = !i to len - 1 do
+  for j = !i to stop - 1 do
     crc := t.((!crc lxor Char.code s.[j]) land 0xFF) lxor (!crc lsr 8)
   done;
   Int64.of_int (!crc lxor 0xFFFFFFFF)
 
-(* --- primitives ----------------------------------------------------- *)
+let crc32 s = crc32_range s 0 (String.length s)
+
+(* --- codecs ----------------------------------------------------------- *)
 
 exception Parse of string
 
-type reader = { buf : string; mutable pos : int }
+(* A cursor over [buf.[pos .. stop - 1]]: a whole file while the
+   container is decoded, one section's range of it while a payload is. *)
+type reader = { buf : string; mutable pos : int; stop : int }
 
-let reader buf = { buf; pos = 0 }
-
-let at_end r = r.pos = String.length r.buf
-
+(* [n] is never negative here, and [stop - pos] cannot overflow, so a
+   huge [n] is refused rather than wrapping past the check. *)
 let need r n =
-  if r.pos + n > String.length r.buf then raise (Parse "unexpected end of input")
+  if n > r.stop - r.pos then raise (Parse "unexpected end of input")
 
-let w_i64 = Buffer.add_int64_be
+type 'a t = { write : Buffer.t -> 'a -> unit; read : reader -> 'a }
 
-let r_i64 r =
-  need r 8;
-  let v = String.get_int64_be r.buf r.pos in
-  r.pos <- r.pos + 8;
-  v
+let i64 =
+  {
+    write = Buffer.add_int64_be;
+    read =
+      (fun r ->
+        need r 8;
+        let v = String.get_int64_be r.buf r.pos in
+        r.pos <- r.pos + 8;
+        v);
+  }
 
-let w_int b v = w_i64 b (Int64.of_int v)
+let int =
+  {
+    write = (fun b v -> i64.write b (Int64.of_int v));
+    read = (fun r -> Int64.to_int (i64.read r));
+  }
 
-let r_int r = Int64.to_int (r_i64 r)
+let f64 =
+  {
+    write = (fun b v -> i64.write b (Int64.bits_of_float v));
+    read = (fun r -> Int64.float_of_bits (i64.read r));
+  }
 
-let w_f64 b v = w_i64 b (Int64.bits_of_float v)
+let bool =
+  {
+    write = (fun b v -> Buffer.add_char b (if v then '\001' else '\000'));
+    read =
+      (fun r ->
+        need r 1;
+        let c = r.buf.[r.pos] in
+        r.pos <- r.pos + 1;
+        match c with
+        | '\000' -> false
+        | '\001' -> true
+        | c -> raise (Parse (Printf.sprintf "bad bool byte %d" (Char.code c))));
+  }
 
-let r_f64 r = Int64.float_of_bits (r_i64 r)
+(* A length word for [what] whose elements take at least [width] bytes
+   each: refused before the caller allocates for it when the payload
+   cannot hold that many. *)
+let count r ~width what =
+  let n = int.read r in
+  if n < 0 then raise (Parse (Printf.sprintf "negative %s length" what));
+  if n > (r.stop - r.pos) / width then
+    raise (Parse (Printf.sprintf "%s length %d overruns the input" what n));
+  n
 
-let w_bool b v = Buffer.add_char b (if v then '\001' else '\000')
+let string =
+  {
+    write =
+      (fun b s ->
+        int.write b (String.length s);
+        Buffer.add_string b s);
+    read =
+      (fun r ->
+        let n = count r ~width:1 "string" in
+        let s = String.sub r.buf r.pos n in
+        r.pos <- r.pos + n;
+        s);
+  }
 
-let r_bool r =
-  need r 1;
-  let c = r.buf.[r.pos] in
-  r.pos <- r.pos + 1;
-  match c with
-  | '\000' -> false
-  | '\001' -> true
-  | c -> raise (Parse (Printf.sprintf "bad bool byte %d" (Char.code c)))
+let option c =
+  {
+    write =
+      (fun b -> function
+        | None -> bool.write b false
+        | Some v ->
+            bool.write b true;
+            c.write b v);
+    read = (fun r -> if bool.read r then Some (c.read r) else None);
+  }
 
-let w_string b s =
-  w_int b (String.length s);
-  Buffer.add_string b s
+(* Every element codec writes at least one byte. *)
+let list c =
+  {
+    write =
+      (fun b l ->
+        int.write b (List.length l);
+        List.iter (c.write b) l);
+    read =
+      (fun r ->
+        let n = count r ~width:1 "list" in
+        List.init n (fun _ -> c.read r));
+  }
 
-let r_string r =
-  let n = r_int r in
-  if n < 0 then raise (Parse "negative string length");
-  need r n;
-  let s = String.sub r.buf r.pos n in
-  r.pos <- r.pos + n;
-  s
+let floats =
+  {
+    write =
+      (fun b a ->
+        int.write b (Array.length a);
+        for i = 0 to Array.length a - 1 do
+          Buffer.add_int64_be b (Int64.bits_of_float a.(i))
+        done);
+    read =
+      (fun r ->
+        let n = count r ~width:8 "array" in
+        let a = Array.create_float n in
+        for i = 0 to n - 1 do
+          a.(i) <-
+            Int64.float_of_bits (String.get_int64_be r.buf (r.pos + (8 * i)))
+        done;
+        r.pos <- r.pos + (8 * n);
+        a);
+  }
 
-let w_option w b = function
-  | None -> w_bool b false
-  | Some v ->
-      w_bool b true;
-      w b v
+type ('r, 'a) fields = { put : Buffer.t -> 'r -> unit; get : reader -> 'a }
 
-let r_option rd r = if r_bool r then Some (rd r) else None
+let field c proj = { put = (fun b v -> c.write b (proj v)); get = c.read }
 
-let w_list w b l =
-  w_int b (List.length l);
-  List.iter (w b) l
+module Syntax = struct
+  let ( let+ ) f k = { put = f.put; get = (fun r -> k (f.get r)) }
 
-let r_list rd r =
-  let n = r_int r in
-  if n < 0 then raise (Parse "negative list length");
-  List.init n (fun _ -> rd r)
+  let ( and+ ) f g =
+    {
+      put =
+        (fun b v ->
+          f.put b v;
+          g.put b v);
+      get =
+        (fun r ->
+          let x = f.get r in
+          let y = g.get r in
+          (x, y));
+    }
+end
 
-let w_pair wa wb b (a, v) =
-  wa b a;
-  wb b v
+open Syntax
 
-let r_pair ra rb r =
-  let a = ra r in
-  let v = rb r in
-  (a, v)
+let record f = { write = f.put; read = f.get }
 
-(* --- container ------------------------------------------------------ *)
+let pair a b =
+  record
+    (let+ x = field a fst
+     and+ y = field b snd in
+     (x, y))
 
-(* Writes the container through [b]: the header and each section's
-   header are appended to [b], and [add_payload b p] takes each payload,
-   so a file writer can pass payloads through without copying them. *)
-let write b ~add_payload sections =
-  Buffer.add_string b magic;
-  w_int b version;
-  w_int b (List.length sections);
-  List.iter
-    (fun { name; payload = p } ->
-      w_string b name;
-      w_int b (String.length p);
-      w_i64 b (crc32 p);
-      add_payload b p)
-    sections
+type 'a case =
+  | Case : {
+      tag : int;
+      payload : 'b t;
+      inject : 'b -> 'a;
+      project : 'a -> 'b option;
+    }
+      -> 'a case
 
-let encode sections =
-  let b = Buffer.create 4096 in
-  write b ~add_payload:Buffer.add_string sections;
-  Buffer.contents b
+let case tag payload inject project = Case { tag; payload; inject; project }
+
+let const tag v =
+  case tag
+    { write = (fun _ () -> ()); read = (fun _ -> ()) }
+    (fun () -> v)
+    (fun x -> if x == v then Some () else None)
+
+let variant name cases =
+  let rec write b v = function
+    | [] -> invalid_arg (Printf.sprintf "Ckpt.Codec: no %s case for value" name)
+    | Case c :: rest -> (
+        match c.project v with
+        | Some p ->
+            int.write b c.tag;
+            c.payload.write b p
+        | None -> write b v rest)
+  in
+  let read r =
+    let tag = int.read r in
+    match
+      List.find_map
+        (fun (Case c) ->
+          if c.tag = tag then Some (c.inject (c.payload.read r)) else None)
+        cases
+    with
+    | Some v -> v
+    | None -> raise (Parse (Printf.sprintf "bad %s tag %d" name tag))
+  in
+  { write = (fun b v -> write b v cases); read }
+
+(* --- sections and the container ---------------------------------------- *)
+
+type section = { name : string; data : string; off : int; len : int }
+
+let section name c v =
+  let b = Buffer.create 1024 in
+  c.write b v;
+  let data = Buffer.contents b in
+  { name; data; off = 0; len = String.length data }
+
+let name s = s.name
+
+let payload s = String.sub s.data s.off s.len
+
+let read c s =
+  let r = { buf = s.data; pos = s.off; stop = s.off + s.len } in
+  let malformed msg =
+    Error (Malformed (Printf.sprintf "section %S: %s" s.name msg))
+  in
+  match c.read r with
+  | v -> if r.pos = r.stop then Ok v else malformed "trailing bytes"
+  | exception Parse msg -> malformed msg
+
+exception Bad of error
 
 let decode s =
-  let r = reader s in
-  let truncated_as e = match e with Parse _ -> Truncated | e -> raise e in
-  try
-    if String.length s < String.length magic then Error Truncated
-    else if String.sub s 0 (String.length magic) <> magic then Error Bad_magic
-    else begin
-      r.pos <- String.length magic;
-      let v = r_int r in
-      if v <> version then Error (Bad_version v)
-      else begin
-        let n = r_int r in
-        if n < 0 then Error (Malformed "negative section count")
-        else begin
-          let sections = ref [] in
-          let err = ref None in
-          (try
-             for _ = 1 to n do
-               let name = r_string r in
-               let len = r_int r in
-               if len < 0 then raise (Parse "negative section length");
-               let crc = r_i64 r in
-               need r len;
-               let payload = String.sub r.buf r.pos len in
-               r.pos <- r.pos + len;
-               if not (Int64.equal (crc32 payload) crc) then begin
-                 err := Some (Crc_mismatch name);
-                 raise Exit
-               end;
-               sections := { name; payload } :: !sections
-             done;
-             if not (at_end r) then
-               err := Some (Malformed "trailing bytes after last section")
-           with
-          | Exit -> ()
-          | Parse _ -> err := Some Truncated);
-          match !err with
-          | Some e -> Error e
-          | None -> Ok (List.rev !sections)
-        end
-      end
-    end
-  with e -> Error (truncated_as e)
-
-let parse_payload { name; payload } f =
-  let r = reader payload in
-  try
-    let v = f r in
-    if at_end r then Ok v
-    else Error (Malformed (Printf.sprintf "section %S: trailing bytes" name))
-  with
-  | Parse msg -> Error (Malformed (Printf.sprintf "section %S: %s" name msg))
-  | Invalid_argument msg ->
-      Error (Malformed (Printf.sprintf "section %S: %s" name msg))
+  let r = { buf = s; pos = String.length magic; stop = String.length s } in
+  let section () =
+    let name = string.read r in
+    let len = int.read r in
+    if len < 0 then raise (Parse "negative section length");
+    let crc = i64.read r in
+    need r len;
+    let sec = { name; data = s; off = r.pos; len } in
+    r.pos <- r.pos + len;
+    if not (Int64.equal (crc32_range s sec.off len) crc) then
+      raise (Bad (Crc_mismatch name));
+    sec
+  in
+  if String.length s < String.length magic then Error Truncated
+  else if not (String.starts_with ~prefix:magic s) then Error Bad_magic
+  else
+    try
+      let v = int.read r in
+      if v <> version then raise (Bad (Bad_version v));
+      let n = int.read r in
+      if n < 0 then raise (Bad (Malformed "negative section count"));
+      let sections = List.init n (fun _ -> section ()) in
+      if r.pos <> r.stop then
+        raise (Bad (Malformed "trailing bytes after last section"));
+      Ok sections
+    with
+    | Parse _ -> Error Truncated
+    | Bad e -> Error e
 
 let save_file ~path sections =
   let tmp = path ^ ".tmp" in
@@ -233,11 +324,20 @@ let save_file ~path sections =
     Fun.protect
       ~finally:(fun () -> close_out oc)
       (fun () ->
+        (* Headers go through [b]; payloads go straight to the file. *)
         let b = Buffer.create 256 in
-        write b sections ~add_payload:(fun b p ->
+        Buffer.add_string b magic;
+        int.write b version;
+        int.write b (List.length sections);
+        List.iter
+          (fun s ->
+            string.write b s.name;
+            int.write b s.len;
+            i64.write b (crc32_range s.data s.off s.len);
             Buffer.output_buffer oc b;
             Buffer.clear b;
-            output_string oc p);
+            output_substring oc s.data s.off s.len)
+          sections;
         (* The header alone when there are no sections. *)
         Buffer.output_buffer oc b);
     Sys.rename tmp path

@@ -34,15 +34,20 @@ let entry_to_string e =
 let save t ~path =
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      List.iter
-        (fun e ->
-          output_string oc (entry_to_string e);
-          output_char oc '\n')
-        (entries t));
-  Sys.rename tmp path
+  try
+    Fun.protect
+      ~finally:(fun () -> close_out oc)
+      (fun () ->
+        List.iter
+          (fun e ->
+            output_string oc (entry_to_string e);
+            output_char oc '\n')
+          (entries t));
+    Sys.rename tmp path
+  with e ->
+    let bt = Printexc.get_raw_backtrace () in
+    (try Sys.remove tmp with Sys_error _ -> ());
+    Printexc.raise_with_backtrace e bt
 
 let parse_line lineno line =
   match String.split_on_char '\t' line with

@@ -32,15 +32,13 @@ val entries : t -> entry list
 
 val length : t -> int
 
-val entry_equal : entry -> entry -> bool
-(** Bit-exact: float payloads are compared by their IEEE-754 bits
-    (so identical NaNs compare equal and [-0. <> 0.]). *)
-
 val entry_to_string : entry -> string
 
 val save : t -> path:string -> unit
 (** One tab-separated line per entry ([time, source, event, value],
-    floats in [%h] form), written via a temporary file and rename. *)
+    floats in [%h] form), written via a temporary file and rename.
+    When the write or the rename fails, the temporary file is removed
+    and the exception re-raised. *)
 
 val load : path:string -> (t, string) result
 
@@ -51,4 +49,6 @@ type divergence = {
 }
 
 val diff : t -> t -> divergence option
-(** [None] when the journals are identical. *)
+(** [None] when the journals are identical.  Entries are compared
+    bit-exactly: floats by their IEEE-754 bits, so identical NaNs are
+    equal and [-0.] differs from [0.]. *)

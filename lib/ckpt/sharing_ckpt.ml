@@ -1,101 +1,44 @@
+open Codec.Syntax
+
 type meta = { time : float; n_tcps : int }
 
-let w_meta b m =
-  Codec.w_f64 b m.time;
-  Codec.w_int b m.n_tcps
+let meta =
+  Codec.record
+    (let+ time = Codec.field Codec.f64 (fun m -> m.time)
+     and+ n_tcps = Codec.field Codec.int (fun m -> m.n_tcps) in
+     { time; n_tcps })
 
-let r_meta r =
-  let time = Codec.r_f64 r in
-  let n_tcps = Codec.r_int r in
-  { time; n_tcps }
+let journal_entry =
+  let module J = Journal in
+  Codec.record
+    (let+ time = Codec.field Codec.f64 (fun e -> e.J.time)
+     and+ source = Codec.field Codec.string (fun e -> e.J.source)
+     and+ event = Codec.field Codec.string (fun e -> e.J.event)
+     and+ value = Codec.field Codec.f64 (fun e -> e.J.value) in
+     { J.time; source; event; value })
 
-let w_journal_entry b (e : Journal.entry) =
-  Codec.w_f64 b e.Journal.time;
-  Codec.w_string b e.source;
-  Codec.w_string b e.event;
-  Codec.w_f64 b e.value
-
-let r_journal_entry r =
-  let time = Codec.r_f64 r in
-  let source = Codec.r_string r in
-  let event = Codec.r_string r in
-  let value = Codec.r_f64 r in
-  { Journal.time; source; event; value }
-
-let payload_of f v =
-  let b = Buffer.create 1024 in
-  f b v;
-  Buffer.contents b
-
-let find_section sections name =
-  List.find_opt (fun s -> String.equal s.Codec.name name) sections
-
-let require_section sections name =
-  match find_section sections name with
-  | Some s -> Ok s
-  | None -> Error (Codec.Malformed (Printf.sprintf "missing section %S" name))
+let journal_codec = Codec.list journal_entry
 
 let save ~path ~time ~config ~session ?registry ?journal () =
   let { Experiments.Sharing.net; rla; tcps; _ } = session in
-  let sections =
-    [
-      {
-        Codec.name = "meta";
-        payload = payload_of w_meta { time; n_tcps = List.length tcps };
-      };
-      {
-        Codec.name = "config";
-        payload = payload_of State.w_sharing_config config;
-      };
-      {
-        Codec.name = "scheduler";
-        payload =
-          payload_of State.w_scheduler
-            (Sim.Scheduler.capture (Net.Network.scheduler net));
-      };
-      {
-        Codec.name = "network";
-        payload = payload_of State.w_network (Net.Network.capture net);
-      };
-      {
-        Codec.name = "rla";
-        payload = payload_of State.w_rla_sender (Rla.Sender.capture rla);
-      };
-      {
-        Codec.name = "tcp";
-        payload =
-          payload_of
-            (Codec.w_list State.w_tcp_sender)
-            (List.map (fun (_, tcp) -> Tcp.Sender.capture tcp) tcps);
-      };
-    ]
+  let optional name codec = function
+    | None -> []
+    | Some v -> [ Codec.section name codec v ]
   in
-  let sections =
-    match registry with
-    | None -> sections
-    | Some reg ->
-        sections
-        @ [
-            {
-              Codec.name = "registry";
-              payload = payload_of State.w_registry (Obs.Registry.capture reg);
-            };
-          ]
-  in
-  let sections =
-    match journal with
-    | None -> sections
-    | Some j ->
-        sections
-        @ [
-            {
-              Codec.name = "journal";
-              payload =
-                payload_of (Codec.w_list w_journal_entry) (Journal.entries j);
-            };
-          ]
-  in
-  Codec.save_file ~path sections
+  Codec.save_file ~path
+    ([
+       Codec.section "meta" meta { time; n_tcps = List.length tcps };
+       Codec.section "config" State.sharing_config config;
+       Codec.section "scheduler" State.scheduler
+         (Sim.Scheduler.capture (Net.Network.scheduler net));
+       Codec.section "network" State.network (Net.Network.capture net);
+       Codec.section "rla" State.rla_sender (Rla.Sender.capture rla);
+       Codec.section "tcp" (Codec.list State.tcp_sender)
+         (List.map (fun (_, tcp) -> Tcp.Sender.capture tcp) tcps);
+     ]
+    @ optional "registry" State.registry
+        (Option.map Obs.Registry.capture registry)
+    @ optional "journal" journal_codec (Option.map Journal.entries journal))
 
 type error =
   | Codec_error of Codec.error
@@ -116,98 +59,81 @@ type loaded = {
   time : float;
 }
 
+(* [Ok None] when the section is absent. *)
+let find sections name codec =
+  match List.find_opt (fun s -> String.equal (Codec.name s) name) sections with
+  | None -> Ok None
+  | Some s -> Result.map Option.some (Codec.read codec s)
+
+let require sections name codec =
+  match find sections name codec with
+  | Ok None -> Error (Codec.Malformed (Printf.sprintf "missing section %S" name))
+  | Ok (Some v) -> Ok v
+  | Error _ as e -> e
+
 let read_meta sections =
   let ( let* ) = Result.bind in
-  let* meta_s = require_section sections "meta" in
-  let* config_s = require_section sections "config" in
-  let* meta = Codec.parse_payload meta_s r_meta in
-  let* config = Codec.parse_payload config_s State.r_sharing_config in
+  let* meta = require sections "meta" meta in
+  let* config = require sections "config" State.sharing_config in
   Ok (meta, config)
+
+(* Rebuild the identical session (same creation order, same event-id
+   assignment), then overlay the captured state.  The scheduler goes
+   first — component restores re-arm their events into it. *)
+let restore ~config ~sched_st ~net_st ~rla_st ~tcp_sts ~registry_st ~entries =
+  let registry = Option.map (fun _ -> Obs.Registry.create ()) registry_st in
+  let session = Experiments.Sharing.setup ?registry config in
+  let net = session.Experiments.Sharing.net in
+  Sim.Scheduler.restore (Net.Network.scheduler net) sched_st;
+  Net.Network.restore net net_st;
+  Rla.Sender.restore session.Experiments.Sharing.rla rla_st;
+  let tcps = session.Experiments.Sharing.tcps in
+  if List.length tcp_sts <> List.length tcps then
+    invalid_arg
+      (Printf.sprintf "checkpoint has %d TCP flows, session has %d"
+         (List.length tcp_sts) (List.length tcps));
+  List.iter2 (fun (_, tcp) st -> Tcp.Sender.restore tcp st) tcps tcp_sts;
+  (match (registry, registry_st) with
+  | Some reg, Some st -> Obs.Registry.restore reg st
+  | _ -> ());
+  let journal =
+    Option.map
+      (fun entries ->
+        let j = Journal.create () in
+        List.iter (Journal.record j) entries;
+        Option.iter (Journal.attach j) registry;
+        j)
+      entries
+  in
+  (session, registry, journal)
 
 let load ~path =
   let ( let* ) = Result.bind in
-  let as_codec r = Result.map_error (fun e -> Codec_error e) r in
-  let* sections = as_codec (Codec.load_file ~path) in
-  let* meta, config = as_codec (read_meta sections) in
-  let* sched_st =
-    as_codec
-      (Result.bind (require_section sections "scheduler") (fun s ->
-           Codec.parse_payload s State.r_scheduler))
+  let* meta, config, session, registry, journal =
+    Result.map_error
+      (fun e -> Codec_error e)
+      (let* sections = Codec.load_file ~path in
+       let* meta, config = read_meta sections in
+       let* sched_st = require sections "scheduler" State.scheduler in
+       let* net_st = require sections "network" State.network in
+       let* rla_st = require sections "rla" State.rla_sender in
+       let* tcp_sts = require sections "tcp" (Codec.list State.tcp_sender) in
+       let* registry_st = find sections "registry" State.registry in
+       let* entries = find sections "journal" journal_codec in
+       match
+         restore ~config ~sched_st ~net_st ~rla_st ~tcp_sts ~registry_st
+           ~entries
+       with
+       | session, registry, journal ->
+           Ok (meta, config, session, registry, journal)
+       | exception Invalid_argument msg -> Error (Codec.Malformed msg))
   in
-  let* net_st =
-    as_codec
-      (Result.bind (require_section sections "network") (fun s ->
-           Codec.parse_payload s State.r_network))
-  in
-  let* rla_st =
-    as_codec
-      (Result.bind (require_section sections "rla") (fun s ->
-           Codec.parse_payload s State.r_rla_sender))
-  in
-  let* tcp_sts =
-    as_codec
-      (Result.bind (require_section sections "tcp") (fun s ->
-           Codec.parse_payload s (Codec.r_list State.r_tcp_sender)))
-  in
-  let* registry_st =
-    match find_section sections "registry" with
-    | None -> Ok None
-    | Some s ->
-        as_codec
-          (Result.map
-             (fun st -> Some st)
-             (Codec.parse_payload s State.r_registry))
-  in
-  let* journal_entries =
-    match find_section sections "journal" with
-    | None -> Ok None
-    | Some s ->
-        as_codec
-          (Result.map
-             (fun es -> Some es)
-             (Codec.parse_payload s (Codec.r_list r_journal_entry)))
-  in
-  (* Rebuild the identical session (same creation order, same event-id
-     assignment), then overlay the captured state.  The scheduler goes
-     first — component restores re-arm their events into it. *)
   match
-    let registry =
-      match registry_st with
-      | None -> None
-      | Some _ -> Some (Obs.Registry.create ())
-    in
-    let session = Experiments.Sharing.setup ?registry config in
-    let net = session.Experiments.Sharing.net in
-    let sched = Net.Network.scheduler net in
-    Sim.Scheduler.restore sched sched_st;
-    Net.Network.restore net net_st;
-    Rla.Sender.restore session.Experiments.Sharing.rla rla_st;
-    let tcps = session.Experiments.Sharing.tcps in
-    if List.length tcp_sts <> List.length tcps then
-      invalid_arg
-        (Printf.sprintf "checkpoint has %d TCP flows, session has %d"
-           (List.length tcp_sts) (List.length tcps));
-    List.iter2 (fun (_, tcp) st -> Tcp.Sender.restore tcp st) tcps tcp_sts;
-    (match (registry, registry_st) with
-    | Some reg, Some st -> Obs.Registry.restore reg st
-    | _ -> ());
-    let journal =
-      match journal_entries with
-      | None -> None
-      | Some entries ->
-          let j = Journal.create () in
-          List.iter (Journal.record j) entries;
-          (match registry with Some reg -> Journal.attach j reg | None -> ());
-          Some j
-    in
-    (session, registry, journal)
+    Sim.Scheduler.unrestored
+      (Net.Network.scheduler session.Experiments.Sharing.net)
   with
-  | exception Invalid_argument msg -> Error (Codec_error (Codec.Malformed msg))
-  | session, registry, journal -> (
-      match Sim.Scheduler.unrestored (Net.Network.scheduler session.Experiments.Sharing.net) with
-      | [] ->
-          Ok { config; session; registry; journal; time = meta.time }
-      | ids -> Error (Unclaimed_events ids))
+  | [] -> Ok { config; session; registry; journal; time = meta.time }
+  | ids -> Error (Unclaimed_events ids)
 
 let checkpoint_file ~dir ~prefix ~time =
   Filename.concat dir (Printf.sprintf "%s_t%010.3f.ckpt" prefix time)

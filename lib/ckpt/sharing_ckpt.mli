@@ -9,11 +9,15 @@
     and driven to [2T] is byte-identical — trace CSV, registry JSON and
     fairness tables — to the uninterrupted run.
 
+    The file holds one {!Codec.section} per component, each written
+    and read by the matching {!State} codec: [meta], [config],
+    [scheduler], [network], [rla], [tcp], then [registry] and [journal]
+    when the run was instrumented.
+
     Supported runs are the plain sharing scenario (RLA session + 27
-    background TCPs).  Fault-injected runs are not checkpointable from
-    the CLI — the churn driver owns extra flow state outside the
-    session — but {!Faults.Injector.capture} exists and is exercised in
-    unit tests. *)
+    background TCPs).  Fault-injected runs are not checkpointable: the
+    churn driver and the fault injector own state outside the
+    session. *)
 
 type meta = { time : float; n_tcps : int }
 
@@ -67,7 +71,8 @@ val run_with_checkpoints :
   Experiments.Sharing.config ->
   Experiments.Sharing.result
 (** The canonical checkpointed run loop: set the session up, then
-    advance to [duration] saving [dir]/[prefix]_t<time>.ckpt at every
+    advance to [duration] saving [dir]/[prefix]_t<time>.ckpt (the time
+    as [%010.3f]) at every
     multiple of [every] (boundaries are slice points of the ordinary
     run loop, so results are byte-identical to
     {!Experiments.Sharing.run}).  [dir] is created if missing. *)
@@ -82,6 +87,3 @@ val resume_run :
     the warm-up measurement reset only if the checkpoint predates it.
     With [every]/[dir] supplied, keeps writing checkpoints at the same
     boundaries the original run would have hit. *)
-
-val checkpoint_file : dir:string -> prefix:string -> time:float -> string
-(** The path [run_with_checkpoints] writes for a given boundary. *)

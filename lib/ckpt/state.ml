@@ -1,1030 +1,684 @@
-open Codec
+(* Each record codec aliases its record's module and every getter names
+   it: OCaml types the operands of a [let+ ... and+ ...] chain out of
+   source order, so a bare label would not always find its type. *)
+open Codec.Syntax
 
 (* --- stats ---------------------------------------------------------- *)
 
-let w_ewma b (s : Stats.Ewma.state) =
-  w_f64 b s.Stats.Ewma.s_avg;
-  w_int b s.s_samples
+let ewma =
+  let module E = Stats.Ewma in
+  Codec.record
+    (let+ s_avg = Codec.field Codec.f64 (fun s -> s.E.s_avg)
+     and+ s_samples = Codec.field Codec.int (fun s -> s.E.s_samples) in
+     { E.s_avg; s_samples })
 
-let r_ewma r =
-  let s_avg = r_f64 r in
-  let s_samples = r_int r in
-  { Stats.Ewma.s_avg; s_samples }
+let welford =
+  let module W = Stats.Welford in
+  Codec.record
+    (let+ s_n = Codec.field Codec.int (fun s -> s.W.s_n)
+     and+ s_mean = Codec.field Codec.f64 (fun s -> s.W.s_mean)
+     and+ s_m2 = Codec.field Codec.f64 (fun s -> s.W.s_m2)
+     and+ s_min = Codec.field Codec.f64 (fun s -> s.W.s_min)
+     and+ s_max = Codec.field Codec.f64 (fun s -> s.W.s_max) in
+     { W.s_n; s_mean; s_m2; s_min; s_max })
 
-let w_welford b (s : Stats.Welford.state) =
-  w_int b s.Stats.Welford.s_n;
-  w_f64 b s.s_mean;
-  w_f64 b s.s_m2;
-  w_f64 b s.s_min;
-  w_f64 b s.s_max
-
-let r_welford r =
-  let s_n = r_int r in
-  let s_mean = r_f64 r in
-  let s_m2 = r_f64 r in
-  let s_min = r_f64 r in
-  let s_max = r_f64 r in
-  { Stats.Welford.s_n; s_mean; s_m2; s_min; s_max }
-
-let w_time_avg b (s : Stats.Time_avg.state) =
-  w_f64 b s.Stats.Time_avg.s_start;
-  w_f64 b s.s_last_time;
-  w_f64 b s.s_last_value;
-  w_f64 b s.s_weighted_sum
-
-let r_time_avg r =
-  let s_start = r_f64 r in
-  let s_last_time = r_f64 r in
-  let s_last_value = r_f64 r in
-  let s_weighted_sum = r_f64 r in
-  { Stats.Time_avg.s_start; s_last_time; s_last_value; s_weighted_sum }
+let time_avg =
+  let module T = Stats.Time_avg in
+  Codec.record
+    (let+ s_start = Codec.field Codec.f64 (fun s -> s.T.s_start)
+     and+ s_last_time = Codec.field Codec.f64 (fun s -> s.T.s_last_time)
+     and+ s_last_value = Codec.field Codec.f64 (fun s -> s.T.s_last_value)
+     and+ s_weighted_sum = Codec.field Codec.f64 (fun s -> s.T.s_weighted_sum) in
+     { T.s_start; s_last_time; s_last_value; s_weighted_sum })
 
 (* --- scheduler ------------------------------------------------------ *)
 
-let w_scheduler b (s : Sim.Scheduler.state) =
-  w_f64 b s.Sim.Scheduler.s_clock;
-  w_int b s.s_next_id;
-  w_int b s.s_fired;
-  w_list (w_pair w_int w_f64) b s.s_pending
-
-let r_scheduler r =
-  let s_clock = r_f64 r in
-  let s_next_id = r_int r in
-  let s_fired = r_int r in
-  let s_pending = r_list (r_pair r_int r_f64) r in
-  { Sim.Scheduler.s_clock; s_next_id; s_fired; s_pending }
+let scheduler =
+  let module S = Sim.Scheduler in
+  Codec.record
+    (let+ s_clock = Codec.field Codec.f64 (fun s -> s.S.s_clock)
+     and+ s_next_id = Codec.field Codec.int (fun s -> s.S.s_next_id)
+     and+ s_fired = Codec.field Codec.int (fun s -> s.S.s_fired)
+     and+ s_pending =
+       Codec.field
+         (Codec.list (Codec.pair Codec.int Codec.f64))
+         (fun s -> s.S.s_pending)
+     in
+     { S.s_clock; s_next_id; s_fired; s_pending })
 
 (* --- packets -------------------------------------------------------- *)
 
-let w_dest b = function
-  | Net.Packet.Unicast a ->
-      w_int b 0;
-      w_int b a
-  | Net.Packet.Multicast g ->
-      w_int b 1;
-      w_int b g
+let dest =
+  Codec.variant "dest"
+    [
+      Codec.case 0 Codec.int
+        (fun a -> Net.Packet.Unicast a)
+        (function Net.Packet.Unicast a -> Some a | _ -> None);
+      Codec.case 1 Codec.int
+        (fun g -> Net.Packet.Multicast g)
+        (function Net.Packet.Multicast g -> Some g | _ -> None);
+    ]
 
-let r_dest r =
-  match r_int r with
-  | 0 -> Net.Packet.Unicast (r_int r)
-  | 1 -> Net.Packet.Multicast (r_int r)
-  | n -> raise (Parse (Printf.sprintf "bad dest tag %d" n))
+let sack_block =
+  let module W = Tcp.Wire in
+  Codec.record
+    (let+ block_lo = Codec.field Codec.int (fun b -> b.W.block_lo)
+     and+ block_hi = Codec.field Codec.int (fun b -> b.W.block_hi) in
+     { W.block_lo; block_hi })
 
-let w_sack_block b (blk : Tcp.Wire.sack_block) =
-  w_int b blk.Tcp.Wire.block_lo;
-  w_int b blk.block_hi
+(* Constructors with several fields carry them as right-nested pairs. *)
+let payload =
+  let open Codec in
+  let blocks = list sack_block in
+  variant "payload"
+    [
+      const 0 Net.Packet.Raw;
+      case 1 (pair int f64)
+        (fun (seq, sent_at) -> Tcp.Wire.Tcp_data { seq; sent_at })
+        (function
+          | Tcp.Wire.Tcp_data { seq; sent_at } -> Some (seq, sent_at)
+          | _ -> None);
+      case 2
+        (pair int (pair blocks (pair f64 (pair bool int))))
+        (fun (cum_ack, (blocks, (echo, (ece, rwnd)))) ->
+          Tcp.Wire.Tcp_ack { cum_ack; blocks; echo; ece; rwnd })
+        (function
+          | Tcp.Wire.Tcp_ack { cum_ack; blocks; echo; ece; rwnd } ->
+              Some (cum_ack, (blocks, (echo, (ece, rwnd))))
+          | _ -> None);
+      case 3
+        (pair int (pair f64 bool))
+        (fun (seq, (sent_at, rexmit)) ->
+          Rla.Wire.Rla_data { seq; sent_at; rexmit })
+        (function
+          | Rla.Wire.Rla_data { seq; sent_at; rexmit } ->
+              Some (seq, (sent_at, rexmit))
+          | _ -> None);
+      case 4
+        (pair int (pair int (pair blocks (pair f64 bool))))
+        (fun (rcvr, (cum_ack, (blocks, (echo, ece)))) ->
+          Rla.Wire.Rla_ack { rcvr; cum_ack; blocks; echo; ece })
+        (function
+          | Rla.Wire.Rla_ack { rcvr; cum_ack; blocks; echo; ece } ->
+              Some (rcvr, (cum_ack, (blocks, (echo, ece))))
+          | _ -> None);
+      case 5 (pair int f64)
+        (fun (options, sent_at) -> Tcp.Wire.Tcp_syn { options; sent_at })
+        (function
+          | Tcp.Wire.Tcp_syn { options; sent_at } -> Some (options, sent_at)
+          | _ -> None);
+      case 6
+        (pair int (pair int f64))
+        (fun (options, (rwnd, sent_at)) ->
+          Tcp.Wire.Tcp_syn_ack { options; rwnd; sent_at })
+        (function
+          | Tcp.Wire.Tcp_syn_ack { options; rwnd; sent_at } ->
+              Some (options, (rwnd, sent_at))
+          | _ -> None);
+      case 7 int
+        (fun seq -> Tcp.Wire.Tcp_rst { seq })
+        (function Tcp.Wire.Tcp_rst { seq } -> Some seq | _ -> None);
+      case 8 (pair int f64)
+        (fun (seq, sent_at) -> Tcp.Wire.Tcp_probe { seq; sent_at })
+        (function
+          | Tcp.Wire.Tcp_probe { seq; sent_at } -> Some (seq, sent_at)
+          | _ -> None);
+    ]
 
-let r_sack_block r =
-  let block_lo = r_int r in
-  let block_hi = r_int r in
-  { Tcp.Wire.block_lo; block_hi }
-
-let w_payload b = function
-  | Net.Packet.Raw -> w_int b 0
-  | Tcp.Wire.Tcp_data { seq; sent_at } ->
-      w_int b 1;
-      w_int b seq;
-      w_f64 b sent_at
-  | Tcp.Wire.Tcp_ack { cum_ack; blocks; echo; ece; rwnd } ->
-      w_int b 2;
-      w_int b cum_ack;
-      w_list w_sack_block b blocks;
-      w_f64 b echo;
-      w_bool b ece;
-      w_int b rwnd
-  | Rla.Wire.Rla_data { seq; sent_at; rexmit } ->
-      w_int b 3;
-      w_int b seq;
-      w_f64 b sent_at;
-      w_bool b rexmit
-  | Rla.Wire.Rla_ack { rcvr; cum_ack; blocks; echo; ece } ->
-      w_int b 4;
-      w_int b rcvr;
-      w_int b cum_ack;
-      w_list w_sack_block b blocks;
-      w_f64 b echo;
-      w_bool b ece
-  | Tcp.Wire.Tcp_syn { options; sent_at } ->
-      w_int b 5;
-      w_int b options;
-      w_f64 b sent_at
-  | Tcp.Wire.Tcp_syn_ack { options; rwnd; sent_at } ->
-      w_int b 6;
-      w_int b options;
-      w_int b rwnd;
-      w_f64 b sent_at
-  | Tcp.Wire.Tcp_rst { seq } ->
-      w_int b 7;
-      w_int b seq
-  | Tcp.Wire.Tcp_probe { seq; sent_at } ->
-      w_int b 8;
-      w_int b seq;
-      w_f64 b sent_at
-  | _ -> invalid_arg "Ckpt.State: unknown packet payload extension"
-
-let r_payload r =
-  match r_int r with
-  | 0 -> Net.Packet.Raw
-  | 1 ->
-      let seq = r_int r in
-      let sent_at = r_f64 r in
-      Tcp.Wire.Tcp_data { seq; sent_at }
-  | 2 ->
-      let cum_ack = r_int r in
-      let blocks = r_list r_sack_block r in
-      let echo = r_f64 r in
-      let ece = r_bool r in
-      let rwnd = r_int r in
-      Tcp.Wire.Tcp_ack { cum_ack; blocks; echo; ece; rwnd }
-  | 3 ->
-      let seq = r_int r in
-      let sent_at = r_f64 r in
-      let rexmit = r_bool r in
-      Rla.Wire.Rla_data { seq; sent_at; rexmit }
-  | 4 ->
-      let rcvr = r_int r in
-      let cum_ack = r_int r in
-      let blocks = r_list r_sack_block r in
-      let echo = r_f64 r in
-      let ece = r_bool r in
-      Rla.Wire.Rla_ack { rcvr; cum_ack; blocks; echo; ece }
-  | 5 ->
-      let options = r_int r in
-      let sent_at = r_f64 r in
-      Tcp.Wire.Tcp_syn { options; sent_at }
-  | 6 ->
-      let options = r_int r in
-      let rwnd = r_int r in
-      let sent_at = r_f64 r in
-      Tcp.Wire.Tcp_syn_ack { options; rwnd; sent_at }
-  | 7 -> Tcp.Wire.Tcp_rst { seq = r_int r }
-  | 8 ->
-      let seq = r_int r in
-      let sent_at = r_f64 r in
-      Tcp.Wire.Tcp_probe { seq; sent_at }
-  | n -> raise (Parse (Printf.sprintf "bad payload tag %d" n))
-
-let w_packet b (p : Net.Packet.t) =
-  w_int b p.Net.Packet.uid;
-  w_int b p.flow;
-  w_int b p.src;
-  w_dest b p.dst;
-  w_int b p.size;
-  w_payload b p.payload;
-  w_f64 b p.born;
-  w_bool b p.ecn
-
-let r_packet r =
-  let uid = r_int r in
-  let flow = r_int r in
-  let src = r_int r in
-  let dst = r_dest r in
-  let size = r_int r in
-  let payload = r_payload r in
-  let born = r_f64 r in
-  let ecn = r_bool r in
-  (* [refs] is not serialized: a deserialized packet is a private copy
-     with exactly one owner (the link state it is restored into). *)
-  { Net.Packet.uid; flow; src; dst; size; payload; born; ecn; refs = 1 }
+(* [refs] is not serialized: a deserialized packet is a private copy with
+   exactly one owner (the link state it is restored into). *)
+let packet =
+  let module P = Net.Packet in
+  Codec.record
+    (let+ uid = Codec.field Codec.int (fun p -> p.P.uid)
+     and+ flow = Codec.field Codec.int (fun p -> p.P.flow)
+     and+ src = Codec.field Codec.int (fun p -> p.P.src)
+     and+ dst = Codec.field dest (fun p -> p.P.dst)
+     and+ size = Codec.field Codec.int (fun p -> p.P.size)
+     and+ payload = Codec.field payload (fun p -> p.P.payload)
+     and+ born = Codec.field Codec.f64 (fun p -> p.P.born)
+     and+ ecn = Codec.field Codec.bool (fun p -> p.P.ecn) in
+     { P.uid; flow; src; dst; size; payload; born; ecn; refs = 1 })
 
 (* --- links / network ------------------------------------------------ *)
 
-let w_red b (s : Net.Red.state) =
-  w_f64 b s.Net.Red.s_avg;
-  w_int b s.s_count;
-  w_f64 b s.s_q_time;
-  w_bool b s.s_idle;
-  w_int b s.s_drops;
-  w_int b s.s_marks
+let red =
+  let module R = Net.Red in
+  Codec.record
+    (let+ s_avg = Codec.field Codec.f64 (fun s -> s.R.s_avg)
+     and+ s_count = Codec.field Codec.int (fun s -> s.R.s_count)
+     and+ s_q_time = Codec.field Codec.f64 (fun s -> s.R.s_q_time)
+     and+ s_idle = Codec.field Codec.bool (fun s -> s.R.s_idle)
+     and+ s_drops = Codec.field Codec.int (fun s -> s.R.s_drops)
+     and+ s_marks = Codec.field Codec.int (fun s -> s.R.s_marks) in
+     { R.s_avg; s_count; s_q_time; s_idle; s_drops; s_marks })
 
-let r_red r =
-  let s_avg = r_f64 r in
-  let s_count = r_int r in
-  let s_q_time = r_f64 r in
-  let s_idle = r_bool r in
-  let s_drops = r_int r in
-  let s_marks = r_int r in
-  { Net.Red.s_avg; s_count; s_q_time; s_idle; s_drops; s_marks }
+let disc =
+  Codec.variant "queue-disc"
+    [
+      Codec.const 0 Net.Queue_disc.Stateless;
+      Codec.case 1 red
+        (fun s -> Net.Queue_disc.Red s)
+        (function Net.Queue_disc.Red s -> Some s | _ -> None);
+    ]
 
-let w_disc b = function
-  | Net.Queue_disc.Stateless -> w_int b 0
-  | Net.Queue_disc.Red s ->
-      w_int b 1;
-      w_red b s
+let link =
+  let module L = Net.Link in
+  Codec.record
+    (let+ s_bandwidth_bps = Codec.field Codec.f64 (fun s -> s.L.s_bandwidth_bps)
+     and+ s_prop_delay = Codec.field Codec.f64 (fun s -> s.L.s_prop_delay)
+     and+ s_buffer = Codec.field (Codec.list packet) (fun s -> s.L.s_buffer)
+     and+ s_busy = Codec.field Codec.bool (fun s -> s.L.s_busy)
+     and+ s_in_service =
+       Codec.field (Codec.option packet) (fun s -> s.L.s_in_service)
+     and+ s_tx_event =
+       Codec.field (Codec.option Codec.int) (fun s -> s.L.s_tx_event)
+     and+ s_inflight =
+       Codec.field
+         (Codec.list (Codec.pair Codec.int packet))
+         (fun s -> s.L.s_inflight)
+     and+ s_up = Codec.field Codec.bool (fun s -> s.L.s_up)
+     and+ s_down_since = Codec.field Codec.f64 (fun s -> s.L.s_down_since)
+     and+ s_downtime_acc = Codec.field Codec.f64 (fun s -> s.L.s_downtime_acc)
+     and+ s_last_delivery = Codec.field Codec.f64 (fun s -> s.L.s_last_delivery)
+     and+ s_offered = Codec.field Codec.int (fun s -> s.L.s_offered)
+     and+ s_dropped = Codec.field Codec.int (fun s -> s.L.s_dropped)
+     and+ s_delivered = Codec.field Codec.int (fun s -> s.L.s_delivered)
+     and+ s_bytes_delivered =
+       Codec.field Codec.int (fun s -> s.L.s_bytes_delivered)
+     and+ s_marked = Codec.field Codec.int (fun s -> s.L.s_marked)
+     and+ s_rng = Codec.field Codec.i64 (fun s -> s.L.s_rng)
+     and+ s_disc = Codec.field disc (fun s -> s.L.s_disc) in
+     {
+       L.s_bandwidth_bps;
+       s_prop_delay;
+       s_buffer;
+       s_busy;
+       s_in_service;
+       s_tx_event;
+       s_inflight;
+       s_up;
+       s_down_since;
+       s_downtime_acc;
+       s_last_delivery;
+       s_offered;
+       s_dropped;
+       s_delivered;
+       s_bytes_delivered;
+       s_marked;
+       s_rng;
+       s_disc;
+     })
 
-let r_disc r =
-  match r_int r with
-  | 0 -> Net.Queue_disc.Stateless
-  | 1 -> Net.Queue_disc.Red (r_red r)
-  | n -> raise (Parse (Printf.sprintf "bad queue-disc tag %d" n))
-
-let w_link b (s : Net.Link.state) =
-  w_f64 b s.Net.Link.s_bandwidth_bps;
-  w_f64 b s.s_prop_delay;
-  w_list w_packet b s.s_buffer;
-  w_bool b s.s_busy;
-  w_option w_packet b s.s_in_service;
-  w_option w_int b s.s_tx_event;
-  w_list (w_pair w_int w_packet) b s.s_inflight;
-  w_bool b s.s_up;
-  w_f64 b s.s_down_since;
-  w_f64 b s.s_downtime_acc;
-  w_f64 b s.s_last_delivery;
-  w_int b s.s_offered;
-  w_int b s.s_dropped;
-  w_int b s.s_delivered;
-  w_int b s.s_bytes_delivered;
-  w_int b s.s_marked;
-  w_i64 b s.s_rng;
-  w_disc b s.s_disc
-
-let r_link r =
-  let s_bandwidth_bps = r_f64 r in
-  let s_prop_delay = r_f64 r in
-  let s_buffer = r_list r_packet r in
-  let s_busy = r_bool r in
-  let s_in_service = r_option r_packet r in
-  let s_tx_event = r_option r_int r in
-  let s_inflight = r_list (r_pair r_int r_packet) r in
-  let s_up = r_bool r in
-  let s_down_since = r_f64 r in
-  let s_downtime_acc = r_f64 r in
-  let s_last_delivery = r_f64 r in
-  let s_offered = r_int r in
-  let s_dropped = r_int r in
-  let s_delivered = r_int r in
-  let s_bytes_delivered = r_int r in
-  let s_marked = r_int r in
-  let s_rng = r_i64 r in
-  let s_disc = r_disc r in
-  {
-    Net.Link.s_bandwidth_bps;
-    s_prop_delay;
-    s_buffer;
-    s_busy;
-    s_in_service;
-    s_tx_event;
-    s_inflight;
-    s_up;
-    s_down_since;
-    s_downtime_acc;
-    s_last_delivery;
-    s_offered;
-    s_dropped;
-    s_delivered;
-    s_bytes_delivered;
-    s_marked;
-    s_rng;
-    s_disc;
-  }
-
-let w_network b (s : Net.Network.state) =
-  w_i64 b s.Net.Network.s_root_rng;
-  w_int b s.s_next_flow;
-  w_int b s.s_next_group;
-  w_int b s.s_next_uid;
-  w_list w_int b s.s_nodes;
-  w_list w_link b s.s_links
-
-let r_network r =
-  let s_root_rng = r_i64 r in
-  let s_next_flow = r_int r in
-  let s_next_group = r_int r in
-  let s_next_uid = r_int r in
-  let s_nodes = r_list r_int r in
-  let s_links = r_list r_link r in
-  { Net.Network.s_root_rng; s_next_flow; s_next_group; s_next_uid; s_nodes; s_links }
+let network =
+  let module N = Net.Network in
+  Codec.record
+    (let+ s_root_rng = Codec.field Codec.i64 (fun s -> s.N.s_root_rng)
+     and+ s_next_flow = Codec.field Codec.int (fun s -> s.N.s_next_flow)
+     and+ s_next_group = Codec.field Codec.int (fun s -> s.N.s_next_group)
+     and+ s_next_uid = Codec.field Codec.int (fun s -> s.N.s_next_uid)
+     and+ s_nodes = Codec.field (Codec.list Codec.int) (fun s -> s.N.s_nodes)
+     and+ s_links = Codec.field (Codec.list link) (fun s -> s.N.s_links) in
+     { N.s_root_rng; s_next_flow; s_next_group; s_next_uid; s_nodes; s_links })
 
 (* --- tcp ------------------------------------------------------------ *)
 
-let w_rto b (s : Tcp.Rto.state) =
-  w_f64 b s.Tcp.Rto.s_srtt;
-  w_f64 b s.s_rttvar;
-  w_int b s.s_shift;
-  w_int b s.s_samples
+let rto =
+  let module R = Tcp.Rto in
+  Codec.record
+    (let+ s_srtt = Codec.field Codec.f64 (fun s -> s.R.s_srtt)
+     and+ s_rttvar = Codec.field Codec.f64 (fun s -> s.R.s_rttvar)
+     and+ s_shift = Codec.field Codec.int (fun s -> s.R.s_shift)
+     and+ s_samples = Codec.field Codec.int (fun s -> s.R.s_samples) in
+     { R.s_srtt; s_rttvar; s_shift; s_samples })
 
-let r_rto r =
-  let s_srtt = r_f64 r in
-  let s_rttvar = r_f64 r in
-  let s_shift = r_int r in
-  let s_samples = r_int r in
-  { Tcp.Rto.s_srtt; s_rttvar; s_shift; s_samples }
+let sb_entry =
+  let module S = Tcp.Scoreboard in
+  Codec.record
+    (let+ e_seq = Codec.field Codec.int (fun e -> e.S.e_seq)
+     and+ e_sacked = Codec.field Codec.bool (fun e -> e.S.e_sacked)
+     and+ e_lost = Codec.field Codec.bool (fun e -> e.S.e_lost)
+     and+ e_rexmitted = Codec.field Codec.bool (fun e -> e.S.e_rexmitted)
+     and+ e_rexmit_time = Codec.field Codec.f64 (fun e -> e.S.e_rexmit_time) in
+     { S.e_seq; e_sacked; e_lost; e_rexmitted; e_rexmit_time })
 
-let w_sb_entry b (e : Tcp.Scoreboard.entry_state) =
-  w_int b e.Tcp.Scoreboard.e_seq;
-  w_bool b e.e_sacked;
-  w_bool b e.e_lost;
-  w_bool b e.e_rexmitted;
-  w_f64 b e.e_rexmit_time
+let scoreboard =
+  let module S = Tcp.Scoreboard in
+  Codec.record
+    (let+ s_entries = Codec.field (Codec.list sb_entry) (fun s -> s.S.s_entries)
+     and+ s_high_ack = Codec.field Codec.int (fun s -> s.S.s_high_ack)
+     and+ s_next_seq = Codec.field Codec.int (fun s -> s.S.s_next_seq)
+     and+ s_highest_sacked = Codec.field Codec.int (fun s -> s.S.s_highest_sacked)
+     and+ s_sacked_cnt = Codec.field Codec.int (fun s -> s.S.s_sacked_cnt)
+     and+ s_lost_cnt = Codec.field Codec.int (fun s -> s.S.s_lost_cnt)
+     and+ s_rexmit_out = Codec.field Codec.int (fun s -> s.S.s_rexmit_out)
+     and+ s_loss_floor = Codec.field Codec.int (fun s -> s.S.s_loss_floor) in
+     {
+       S.s_entries;
+       s_high_ack;
+       s_next_seq;
+       s_highest_sacked;
+       s_sacked_cnt;
+       s_lost_cnt;
+       s_rexmit_out;
+       s_loss_floor;
+     })
 
-let r_sb_entry r =
-  let e_seq = r_int r in
-  let e_sacked = r_bool r in
-  let e_lost = r_bool r in
-  let e_rexmitted = r_bool r in
-  let e_rexmit_time = r_f64 r in
-  { Tcp.Scoreboard.e_seq; e_sacked; e_lost; e_rexmitted; e_rexmit_time }
+let tcp_receiver =
+  let module R = Tcp.Receiver in
+  Codec.record
+    (let+ s_ooo = Codec.field (Codec.list Codec.int) (fun s -> s.R.s_ooo)
+     and+ s_recent = Codec.field (Codec.list Codec.int) (fun s -> s.R.s_recent)
+     and+ s_expected = Codec.field Codec.int (fun s -> s.R.s_expected)
+     and+ s_received_total = Codec.field Codec.int (fun s -> s.R.s_received_total)
+     and+ s_duplicates = Codec.field Codec.int (fun s -> s.R.s_duplicates)
+     and+ s_t0 = Codec.field Codec.f64 (fun s -> s.R.s_t0)
+     and+ s_wscale = Codec.field Codec.int (fun s -> s.R.s_wscale)
+     and+ s_sack_ok = Codec.field Codec.bool (fun s -> s.R.s_sack_ok)
+     and+ s_rst_strict = Codec.field Codec.bool (fun s -> s.R.s_rst_strict)
+     and+ s_closed = Codec.field Codec.bool (fun s -> s.R.s_closed)
+     and+ s_syn_received = Codec.field Codec.bool (fun s -> s.R.s_syn_received)
+     and+ s_rst_accepted = Codec.field Codec.int (fun s -> s.R.s_rst_accepted)
+     and+ s_rst_challenged = Codec.field Codec.int (fun s -> s.R.s_rst_challenged)
+     and+ s_rst_dropped = Codec.field Codec.int (fun s -> s.R.s_rst_dropped)
+     and+ s_challenge_acks = Codec.field Codec.int (fun s -> s.R.s_challenge_acks)
+     and+ s_ghost_data = Codec.field Codec.int (fun s -> s.R.s_ghost_data)
+     and+ s_probes_received =
+       Codec.field Codec.int (fun s -> s.R.s_probes_received)
+     in
+     {
+       R.s_ooo;
+       s_recent;
+       s_expected;
+       s_received_total;
+       s_duplicates;
+       s_t0;
+       s_wscale;
+       s_sack_ok;
+       s_rst_strict;
+       s_closed;
+       s_syn_received;
+       s_rst_accepted;
+       s_rst_challenged;
+       s_rst_dropped;
+       s_challenge_acks;
+       s_ghost_data;
+       s_probes_received;
+     })
 
-let w_scoreboard b (s : Tcp.Scoreboard.state) =
-  w_list w_sb_entry b s.Tcp.Scoreboard.s_entries;
-  w_int b s.s_high_ack;
-  w_int b s.s_next_seq;
-  w_int b s.s_highest_sacked;
-  w_int b s.s_sacked_cnt;
-  w_int b s.s_lost_cnt;
-  w_int b s.s_rexmit_out;
-  w_int b s.s_loss_floor
-
-let r_scoreboard r =
-  let s_entries = r_list r_sb_entry r in
-  let s_high_ack = r_int r in
-  let s_next_seq = r_int r in
-  let s_highest_sacked = r_int r in
-  let s_sacked_cnt = r_int r in
-  let s_lost_cnt = r_int r in
-  let s_rexmit_out = r_int r in
-  let s_loss_floor = r_int r in
-  {
-    Tcp.Scoreboard.s_entries;
-    s_high_ack;
-    s_next_seq;
-    s_highest_sacked;
-    s_sacked_cnt;
-    s_lost_cnt;
-    s_rexmit_out;
-    s_loss_floor;
-  }
-
-let w_tcp_receiver b (s : Tcp.Receiver.state) =
-  w_list w_int b s.Tcp.Receiver.s_ooo;
-  w_list w_int b s.s_recent;
-  w_int b s.s_expected;
-  w_int b s.s_received_total;
-  w_int b s.s_duplicates;
-  w_f64 b s.s_t0;
-  w_int b s.s_wscale;
-  w_bool b s.s_sack_ok;
-  w_bool b s.s_rst_strict;
-  w_bool b s.s_closed;
-  w_bool b s.s_syn_received;
-  w_int b s.s_rst_accepted;
-  w_int b s.s_rst_challenged;
-  w_int b s.s_rst_dropped;
-  w_int b s.s_challenge_acks;
-  w_int b s.s_ghost_data;
-  w_int b s.s_probes_received
-
-let r_tcp_receiver r =
-  let s_ooo = r_list r_int r in
-  let s_recent = r_list r_int r in
-  let s_expected = r_int r in
-  let s_received_total = r_int r in
-  let s_duplicates = r_int r in
-  let s_t0 = r_f64 r in
-  let s_wscale = r_int r in
-  let s_sack_ok = r_bool r in
-  let s_rst_strict = r_bool r in
-  let s_closed = r_bool r in
-  let s_syn_received = r_bool r in
-  let s_rst_accepted = r_int r in
-  let s_rst_challenged = r_int r in
-  let s_rst_dropped = r_int r in
-  let s_challenge_acks = r_int r in
-  let s_ghost_data = r_int r in
-  let s_probes_received = r_int r in
-  {
-    Tcp.Receiver.s_ooo;
-    s_recent;
-    s_expected;
-    s_received_total;
-    s_duplicates;
-    s_t0;
-    s_wscale;
-    s_sack_ok;
-    s_rst_strict;
-    s_closed;
-    s_syn_received;
-    s_rst_accepted;
-    s_rst_challenged;
-    s_rst_dropped;
-    s_challenge_acks;
-    s_ghost_data;
-    s_probes_received;
-  }
-
-let w_tcp_sender b (s : Tcp.Sender.state) =
-  w_scoreboard b s.Tcp.Sender.s_sb;
-  w_rto b s.s_rto;
-  w_tcp_receiver b s.s_receiver;
-  w_f64 b s.s_cwnd;
-  w_f64 b s.s_ssthresh;
-  w_bool b s.s_in_recovery;
-  w_int b s.s_recover_point;
-  w_option w_int b s.s_timer;
-  w_option w_int b s.s_start_event;
-  w_time_avg b s.s_cwnd_avg;
-  w_welford b s.s_rtt;
-  w_int b s.s_sent_new;
-  w_int b s.s_retransmits;
-  w_int b s.s_window_cuts;
-  w_int b s.s_timeouts;
-  w_f64 b s.s_meas_time;
-  w_int b s.s_meas_delivered;
-  w_int b s.s_meas_sent_new;
-  w_int b s.s_meas_retransmits;
-  w_int b s.s_meas_window_cuts;
-  w_int b s.s_meas_timeouts;
-  w_option w_f64 b s.s_completed_at;
-  w_bool b s.s_established;
-  w_int b s.s_syn_sent;
-  w_int b s.s_neg_wscale;
-  w_int b s.s_rwnd_field;
-  w_option w_int b s.s_persist_timer;
-  w_int b s.s_persist_shift;
-  w_int b s.s_zero_window_probes;
-  w_int b s.s_ghost_acks
-
-let r_tcp_sender r =
-  let s_sb = r_scoreboard r in
-  let s_rto = r_rto r in
-  let s_receiver = r_tcp_receiver r in
-  let s_cwnd = r_f64 r in
-  let s_ssthresh = r_f64 r in
-  let s_in_recovery = r_bool r in
-  let s_recover_point = r_int r in
-  let s_timer = r_option r_int r in
-  let s_start_event = r_option r_int r in
-  let s_cwnd_avg = r_time_avg r in
-  let s_rtt = r_welford r in
-  let s_sent_new = r_int r in
-  let s_retransmits = r_int r in
-  let s_window_cuts = r_int r in
-  let s_timeouts = r_int r in
-  let s_meas_time = r_f64 r in
-  let s_meas_delivered = r_int r in
-  let s_meas_sent_new = r_int r in
-  let s_meas_retransmits = r_int r in
-  let s_meas_window_cuts = r_int r in
-  let s_meas_timeouts = r_int r in
-  let s_completed_at = r_option r_f64 r in
-  let s_established = r_bool r in
-  let s_syn_sent = r_int r in
-  let s_neg_wscale = r_int r in
-  let s_rwnd_field = r_int r in
-  let s_persist_timer = r_option r_int r in
-  let s_persist_shift = r_int r in
-  let s_zero_window_probes = r_int r in
-  let s_ghost_acks = r_int r in
-  {
-    Tcp.Sender.s_sb;
-    s_rto;
-    s_receiver;
-    s_cwnd;
-    s_ssthresh;
-    s_in_recovery;
-    s_recover_point;
-    s_timer;
-    s_start_event;
-    s_cwnd_avg;
-    s_rtt;
-    s_sent_new;
-    s_retransmits;
-    s_window_cuts;
-    s_timeouts;
-    s_meas_time;
-    s_meas_delivered;
-    s_meas_sent_new;
-    s_meas_retransmits;
-    s_meas_window_cuts;
-    s_meas_timeouts;
-    s_completed_at;
-    s_established;
-    s_syn_sent;
-    s_neg_wscale;
-    s_rwnd_field;
-    s_persist_timer;
-    s_persist_shift;
-    s_zero_window_probes;
-    s_ghost_acks;
-  }
+let tcp_sender =
+  let module S = Tcp.Sender in
+  let event = Codec.option Codec.int in
+  Codec.record
+    (let+ s_sb = Codec.field scoreboard (fun s -> s.S.s_sb)
+     and+ s_rto = Codec.field rto (fun s -> s.S.s_rto)
+     and+ s_receiver = Codec.field tcp_receiver (fun s -> s.S.s_receiver)
+     and+ s_cwnd = Codec.field Codec.f64 (fun s -> s.S.s_cwnd)
+     and+ s_ssthresh = Codec.field Codec.f64 (fun s -> s.S.s_ssthresh)
+     and+ s_in_recovery = Codec.field Codec.bool (fun s -> s.S.s_in_recovery)
+     and+ s_recover_point = Codec.field Codec.int (fun s -> s.S.s_recover_point)
+     and+ s_timer = Codec.field event (fun s -> s.S.s_timer)
+     and+ s_start_event = Codec.field event (fun s -> s.S.s_start_event)
+     and+ s_cwnd_avg = Codec.field time_avg (fun s -> s.S.s_cwnd_avg)
+     and+ s_rtt = Codec.field welford (fun s -> s.S.s_rtt)
+     and+ s_sent_new = Codec.field Codec.int (fun s -> s.S.s_sent_new)
+     and+ s_retransmits = Codec.field Codec.int (fun s -> s.S.s_retransmits)
+     and+ s_window_cuts = Codec.field Codec.int (fun s -> s.S.s_window_cuts)
+     and+ s_timeouts = Codec.field Codec.int (fun s -> s.S.s_timeouts)
+     and+ s_meas_time = Codec.field Codec.f64 (fun s -> s.S.s_meas_time)
+     and+ s_meas_delivered = Codec.field Codec.int (fun s -> s.S.s_meas_delivered)
+     and+ s_meas_sent_new = Codec.field Codec.int (fun s -> s.S.s_meas_sent_new)
+     and+ s_meas_retransmits =
+       Codec.field Codec.int (fun s -> s.S.s_meas_retransmits)
+     and+ s_meas_window_cuts =
+       Codec.field Codec.int (fun s -> s.S.s_meas_window_cuts)
+     and+ s_meas_timeouts = Codec.field Codec.int (fun s -> s.S.s_meas_timeouts)
+     and+ s_completed_at =
+       Codec.field (Codec.option Codec.f64) (fun s -> s.S.s_completed_at)
+     and+ s_established = Codec.field Codec.bool (fun s -> s.S.s_established)
+     and+ s_syn_sent = Codec.field Codec.int (fun s -> s.S.s_syn_sent)
+     and+ s_neg_wscale = Codec.field Codec.int (fun s -> s.S.s_neg_wscale)
+     and+ s_rwnd_field = Codec.field Codec.int (fun s -> s.S.s_rwnd_field)
+     and+ s_persist_timer = Codec.field event (fun s -> s.S.s_persist_timer)
+     and+ s_persist_shift = Codec.field Codec.int (fun s -> s.S.s_persist_shift)
+     and+ s_zero_window_probes =
+       Codec.field Codec.int (fun s -> s.S.s_zero_window_probes)
+     and+ s_ghost_acks = Codec.field Codec.int (fun s -> s.S.s_ghost_acks) in
+     {
+       S.s_sb;
+       s_rto;
+       s_receiver;
+       s_cwnd;
+       s_ssthresh;
+       s_in_recovery;
+       s_recover_point;
+       s_timer;
+       s_start_event;
+       s_cwnd_avg;
+       s_rtt;
+       s_sent_new;
+       s_retransmits;
+       s_window_cuts;
+       s_timeouts;
+       s_meas_time;
+       s_meas_delivered;
+       s_meas_sent_new;
+       s_meas_retransmits;
+       s_meas_window_cuts;
+       s_meas_timeouts;
+       s_completed_at;
+       s_established;
+       s_syn_sent;
+       s_neg_wscale;
+       s_rwnd_field;
+       s_persist_timer;
+       s_persist_shift;
+       s_zero_window_probes;
+       s_ghost_acks;
+     })
 
 (* --- rla ------------------------------------------------------------ *)
 
-let w_rcv_state b (s : Rla.Rcv_state.state) =
-  w_scoreboard b s.Rla.Rcv_state.s_board;
-  w_ewma b s.s_srtt;
-  w_ewma b s.s_interval;
-  w_f64 b s.s_cperiod_start;
-  w_f64 b s.s_last_signal;
-  w_int b s.s_signals;
-  w_int b s.s_acks;
-  w_bool b s.s_active
+let rcv_state =
+  let module R = Rla.Rcv_state in
+  Codec.record
+    (let+ s_board = Codec.field scoreboard (fun s -> s.R.s_board)
+     and+ s_srtt = Codec.field ewma (fun s -> s.R.s_srtt)
+     and+ s_interval = Codec.field ewma (fun s -> s.R.s_interval)
+     and+ s_cperiod_start = Codec.field Codec.f64 (fun s -> s.R.s_cperiod_start)
+     and+ s_last_signal = Codec.field Codec.f64 (fun s -> s.R.s_last_signal)
+     and+ s_signals = Codec.field Codec.int (fun s -> s.R.s_signals)
+     and+ s_acks = Codec.field Codec.int (fun s -> s.R.s_acks)
+     and+ s_active = Codec.field Codec.bool (fun s -> s.R.s_active) in
+     {
+       R.s_board;
+       s_srtt;
+       s_interval;
+       s_cperiod_start;
+       s_last_signal;
+       s_signals;
+       s_acks;
+       s_active;
+     })
 
-let r_rcv_state r =
-  let s_board = r_scoreboard r in
-  let s_srtt = r_ewma r in
-  let s_interval = r_ewma r in
-  let s_cperiod_start = r_f64 r in
-  let s_last_signal = r_f64 r in
-  let s_signals = r_int r in
-  let s_acks = r_int r in
-  let s_active = r_bool r in
-  {
-    Rla.Rcv_state.s_board;
-    s_srtt;
-    s_interval;
-    s_cperiod_start;
-    s_last_signal;
-    s_signals;
-    s_acks;
-    s_active;
-  }
+let pending_ack =
+  Codec.record
+    (let+ id = Codec.field Codec.int (fun (id, _, _) -> id)
+     and+ echo = Codec.field Codec.f64 (fun (_, echo, _) -> echo)
+     and+ ece = Codec.field Codec.bool (fun (_, _, ece) -> ece) in
+     (id, echo, ece))
 
-let w_rla_receiver b (s : Rla.Receiver.state) =
-  w_i64 b s.Rla.Receiver.s_rng;
-  w_list w_int b s.s_ooo;
-  w_list w_int b s.s_recent;
-  w_int b s.s_expected;
-  w_int b s.s_received_total;
-  w_int b s.s_duplicates;
-  w_int b s.s_rexmits_received;
-  w_list
-    (fun b (id, echo, ece) ->
-      w_int b id;
-      w_f64 b echo;
-      w_bool b ece)
-    b s.s_pending_acks
+let rla_receiver =
+  let module R = Rla.Receiver in
+  Codec.record
+    (let+ s_rng = Codec.field Codec.i64 (fun s -> s.R.s_rng)
+     and+ s_ooo = Codec.field (Codec.list Codec.int) (fun s -> s.R.s_ooo)
+     and+ s_recent = Codec.field (Codec.list Codec.int) (fun s -> s.R.s_recent)
+     and+ s_expected = Codec.field Codec.int (fun s -> s.R.s_expected)
+     and+ s_received_total = Codec.field Codec.int (fun s -> s.R.s_received_total)
+     and+ s_duplicates = Codec.field Codec.int (fun s -> s.R.s_duplicates)
+     and+ s_rexmits_received =
+       Codec.field Codec.int (fun s -> s.R.s_rexmits_received)
+     and+ s_pending_acks =
+       Codec.field (Codec.list pending_ack) (fun s -> s.R.s_pending_acks)
+     in
+     {
+       R.s_rng;
+       s_ooo;
+       s_recent;
+       s_expected;
+       s_received_total;
+       s_duplicates;
+       s_rexmits_received;
+       s_pending_acks;
+     })
 
-let r_rla_receiver r =
-  let s_rng = r_i64 r in
-  let s_ooo = r_list r_int r in
-  let s_recent = r_list r_int r in
-  let s_expected = r_int r in
-  let s_received_total = r_int r in
-  let s_duplicates = r_int r in
-  let s_rexmits_received = r_int r in
-  let s_pending_acks =
-    r_list
-      (fun r ->
-        let id = r_int r in
-        let echo = r_f64 r in
-        let ece = r_bool r in
-        (id, echo, ece))
-      r
-  in
-  {
-    Rla.Receiver.s_rng;
-    s_ooo;
-    s_recent;
-    s_expected;
-    s_received_total;
-    s_duplicates;
-    s_rexmits_received;
-    s_pending_acks;
-  }
+let coverage =
+  let module S = Rla.Sender in
+  Codec.record
+    (let+ c_seq = Codec.field Codec.int (fun c -> c.S.c_seq)
+     and+ c_covered = Codec.field Codec.int (fun c -> c.S.c_covered)
+     and+ c_rexmitted = Codec.field Codec.bool (fun c -> c.S.c_rexmitted)
+     and+ c_sent_at = Codec.field Codec.f64 (fun c -> c.S.c_sent_at) in
+     { S.c_seq; c_covered; c_rexmitted; c_sent_at })
 
-let w_coverage b (c : Rla.Sender.coverage_state) =
-  w_int b c.Rla.Sender.c_seq;
-  w_int b c.c_covered;
-  w_bool b c.c_rexmitted;
-  w_f64 b c.c_sent_at
+let rexmit_target =
+  Codec.variant "rexmit-target"
+    [
+      Codec.const 0 Rla.Sender.To_group;
+      Codec.case 1 (Codec.list Codec.int)
+        (fun addrs -> Rla.Sender.To_receivers addrs)
+        (function Rla.Sender.To_receivers addrs -> Some addrs | _ -> None);
+    ]
 
-let r_coverage r =
-  let c_seq = r_int r in
-  let c_covered = r_int r in
-  let c_rexmitted = r_bool r in
-  let c_sent_at = r_f64 r in
-  { Rla.Sender.c_seq; c_covered; c_rexmitted; c_sent_at }
-
-let w_rexmit_target b = function
-  | Rla.Sender.To_group -> w_int b 0
-  | Rla.Sender.To_receivers addrs ->
-      w_int b 1;
-      w_list w_int b addrs
-
-let r_rexmit_target r =
-  match r_int r with
-  | 0 -> Rla.Sender.To_group
-  | 1 -> Rla.Sender.To_receivers (r_list r_int r)
-  | n -> raise (Parse (Printf.sprintf "bad rexmit-target tag %d" n))
-
-let w_rla_sender b (s : Rla.Sender.state) =
-  w_list w_rcv_state b s.Rla.Sender.s_rcvrs;
-  w_int b s.s_n_active;
-  w_list w_rla_receiver b s.s_endpoints;
-  w_i64 b s.s_rng;
-  w_rto b s.s_rto;
-  w_f64 b s.s_cwnd;
-  w_f64 b s.s_ssthresh;
-  w_ewma b s.s_awnd;
-  w_f64 b s.s_last_window_cut;
-  w_int b s.s_next_seq;
-  w_int b s.s_mra;
-  w_list w_coverage b s.s_coverage;
-  w_list w_int b s.s_pending;
-  w_list (w_pair w_int w_rexmit_target) b s.s_rexmit_queue;
-  w_list w_int b s.s_queued;
-  w_option w_int b s.s_timer;
-  w_option w_int b s.s_start_event;
-  w_int b s.s_num_trouble;
-  w_int b s.s_window_cuts;
-  w_int b s.s_forced_cuts;
-  w_int b s.s_timeouts;
-  w_int b s.s_signals;
-  w_int b s.s_rexmits_multicast;
-  w_int b s.s_rexmits_unicast;
-  w_int b s.s_sent_new;
-  w_time_avg b s.s_cwnd_avg;
-  w_welford b s.s_rtt;
-  w_welford b s.s_rtt_acks;
-  w_f64 b s.s_meas_time;
-  w_int b s.s_meas_mra;
-  w_int b s.s_meas_signals;
-  w_int b s.s_meas_cuts;
-  w_int b s.s_meas_forced;
-  w_int b s.s_meas_timeouts;
-  w_int b s.s_meas_rexmits;
-  w_int b s.s_meas_sent_new;
-  w_list w_int b s.s_meas_signals_per
-
-let r_rla_sender r =
-  let s_rcvrs = r_list r_rcv_state r in
-  let s_n_active = r_int r in
-  let s_endpoints = r_list r_rla_receiver r in
-  let s_rng = r_i64 r in
-  let s_rto = r_rto r in
-  let s_cwnd = r_f64 r in
-  let s_ssthresh = r_f64 r in
-  let s_awnd = r_ewma r in
-  let s_last_window_cut = r_f64 r in
-  let s_next_seq = r_int r in
-  let s_mra = r_int r in
-  let s_coverage = r_list r_coverage r in
-  let s_pending = r_list r_int r in
-  let s_rexmit_queue = r_list (r_pair r_int r_rexmit_target) r in
-  let s_queued = r_list r_int r in
-  let s_timer = r_option r_int r in
-  let s_start_event = r_option r_int r in
-  let s_num_trouble = r_int r in
-  let s_window_cuts = r_int r in
-  let s_forced_cuts = r_int r in
-  let s_timeouts = r_int r in
-  let s_signals = r_int r in
-  let s_rexmits_multicast = r_int r in
-  let s_rexmits_unicast = r_int r in
-  let s_sent_new = r_int r in
-  let s_cwnd_avg = r_time_avg r in
-  let s_rtt = r_welford r in
-  let s_rtt_acks = r_welford r in
-  let s_meas_time = r_f64 r in
-  let s_meas_mra = r_int r in
-  let s_meas_signals = r_int r in
-  let s_meas_cuts = r_int r in
-  let s_meas_forced = r_int r in
-  let s_meas_timeouts = r_int r in
-  let s_meas_rexmits = r_int r in
-  let s_meas_sent_new = r_int r in
-  let s_meas_signals_per = r_list r_int r in
-  {
-    Rla.Sender.s_rcvrs;
-    s_n_active;
-    s_endpoints;
-    s_rng;
-    s_rto;
-    s_cwnd;
-    s_ssthresh;
-    s_awnd;
-    s_last_window_cut;
-    s_next_seq;
-    s_mra;
-    s_coverage;
-    s_pending;
-    s_rexmit_queue;
-    s_queued;
-    s_timer;
-    s_start_event;
-    s_num_trouble;
-    s_window_cuts;
-    s_forced_cuts;
-    s_timeouts;
-    s_signals;
-    s_rexmits_multicast;
-    s_rexmits_unicast;
-    s_sent_new;
-    s_cwnd_avg;
-    s_rtt;
-    s_rtt_acks;
-    s_meas_time;
-    s_meas_mra;
-    s_meas_signals;
-    s_meas_cuts;
-    s_meas_forced;
-    s_meas_timeouts;
-    s_meas_rexmits;
-    s_meas_sent_new;
-    s_meas_signals_per;
-  }
+let rla_sender =
+  let module S = Rla.Sender in
+  let ints = Codec.list Codec.int and event = Codec.option Codec.int in
+  Codec.record
+    (let+ s_rcvrs = Codec.field (Codec.list rcv_state) (fun s -> s.S.s_rcvrs)
+     and+ s_n_active = Codec.field Codec.int (fun s -> s.S.s_n_active)
+     and+ s_endpoints =
+       Codec.field (Codec.list rla_receiver) (fun s -> s.S.s_endpoints)
+     and+ s_rng = Codec.field Codec.i64 (fun s -> s.S.s_rng)
+     and+ s_rto = Codec.field rto (fun s -> s.S.s_rto)
+     and+ s_cwnd = Codec.field Codec.f64 (fun s -> s.S.s_cwnd)
+     and+ s_ssthresh = Codec.field Codec.f64 (fun s -> s.S.s_ssthresh)
+     and+ s_awnd = Codec.field ewma (fun s -> s.S.s_awnd)
+     and+ s_last_window_cut =
+       Codec.field Codec.f64 (fun s -> s.S.s_last_window_cut)
+     and+ s_next_seq = Codec.field Codec.int (fun s -> s.S.s_next_seq)
+     and+ s_mra = Codec.field Codec.int (fun s -> s.S.s_mra)
+     and+ s_coverage = Codec.field (Codec.list coverage) (fun s -> s.S.s_coverage)
+     and+ s_pending = Codec.field ints (fun s -> s.S.s_pending)
+     and+ s_rexmit_queue =
+       Codec.field
+         (Codec.list (Codec.pair Codec.int rexmit_target))
+         (fun s -> s.S.s_rexmit_queue)
+     and+ s_queued = Codec.field ints (fun s -> s.S.s_queued)
+     and+ s_timer = Codec.field event (fun s -> s.S.s_timer)
+     and+ s_start_event = Codec.field event (fun s -> s.S.s_start_event)
+     and+ s_num_trouble = Codec.field Codec.int (fun s -> s.S.s_num_trouble)
+     and+ s_window_cuts = Codec.field Codec.int (fun s -> s.S.s_window_cuts)
+     and+ s_forced_cuts = Codec.field Codec.int (fun s -> s.S.s_forced_cuts)
+     and+ s_timeouts = Codec.field Codec.int (fun s -> s.S.s_timeouts)
+     and+ s_signals = Codec.field Codec.int (fun s -> s.S.s_signals)
+     and+ s_rexmits_multicast =
+       Codec.field Codec.int (fun s -> s.S.s_rexmits_multicast)
+     and+ s_rexmits_unicast =
+       Codec.field Codec.int (fun s -> s.S.s_rexmits_unicast)
+     and+ s_sent_new = Codec.field Codec.int (fun s -> s.S.s_sent_new)
+     and+ s_cwnd_avg = Codec.field time_avg (fun s -> s.S.s_cwnd_avg)
+     and+ s_rtt = Codec.field welford (fun s -> s.S.s_rtt)
+     and+ s_rtt_acks = Codec.field welford (fun s -> s.S.s_rtt_acks)
+     and+ s_meas_time = Codec.field Codec.f64 (fun s -> s.S.s_meas_time)
+     and+ s_meas_mra = Codec.field Codec.int (fun s -> s.S.s_meas_mra)
+     and+ s_meas_signals = Codec.field Codec.int (fun s -> s.S.s_meas_signals)
+     and+ s_meas_cuts = Codec.field Codec.int (fun s -> s.S.s_meas_cuts)
+     and+ s_meas_forced = Codec.field Codec.int (fun s -> s.S.s_meas_forced)
+     and+ s_meas_timeouts = Codec.field Codec.int (fun s -> s.S.s_meas_timeouts)
+     and+ s_meas_rexmits = Codec.field Codec.int (fun s -> s.S.s_meas_rexmits)
+     and+ s_meas_sent_new = Codec.field Codec.int (fun s -> s.S.s_meas_sent_new)
+     and+ s_meas_signals_per = Codec.field ints (fun s -> s.S.s_meas_signals_per)
+     in
+     {
+       S.s_rcvrs;
+       s_n_active;
+       s_endpoints;
+       s_rng;
+       s_rto;
+       s_cwnd;
+       s_ssthresh;
+       s_awnd;
+       s_last_window_cut;
+       s_next_seq;
+       s_mra;
+       s_coverage;
+       s_pending;
+       s_rexmit_queue;
+       s_queued;
+       s_timer;
+       s_start_event;
+       s_num_trouble;
+       s_window_cuts;
+       s_forced_cuts;
+       s_timeouts;
+       s_signals;
+       s_rexmits_multicast;
+       s_rexmits_unicast;
+       s_sent_new;
+       s_cwnd_avg;
+       s_rtt;
+       s_rtt_acks;
+       s_meas_time;
+       s_meas_mra;
+       s_meas_signals;
+       s_meas_cuts;
+       s_meas_forced;
+       s_meas_timeouts;
+       s_meas_rexmits;
+       s_meas_sent_new;
+       s_meas_signals_per;
+     })
 
 (* --- registry ------------------------------------------------------- *)
 
-let w_farray b a =
-  w_int b (Array.length a);
-  Array.iter (w_f64 b) a
+let series =
+  let module S = Obs.Series in
+  Codec.record
+    (let+ s_times = Codec.field Codec.floats (fun s -> s.S.s_times)
+     and+ s_values = Codec.field Codec.floats (fun s -> s.S.s_values)
+     and+ s_stride = Codec.field Codec.int (fun s -> s.S.s_stride)
+     and+ s_skip = Codec.field Codec.int (fun s -> s.S.s_skip)
+     and+ s_offered = Codec.field Codec.int (fun s -> s.S.s_offered) in
+     { S.s_times; s_values; s_stride; s_skip; s_offered })
 
-let r_farray r =
-  let n = r_int r in
-  if n < 0 then raise (Parse "negative array length");
-  Array.init n (fun _ -> r_f64 r)
+let named_series =
+  Codec.record
+    (let+ name = Codec.field Codec.string (fun (name, _, _) -> name)
+     and+ limit = Codec.field Codec.int (fun (_, limit, _) -> limit)
+     and+ series = Codec.field series (fun (_, _, series) -> series) in
+     (name, limit, series))
 
-let w_series b (s : Obs.Series.state) =
-  w_farray b s.Obs.Series.s_times;
-  w_farray b s.s_values;
-  w_int b s.s_stride;
-  w_int b s.s_skip;
-  w_int b s.s_offered
-
-let r_series r =
-  let s_times = r_farray r in
-  let s_values = r_farray r in
-  let s_stride = r_int r in
-  let s_skip = r_int r in
-  let s_offered = r_int r in
-  { Obs.Series.s_times; s_values; s_stride; s_skip; s_offered }
-
-let w_registry b (s : Obs.Registry.state) =
-  w_list (w_pair w_string w_int) b s.Obs.Registry.s_counters;
-  w_list (w_pair w_string w_f64) b s.s_gauges;
-  w_list
-    (fun b (name, limit, series) ->
-      w_string b name;
-      w_int b limit;
-      w_series b series)
-    b s.s_series
-
-let r_registry r =
-  let s_counters = r_list (r_pair r_string r_int) r in
-  let s_gauges = r_list (r_pair r_string r_f64) r in
-  let s_series =
-    r_list
-      (fun r ->
-        let name = r_string r in
-        let limit = r_int r in
-        let series = r_series r in
-        (name, limit, series))
-      r
-  in
-  { Obs.Registry.s_counters; s_gauges; s_series }
-
-(* --- faults --------------------------------------------------------- *)
-
-let w_flink b (a, z) =
-  w_int b a;
-  w_int b z
-
-let r_flink r =
-  let a = r_int r in
-  let z = r_int r in
-  (a, z)
-
-let w_fault_event b = function
-  | Faults.Timeline.Link_down l ->
-      w_int b 0;
-      w_flink b l
-  | Faults.Timeline.Link_up l ->
-      w_int b 1;
-      w_flink b l
-  | Faults.Timeline.Set_bandwidth (l, bps) ->
-      w_int b 2;
-      w_flink b l;
-      w_f64 b bps
-  | Faults.Timeline.Set_delay (l, d) ->
-      w_int b 3;
-      w_flink b l;
-      w_f64 b d
-  | Faults.Timeline.Receiver_leave a ->
-      w_int b 4;
-      w_int b a
-  | Faults.Timeline.Receiver_join a ->
-      w_int b 5;
-      w_int b a
-  | Faults.Timeline.Flow_start { id; dst } ->
-      w_int b 6;
-      w_int b id;
-      w_int b dst
-  | Faults.Timeline.Flow_stop { id } ->
-      w_int b 7;
-      w_int b id
-  | Faults.Timeline.Rst_inject { flow; dst; seq } ->
-      w_int b 8;
-      w_int b flow;
-      w_int b dst;
-      w_int b seq
-  | Faults.Timeline.Data_inject { flow; dst; seq } ->
-      w_int b 9;
-      w_int b flow;
-      w_int b dst;
-      w_int b seq
-
-let r_fault_event r =
-  match r_int r with
-  | 0 -> Faults.Timeline.Link_down (r_flink r)
-  | 1 -> Faults.Timeline.Link_up (r_flink r)
-  | 2 ->
-      let l = r_flink r in
-      let bps = r_f64 r in
-      Faults.Timeline.Set_bandwidth (l, bps)
-  | 3 ->
-      let l = r_flink r in
-      let d = r_f64 r in
-      Faults.Timeline.Set_delay (l, d)
-  | 4 -> Faults.Timeline.Receiver_leave (r_int r)
-  | 5 -> Faults.Timeline.Receiver_join (r_int r)
-  | 6 ->
-      let id = r_int r in
-      let dst = r_int r in
-      Faults.Timeline.Flow_start { id; dst }
-  | 7 -> Faults.Timeline.Flow_stop { id = r_int r }
-  | 8 ->
-      let flow = r_int r in
-      let dst = r_int r in
-      let seq = r_int r in
-      Faults.Timeline.Rst_inject { flow; dst; seq }
-  | 9 ->
-      let flow = r_int r in
-      let dst = r_int r in
-      let seq = r_int r in
-      Faults.Timeline.Data_inject { flow; dst; seq }
-  | n -> raise (Parse (Printf.sprintf "bad fault-event tag %d" n))
-
-let w_applied b (a : Faults.Injector.applied) =
-  w_f64 b a.Faults.Injector.time;
-  w_fault_event b a.event;
-  w_bool b a.ok
-
-let r_applied r =
-  let time = r_f64 r in
-  let event = r_fault_event r in
-  let ok = r_bool r in
-  { Faults.Injector.time; event; ok }
-
-let w_injector b (s : Faults.Injector.state) =
-  w_list w_applied b s.Faults.Injector.s_log;
-  w_int b s.s_outages;
-  w_int b s.s_skipped;
-  w_list w_flink b s.s_touched;
-  w_list (w_pair w_int w_int) b s.s_pending
-
-let r_injector r =
-  let s_log = r_list r_applied r in
-  let s_outages = r_int r in
-  let s_skipped = r_int r in
-  let s_touched = r_list r_flink r in
-  let s_pending = r_list (r_pair r_int r_int) r in
-  { Faults.Injector.s_log; s_outages; s_skipped; s_touched; s_pending }
+let registry =
+  let module R = Obs.Registry in
+  Codec.record
+    (let+ s_counters =
+       Codec.field
+         (Codec.list (Codec.pair Codec.string Codec.int))
+         (fun s -> s.R.s_counters)
+     and+ s_gauges =
+       Codec.field
+         (Codec.list (Codec.pair Codec.string Codec.f64))
+         (fun s -> s.R.s_gauges)
+     and+ s_series =
+       Codec.field (Codec.list named_series) (fun s -> s.R.s_series)
+     in
+     { R.s_counters; s_gauges; s_series })
 
 (* --- sharing config ------------------------------------------------- *)
 
-let w_gateway b = function
-  | Experiments.Scenario.Droptail -> w_int b 0
-  | Experiments.Scenario.Red -> w_int b 1
+let gateway =
+  Codec.variant "gateway"
+    [
+      Codec.const 0 Experiments.Scenario.Droptail;
+      Codec.const 1 Experiments.Scenario.Red;
+    ]
 
-let r_gateway r =
-  match r_int r with
-  | 0 -> Experiments.Scenario.Droptail
-  | 1 -> Experiments.Scenario.Red
-  | n -> raise (Parse (Printf.sprintf "bad gateway tag %d" n))
+let tree_case =
+  let module T = Experiments.Tree in
+  Codec.variant "tree-case"
+    [
+      Codec.const 0 T.L1_bottleneck;
+      Codec.const 1 T.L2_all;
+      Codec.const 2 T.L3_all;
+      Codec.const 3 T.L4_all;
+      Codec.case 4 Codec.int
+        (fun k -> T.L4_first k)
+        (function T.L4_first k -> Some k | _ -> None);
+      Codec.const 5 T.L2_single;
+    ]
 
-let w_case b = function
-  | Experiments.Tree.L1_bottleneck -> w_int b 0
-  | Experiments.Tree.L2_all -> w_int b 1
-  | Experiments.Tree.L3_all -> w_int b 2
-  | Experiments.Tree.L4_all -> w_int b 3
-  | Experiments.Tree.L4_first k ->
-      w_int b 4;
-      w_int b k
-  | Experiments.Tree.L2_single -> w_int b 5
+let rtt_scaling =
+  Codec.variant "rtt-scaling"
+    [
+      Codec.const 0 Rla.Params.Equal_rtt;
+      Codec.case 1 Codec.f64
+        (fun k -> Rla.Params.Rtt_power k)
+        (function Rla.Params.Rtt_power k -> Some k | _ -> None);
+    ]
 
-let r_case r =
-  match r_int r with
-  | 0 -> Experiments.Tree.L1_bottleneck
-  | 1 -> Experiments.Tree.L2_all
-  | 2 -> Experiments.Tree.L3_all
-  | 3 -> Experiments.Tree.L4_all
-  | 4 -> Experiments.Tree.L4_first (r_int r)
-  | 5 -> Experiments.Tree.L2_single
-  | n -> raise (Parse (Printf.sprintf "bad tree-case tag %d" n))
+let trouble_counting =
+  Codec.variant "trouble-counting"
+    [ Codec.const 0 Rla.Params.Dynamic; Codec.const 1 Rla.Params.All_receivers ]
 
-let w_rtt_scaling b = function
-  | Rla.Params.Equal_rtt -> w_int b 0
-  | Rla.Params.Rtt_power k ->
-      w_int b 1;
-      w_f64 b k
+let rla_params =
+  let module P = Rla.Params in
+  Codec.record
+    (let+ eta = Codec.field Codec.f64 (fun p -> p.P.eta)
+     and+ group_rtt_factor = Codec.field Codec.f64 (fun p -> p.P.group_rtt_factor)
+     and+ forced_cut_factor =
+       Codec.field Codec.f64 (fun p -> p.P.forced_cut_factor)
+     and+ rtt_scaling = Codec.field rtt_scaling (fun p -> p.P.rtt_scaling)
+     and+ trouble_counting =
+       Codec.field trouble_counting (fun p -> p.P.trouble_counting)
+     and+ rexmit_thresh = Codec.field Codec.int (fun p -> p.P.rexmit_thresh)
+     and+ awnd_weight = Codec.field Codec.f64 (fun p -> p.P.awnd_weight)
+     and+ interval_ewma_weight =
+       Codec.field Codec.f64 (fun p -> p.P.interval_ewma_weight)
+     and+ srtt_weight = Codec.field Codec.f64 (fun p -> p.P.srtt_weight)
+     and+ dupthresh = Codec.field Codec.int (fun p -> p.P.dupthresh)
+     and+ init_cwnd = Codec.field Codec.f64 (fun p -> p.P.init_cwnd)
+     and+ init_ssthresh = Codec.field Codec.f64 (fun p -> p.P.init_ssthresh)
+     and+ max_burst = Codec.field Codec.int (fun p -> p.P.max_burst)
+     and+ rcv_buffer = Codec.field Codec.int (fun p -> p.P.rcv_buffer)
+     and+ data_size = Codec.field Codec.int (fun p -> p.P.data_size)
+     and+ min_rto = Codec.field Codec.f64 (fun p -> p.P.min_rto)
+     and+ ack_jitter = Codec.field Codec.f64 (fun p -> p.P.ack_jitter)
+     and+ rexmit_timeout_factor =
+       Codec.field Codec.f64 (fun p -> p.P.rexmit_timeout_factor)
+     in
+     {
+       P.eta;
+       group_rtt_factor;
+       forced_cut_factor;
+       rtt_scaling;
+       trouble_counting;
+       rexmit_thresh;
+       awnd_weight;
+       interval_ewma_weight;
+       srtt_weight;
+       dupthresh;
+       init_cwnd;
+       init_ssthresh;
+       max_burst;
+       rcv_buffer;
+       data_size;
+       min_rto;
+       ack_jitter;
+       rexmit_timeout_factor;
+     })
 
-let r_rtt_scaling r =
-  match r_int r with
-  | 0 -> Rla.Params.Equal_rtt
-  | 1 -> Rla.Params.Rtt_power (r_f64 r)
-  | n -> raise (Parse (Printf.sprintf "bad rtt-scaling tag %d" n))
-
-let w_trouble_counting b = function
-  | Rla.Params.Dynamic -> w_int b 0
-  | Rla.Params.All_receivers -> w_int b 1
-
-let r_trouble_counting r =
-  match r_int r with
-  | 0 -> Rla.Params.Dynamic
-  | 1 -> Rla.Params.All_receivers
-  | n -> raise (Parse (Printf.sprintf "bad trouble-counting tag %d" n))
-
-let w_rla_params b (p : Rla.Params.t) =
-  w_f64 b p.Rla.Params.eta;
-  w_f64 b p.group_rtt_factor;
-  w_f64 b p.forced_cut_factor;
-  w_rtt_scaling b p.rtt_scaling;
-  w_trouble_counting b p.trouble_counting;
-  w_int b p.rexmit_thresh;
-  w_f64 b p.awnd_weight;
-  w_f64 b p.interval_ewma_weight;
-  w_f64 b p.srtt_weight;
-  w_int b p.dupthresh;
-  w_f64 b p.init_cwnd;
-  w_f64 b p.init_ssthresh;
-  w_int b p.max_burst;
-  w_int b p.rcv_buffer;
-  w_int b p.data_size;
-  w_f64 b p.min_rto;
-  w_f64 b p.ack_jitter;
-  w_f64 b p.rexmit_timeout_factor
-
-let r_rla_params r =
-  let eta = r_f64 r in
-  let group_rtt_factor = r_f64 r in
-  let forced_cut_factor = r_f64 r in
-  let rtt_scaling = r_rtt_scaling r in
-  let trouble_counting = r_trouble_counting r in
-  let rexmit_thresh = r_int r in
-  let awnd_weight = r_f64 r in
-  let interval_ewma_weight = r_f64 r in
-  let srtt_weight = r_f64 r in
-  let dupthresh = r_int r in
-  let init_cwnd = r_f64 r in
-  let init_ssthresh = r_f64 r in
-  let max_burst = r_int r in
-  let rcv_buffer = r_int r in
-  let data_size = r_int r in
-  let min_rto = r_f64 r in
-  let ack_jitter = r_f64 r in
-  let rexmit_timeout_factor = r_f64 r in
-  {
-    Rla.Params.eta;
-    group_rtt_factor;
-    forced_cut_factor;
-    rtt_scaling;
-    trouble_counting;
-    rexmit_thresh;
-    awnd_weight;
-    interval_ewma_weight;
-    srtt_weight;
-    dupthresh;
-    init_cwnd;
-    init_ssthresh;
-    max_burst;
-    rcv_buffer;
-    data_size;
-    min_rto;
-    ack_jitter;
-    rexmit_timeout_factor;
-  }
-
-let w_sharing_config b (c : Experiments.Sharing.config) =
-  w_gateway b c.Experiments.Sharing.gateway;
-  w_case b c.case;
-  w_f64 b c.duration;
-  w_f64 b c.warmup;
-  w_int b c.seed;
-  w_rla_params b c.rla_params;
-  w_f64 b c.share;
-  w_option w_bool b c.phase_jitter;
-  w_bool b c.ecn
-
-let r_sharing_config r =
-  let gateway = r_gateway r in
-  let case = r_case r in
-  let duration = r_f64 r in
-  let warmup = r_f64 r in
-  let seed = r_int r in
-  let rla_params = r_rla_params r in
-  let share = r_f64 r in
-  let phase_jitter = r_option r_bool r in
-  let ecn = r_bool r in
-  {
-    Experiments.Sharing.gateway;
-    case;
-    duration;
-    warmup;
-    seed;
-    rla_params;
-    share;
-    phase_jitter;
-    ecn;
-  }
+let sharing_config =
+  let module S = Experiments.Sharing in
+  Codec.record
+    (let+ gateway = Codec.field gateway (fun c -> c.S.gateway)
+     and+ case = Codec.field tree_case (fun c -> c.S.case)
+     and+ duration = Codec.field Codec.f64 (fun c -> c.S.duration)
+     and+ warmup = Codec.field Codec.f64 (fun c -> c.S.warmup)
+     and+ seed = Codec.field Codec.int (fun c -> c.S.seed)
+     and+ rla_params = Codec.field rla_params (fun c -> c.S.rla_params)
+     and+ share = Codec.field Codec.f64 (fun c -> c.S.share)
+     and+ phase_jitter =
+       Codec.field (Codec.option Codec.bool) (fun c -> c.S.phase_jitter)
+     and+ ecn = Codec.field Codec.bool (fun c -> c.S.ecn) in
+     {
+       S.gateway;
+       case;
+       duration;
+       warmup;
+       seed;
+       rla_params;
+       share;
+       phase_jitter;
+       ecn;
+     })

@@ -33,15 +33,10 @@ type probe = {
 type t = {
   net : Net.Network.t;
   handlers : handlers;
-  timeline : Timeline.t;
   mutable log : applied list;  (** Reverse application order. *)
   mutable outages : int;
   mutable skipped : int;
   mutable touched : Timeline.link list;  (** Links ever taken down. *)
-  (* Timeline entries scheduled but not yet fired, keyed by event id;
-     the payload is the entry's index in [Timeline.entries], which is
-     all a restore needs to re-arm the same firing. *)
-  pending : (Sim.Scheduler.event_id, int) Hashtbl.t;
   probe : probe option;
 }
 
@@ -177,67 +172,17 @@ let install ~net ?(handlers = null_handlers) timeline =
     {
       net;
       handlers;
-      timeline;
       log = [];
       outages = 0;
       skipped = 0;
       touched = [];
-      pending = Hashtbl.create 16;
       probe;
     }
   in
   let sched = Net.Network.scheduler net in
-  List.iteri
-    (fun idx ({ Timeline.time; _ } as entry) ->
+  List.iter
+    (fun ({ Timeline.time; _ } as entry) ->
       let at = Float.max time (Sim.Scheduler.now sched) in
-      let rid = ref (-1) in
-      let id =
-        Sim.Scheduler.schedule_at sched at (fun () ->
-            Hashtbl.remove t.pending !rid;
-            fire t entry)
-      in
-      rid := id;
-      Hashtbl.replace t.pending id idx)
+      ignore (Sim.Scheduler.schedule_at sched at (fun () -> fire t entry)))
     (Timeline.entries timeline);
   t
-
-(* --- checkpoint/restore -------------------------------------------- *)
-
-type state = {
-  s_log : applied list;  (* reverse application order, as stored *)
-  s_outages : int;
-  s_skipped : int;
-  s_touched : Timeline.link list;
-  s_pending : (Sim.Scheduler.event_id * int) list;
-      (* (event id, timeline-entry index), ascending id *)
-}
-
-let capture t =
-  {
-    s_log = t.log;
-    s_outages = t.outages;
-    s_skipped = t.skipped;
-    s_touched = t.touched;
-    s_pending =
-      Hashtbl.fold (fun id idx acc -> (id, idx) :: acc) t.pending []
-      |> List.sort (fun (a, _) (b, _) -> Int.compare a b);
-  }
-
-let restore t st =
-  t.log <- st.s_log;
-  t.outages <- st.s_outages;
-  t.skipped <- st.s_skipped;
-  t.touched <- st.s_touched;
-  Hashtbl.reset t.pending;
-  let entries = Array.of_list (Timeline.entries t.timeline) in
-  let sched = Net.Network.scheduler t.net in
-  List.iter
-    (fun (id, idx) ->
-      if idx < 0 || idx >= Array.length entries then
-        invalid_arg "Injector.restore: timeline entry index out of range";
-      let entry = entries.(idx) in
-      Hashtbl.replace t.pending id idx;
-      Sim.Scheduler.rearm sched ~id (fun () ->
-          Hashtbl.remove t.pending id;
-          fire t entry))
-    st.s_pending

@@ -67,21 +67,3 @@ val skipped : t -> int
 val downtime : t -> float
 (** Cumulative outage seconds summed over the duplex pairs this
     injector has taken down (in-progress outages included). *)
-
-type state = {
-  s_log : applied list;  (** reverse application order *)
-  s_outages : int;
-  s_skipped : int;
-  s_touched : Timeline.link list;
-  s_pending : (Sim.Scheduler.event_id * int) list;
-      (** not-yet-fired entries as [(event id, timeline-entry index)],
-          ascending id *)
-}
-
-val capture : t -> state
-
-val restore : t -> state -> unit
-(** Overwrite the injector's progress and re-arm every not-yet-fired
-    timeline entry under its original event id.  The injector must
-    have been installed from the same timeline; must run after
-    [Sim.Scheduler.restore]. *)

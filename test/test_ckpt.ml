@@ -1,104 +1,108 @@
-(* Checkpoint subsystem tests: codec primitives and container
-   robustness (truncation, corruption), qcheck round-trips over
-   randomized component states, the scheduler re-arm protocol, the
-   fault-injector capture/restore, journal save/load/diff, and a fast
-   end-to-end save -> load -> resume equivalence check (the slow
-   byte-identity variant lives in test_integration.ml). *)
+(* Checkpoint subsystem tests: codecs and container robustness
+   (truncation, corruption, overlong lengths), qcheck round-trips over
+   randomized component states, the scheduler re-arm protocol, journal
+   save/load/diff, and a fast end-to-end save -> load -> resume
+   equivalence check (the slow byte-identity variant lives in
+   test_integration.ml). *)
 
 let tmp_file suffix =
   Filename.temp_file "rla_ckpt_test" suffix
 
-(* --- codec primitives ----------------------------------------------- *)
+(* --- codecs ----------------------------------------------------------- *)
+
+(* Encode [v] as a section and decode it back. *)
+let round_trip c v = Ckpt.Codec.read c (Ckpt.Codec.section "x" c v)
+
+let decoded c v =
+  match round_trip c v with
+  | Ok v -> v
+  | Error e -> Alcotest.fail (Ckpt.Codec.error_to_string e)
 
 let test_primitive_round_trip () =
-  let b = Buffer.create 64 in
-  Ckpt.Codec.w_int b 42;
-  Ckpt.Codec.w_int b (-7);
-  Ckpt.Codec.w_f64 b 3.25;
-  Ckpt.Codec.w_f64 b (-0.0);
-  Ckpt.Codec.w_f64 b infinity;
-  Ckpt.Codec.w_f64 b nan;
-  Ckpt.Codec.w_bool b true;
-  Ckpt.Codec.w_string b "hello\x00world";
-  Ckpt.Codec.w_option Ckpt.Codec.w_int b None;
-  Ckpt.Codec.w_option Ckpt.Codec.w_int b (Some 9);
-  Ckpt.Codec.w_list Ckpt.Codec.w_int b [ 1; 2; 3 ];
-  let r = Ckpt.Codec.reader (Buffer.contents b) in
-  Alcotest.(check int) "int" 42 (Ckpt.Codec.r_int r);
-  Alcotest.(check int) "negative int" (-7) (Ckpt.Codec.r_int r);
-  Alcotest.(check (float 0.0)) "float" 3.25 (Ckpt.Codec.r_f64 r);
+  let int_back = decoded Ckpt.Codec.int
+  and f64_back = decoded Ckpt.Codec.f64 in
+  Alcotest.(check int) "int" 42 (int_back 42);
+  Alcotest.(check int) "negative int" (-7) (int_back (-7));
+  Alcotest.(check (float 0.0)) "float" 3.25 (f64_back 3.25);
   Alcotest.(check bool) "negative zero bits" true
-    (Int64.equal (Int64.bits_of_float (Ckpt.Codec.r_f64 r))
+    (Int64.equal (Int64.bits_of_float (f64_back (-0.0)))
        (Int64.bits_of_float (-0.0)));
   Alcotest.(check bool) "infinity" true
-    (Float.equal (Ckpt.Codec.r_f64 r) infinity);
-  Alcotest.(check bool) "nan round-trips" true (Float.is_nan (Ckpt.Codec.r_f64 r));
-  Alcotest.(check bool) "bool" true (Ckpt.Codec.r_bool r);
+    (Float.equal (f64_back infinity) infinity);
+  Alcotest.(check bool) "nan round-trips" true (Float.is_nan (f64_back nan));
+  Alcotest.(check bool) "bool" true (decoded Ckpt.Codec.bool true);
   Alcotest.(check string) "string with NUL" "hello\x00world"
-    (Ckpt.Codec.r_string r);
-  Alcotest.(check bool) "none" true
-    (Ckpt.Codec.r_option Ckpt.Codec.r_int r = None);
-  Alcotest.(check bool) "some" true
-    (Ckpt.Codec.r_option Ckpt.Codec.r_int r = Some 9);
+    (decoded Ckpt.Codec.string "hello\x00world");
+  let opt = Ckpt.Codec.option Ckpt.Codec.int in
+  Alcotest.(check bool) "none" true (decoded opt None = None);
+  Alcotest.(check bool) "some" true (decoded opt (Some 9) = Some 9);
   Alcotest.(check (list int)) "list" [ 1; 2; 3 ]
-    (Ckpt.Codec.r_list Ckpt.Codec.r_int r);
-  Alcotest.(check bool) "fully consumed" true (Ckpt.Codec.at_end r)
+    (decoded (Ckpt.Codec.list Ckpt.Codec.int) [ 1; 2; 3 ]);
+  Alcotest.(check (array (float 0.0))) "float array" [| 1.5; -0.25; 1e300 |]
+    (decoded Ckpt.Codec.floats [| 1.5; -0.25; 1e300 |])
 
 let test_i64_and_pair_round_trip () =
-  let b = Buffer.create 32 in
-  Ckpt.Codec.w_i64 b 0x0123456789ABCDEFL;
-  Ckpt.Codec.w_i64 b (-1L);
-  Ckpt.Codec.w_pair Ckpt.Codec.w_int Ckpt.Codec.w_f64 b (42, 1.5);
-  let r = Ckpt.Codec.reader (Buffer.contents b) in
-  Alcotest.(check int64) "i64" 0x0123456789ABCDEFL (Ckpt.Codec.r_i64 r);
-  Alcotest.(check int64) "negative i64" (-1L) (Ckpt.Codec.r_i64 r);
-  let i, f = Ckpt.Codec.r_pair Ckpt.Codec.r_int Ckpt.Codec.r_f64 r in
+  let i64_back = decoded Ckpt.Codec.i64 in
+  Alcotest.(check int64) "i64" 0x0123456789ABCDEFL
+    (i64_back 0x0123456789ABCDEFL);
+  Alcotest.(check int64) "negative i64" (-1L) (i64_back (-1L));
+  let i, f = decoded Ckpt.Codec.(pair int f64) (42, 1.5) in
   Alcotest.(check int) "pair fst" 42 i;
-  Alcotest.(check (float 0.0)) "pair snd" 1.5 f;
-  Alcotest.(check bool) "fully consumed" true (Ckpt.Codec.at_end r)
+  Alcotest.(check (float 0.0)) "pair snd" 1.5 f
 
 let test_parse_payload_trailing_bytes () =
-  let b = Buffer.create 16 in
-  Ckpt.Codec.w_int b 7;
-  Ckpt.Codec.w_int b 9;
-  let section = { Ckpt.Codec.name = "x"; payload = Buffer.contents b } in
-  (match Ckpt.Codec.parse_payload section Ckpt.Codec.r_int with
+  let section = Ckpt.Codec.(section "x" (pair int int)) (7, 9) in
+  (match Ckpt.Codec.read Ckpt.Codec.int section with
   | Error (Ckpt.Codec.Malformed _) -> ()
   | Ok _ -> Alcotest.fail "trailing bytes accepted"
   | Error e -> Alcotest.failf "wrong error %s" (Ckpt.Codec.error_to_string e));
-  match
-    Ckpt.Codec.parse_payload section
-      (Ckpt.Codec.r_pair Ckpt.Codec.r_int Ckpt.Codec.r_int)
-  with
+  match Ckpt.Codec.(read (pair int int)) section with
   | Ok (7, 9) -> ()
   | Ok _ -> Alcotest.fail "wrong payload decoded"
   | Error e -> Alcotest.fail (Ckpt.Codec.error_to_string e)
 
 let sections_fixture =
   [
-    { Ckpt.Codec.name = "alpha"; payload = "some payload bytes" };
-    { Ckpt.Codec.name = "beta"; payload = "" };
-    { Ckpt.Codec.name = "gamma"; payload = String.init 256 Char.chr };
+    Ckpt.Codec.section "alpha" Ckpt.Codec.string "some payload bytes";
+    Ckpt.Codec.section "beta" Ckpt.Codec.string "";
+    Ckpt.Codec.section "gamma" Ckpt.Codec.string (String.init 256 Char.chr);
   ]
 
+let with_tmp_file suffix f =
+  let path = tmp_file suffix in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+(* The bytes [save_file] writes for [sections]. *)
+let file_bytes sections =
+  with_tmp_file ".ckpt" (fun path ->
+      Ckpt.Codec.save_file ~path sections;
+      In_channel.with_open_bin path In_channel.input_all)
+
+(* [load_file] over a file holding exactly [bytes]. *)
+let load_bytes bytes =
+  with_tmp_file ".ckpt" (fun path ->
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc bytes);
+      Ckpt.Codec.load_file ~path)
+
 let test_container_round_trip () =
-  let encoded = Ckpt.Codec.encode sections_fixture in
-  match Ckpt.Codec.decode encoded with
+  match load_bytes (file_bytes sections_fixture) with
   | Error e -> Alcotest.fail (Ckpt.Codec.error_to_string e)
   | Ok sections ->
       Alcotest.(check int) "section count" 3 (List.length sections);
       List.iter2
-        (fun (a : Ckpt.Codec.section) (b : Ckpt.Codec.section) ->
-          Alcotest.(check string) "name" a.Ckpt.Codec.name b.Ckpt.Codec.name;
-          Alcotest.(check string) "payload" a.payload b.payload)
+        (fun a b ->
+          Alcotest.(check string) "name" (Ckpt.Codec.name a) (Ckpt.Codec.name b);
+          Alcotest.(check string) "payload" (Ckpt.Codec.payload a)
+            (Ckpt.Codec.payload b))
         sections_fixture sections
 
 let test_truncation_never_raises () =
-  (* Every proper prefix of a valid file must decode to a typed error,
+  (* Every proper prefix of a valid file must load as a typed error,
      never an exception. *)
-  let encoded = Ckpt.Codec.encode sections_fixture in
+  let encoded = file_bytes sections_fixture in
   for len = 0 to String.length encoded - 1 do
-    match Ckpt.Codec.decode (String.sub encoded 0 len) with
+    match load_bytes (String.sub encoded 0 len) with
     | Ok _ -> Alcotest.failf "prefix of %d bytes decoded successfully" len
     | Error (Ckpt.Codec.Truncated | Ckpt.Codec.Bad_magic) -> ()
     | Error e ->
@@ -107,12 +111,12 @@ let test_truncation_never_raises () =
   done
 
 let test_corruption_detected_per_section () =
-  let encoded = Ckpt.Codec.encode sections_fixture in
+  let encoded = file_bytes sections_fixture in
   (* Flip a byte inside the last section's payload: the CRC must name
      that section. *)
   let target = "gamma" in
   let idx =
-    (* The 257-byte payload is unique; find one of its bytes. *)
+    (* The 256-byte payload is unique; find one of its bytes. *)
     let rec find i =
       if i >= String.length encoded then Alcotest.fail "pattern not found"
       else if
@@ -125,7 +129,7 @@ let test_corruption_detected_per_section () =
   in
   let corrupted = Bytes.of_string encoded in
   Bytes.set corrupted (idx + 2) '\xff';
-  (match Ckpt.Codec.decode (Bytes.to_string corrupted) with
+  (match load_bytes (Bytes.to_string corrupted) with
   | Error (Ckpt.Codec.Crc_mismatch name) ->
       Alcotest.(check string) "names the bad section" target name
   | Ok _ -> Alcotest.fail "corruption went undetected"
@@ -133,15 +137,61 @@ let test_corruption_detected_per_section () =
   (* Bad magic. *)
   let bad_magic = Bytes.of_string encoded in
   Bytes.set bad_magic 0 'X';
-  (match Ckpt.Codec.decode (Bytes.to_string bad_magic) with
+  (match load_bytes (Bytes.to_string bad_magic) with
   | Error Ckpt.Codec.Bad_magic -> ()
   | _ -> Alcotest.fail "bad magic undetected");
   (* Future version. *)
   let bad_version = Bytes.of_string encoded in
   Bytes.set bad_version 15 '\x63';
-  match Ckpt.Codec.decode (Bytes.to_string bad_version) with
+  match load_bytes (Bytes.to_string bad_version) with
   | Error (Ckpt.Codec.Bad_version 99) -> ()
   | _ -> Alcotest.fail "version mismatch undetected"
+
+(* The header carries no CRC: a section's name-length or payload-length
+   word set near [max_int] must point past the end of the file, not wrap
+   around the bounds check. *)
+let test_overlong_header_lengths () =
+  let encoded = file_bytes sections_fixture in
+  (* First section: name length at 24, name "alpha" at 32, payload
+     length at 37. *)
+  List.iter
+    (fun (what, offset, word) ->
+      let b = Bytes.of_string encoded in
+      Bytes.set_int64_be b offset word;
+      match load_bytes (Bytes.to_string b) with
+      | Error Ckpt.Codec.Truncated -> ()
+      | Ok _ -> Alcotest.failf "%s: damaged file loaded" what
+      | Error e ->
+          Alcotest.failf "%s: unexpected %s" what (Ckpt.Codec.error_to_string e))
+    [
+      ("name length", 24, Int64.of_int max_int);
+      ("name length", 24, Int64.of_int (max_int - 20));
+      ("payload length", 37, Int64.of_int max_int);
+      ("payload length", 37, Int64.of_int (max_int - 20));
+    ]
+
+(* A payload whose CRC is valid but whose float-array count is far
+   beyond its bytes is refused before anything is allocated. *)
+let test_registry_array_count_refused () =
+  let payload =
+    (* No counters, no gauges, one series named "s" with limit 0 whose
+       [s_times] claims 2^50 floats, of which two follow. *)
+    Ckpt.Codec.(
+      pair (pair int int)
+        (pair (pair int string) (pair int (pair int (pair f64 f64)))))
+  in
+  let section =
+    Ckpt.Codec.section "registry" payload
+      ((0, 0), ((1, "s"), (0, (1 lsl 50, (1.0, 2.0)))))
+  in
+  match load_bytes (file_bytes [ section ]) with
+  | Error e -> Alcotest.fail (Ckpt.Codec.error_to_string e)
+  | Ok [ section ] -> (
+      match Ckpt.Codec.read Ckpt.State.registry section with
+      | Error (Ckpt.Codec.Malformed _) -> ()
+      | Ok _ -> Alcotest.fail "2^50 floats decoded"
+      | Error e -> Alcotest.failf "unexpected %s" (Ckpt.Codec.error_to_string e))
+  | Ok _ -> Alcotest.fail "expected one section"
 
 let test_crc32_check_value () =
   Alcotest.(check int64) "standard check value" 0xCBF43926L
@@ -187,7 +237,7 @@ let prop_crc32_matches_bytewise =
 
 (* A failed save (here the rename onto a non-empty directory) raises and
    leaves no [.tmp] file behind. *)
-let test_save_failure_removes_tmp () =
+let with_occupied_dir f =
   let dir = Filename.temp_dir "rla_ckpt_test" "" in
   let inner = Filename.concat dir "occupied" in
   Out_channel.with_open_bin inner (fun oc -> Out_channel.output_string oc "x");
@@ -199,7 +249,7 @@ let test_save_failure_removes_tmp () =
       Sys.rmdir dir;
       if Sys.file_exists (dir ^ ".tmp") then Sys.remove (dir ^ ".tmp"))
     (fun () ->
-      (match Ckpt.Codec.save_file ~path:dir sections_fixture with
+      (match f dir with
       | () -> Alcotest.fail "saved onto a non-empty directory"
       | exception Sys_error _ -> ());
       Alcotest.(check bool)
@@ -208,17 +258,25 @@ let test_save_failure_removes_tmp () =
       Alcotest.(check (list string)) "directory untouched" [ "occupied" ]
         (Array.to_list (Sys.readdir dir)))
 
+let test_save_failure_removes_tmp () =
+  with_occupied_dir (fun path -> Ckpt.Codec.save_file ~path sections_fixture)
+
 let test_short_i64_is_parse_error () =
-  let r = Ckpt.Codec.reader "\001\002\003\004\005\006\007" in
-  match Ckpt.Codec.r_i64 r with
-  | _ -> Alcotest.fail "7 bytes read as an int64"
-  | exception Ckpt.Codec.Parse _ -> ()
+  (* One byte where eight are needed. *)
+  match
+    Ckpt.Codec.read Ckpt.Codec.i64 (Ckpt.Codec.section "x" Ckpt.Codec.bool true)
+  with
+  | Error (Ckpt.Codec.Malformed msg) ->
+      Alcotest.(check string) "message"
+        "section \"x\": unexpected end of input" msg
+  | Ok _ -> Alcotest.fail "1 byte read as an int64"
+  | Error e -> Alcotest.failf "unexpected %s" (Ckpt.Codec.error_to_string e)
 
 let test_cut_mid_section_truncated () =
-  let encoded = Ckpt.Codec.encode sections_fixture in
+  let encoded = file_bytes sections_fixture in
   (* Halfway into the last section's 256-byte payload. *)
   let cut = String.length encoded - 128 in
-  match Ckpt.Codec.decode (String.sub encoded 0 cut) with
+  match load_bytes (String.sub encoded 0 cut) with
   | Error Ckpt.Codec.Truncated -> ()
   | Ok _ -> Alcotest.fail "cut file decoded"
   | Error e -> Alcotest.failf "unexpected %s" (Ckpt.Codec.error_to_string e)
@@ -227,10 +285,7 @@ let test_load_file_errors () =
   (match Ckpt.Codec.load_file ~path:"/nonexistent/rla.ckpt" with
   | Error (Ckpt.Codec.Malformed _) -> ()
   | _ -> Alcotest.fail "missing file should be Malformed with the OS message");
-  let path = tmp_file ".ckpt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
+  with_tmp_file ".ckpt" (fun path ->
       Ckpt.Codec.save_file ~path sections_fixture;
       (match Ckpt.Codec.load_file ~path with
       | Ok s -> Alcotest.(check int) "sections back" 3 (List.length s)
@@ -284,7 +339,6 @@ let gen_scoreboard_state =
 let prop_scoreboard_codec_round_trip =
   QCheck.Test.make ~name:"tcp sender state codec round-trips" ~count:200
     gen_scoreboard_state (fun st ->
-      let buf = Buffer.create 256 in
       let st_wrapped =
         {
           Tcp.Sender.s_sb = st;
@@ -339,10 +393,7 @@ let prop_scoreboard_codec_round_trip =
           s_ghost_acks = 2;
         }
       in
-      Ckpt.State.w_tcp_sender buf st_wrapped;
-      let r = Ckpt.Codec.reader (Buffer.contents buf) in
-      let back = Ckpt.State.r_tcp_sender r in
-      Ckpt.Codec.at_end r && back = st_wrapped)
+      round_trip Ckpt.State.tcp_sender st_wrapped = Ok st_wrapped)
 
 let gen_packet =
   QCheck.Gen.(
@@ -454,8 +505,7 @@ let gen_link_state =
 let prop_link_codec_round_trip =
   QCheck.Test.make ~name:"link state codec round-trips" ~count:200 gen_link_state
     (fun st ->
-      let buf = Buffer.create 512 in
-      Ckpt.State.w_network buf
+      let net =
         {
           Net.Network.s_root_rng = 77L;
           s_next_flow = 3;
@@ -463,10 +513,9 @@ let prop_link_codec_round_trip =
           s_next_uid = 999;
           s_nodes = [ 0; 0; 1 ];
           s_links = [ st ];
-        };
-      let r = Ckpt.Codec.reader (Buffer.contents buf) in
-      let back = Ckpt.State.r_network r in
-      Ckpt.Codec.at_end r && back.Net.Network.s_links = [ st ])
+        }
+      in
+      round_trip Ckpt.State.network net = Ok net)
 
 let gen_scheduler_state =
   QCheck.make
@@ -488,12 +537,248 @@ let gen_scheduler_state =
 
 let prop_scheduler_codec_round_trip =
   QCheck.Test.make ~name:"scheduler state codec round-trips" ~count:300
-    gen_scheduler_state (fun st ->
-      let buf = Buffer.create 256 in
-      Ckpt.State.w_scheduler buf st;
-      let r = Ckpt.Codec.reader (Buffer.contents buf) in
-      let back = Ckpt.State.r_scheduler r in
-      Ckpt.Codec.at_end r && back = st)
+    gen_scheduler_state (fun st -> round_trip Ckpt.State.scheduler st = Ok st)
+
+(* Small random pieces shared by the generators below.  Floats stay
+   finite and non-NaN so structural equality is the round-trip check. *)
+let g_float = QCheck.Gen.float_range (-1e6) 1e6
+
+let g_ints = QCheck.Gen.(list_size (int_bound 6) (int_bound 1000))
+
+let g_event = QCheck.Gen.(opt (int_bound 100_000))
+
+let g_ewma =
+  QCheck.Gen.(
+    let* s_avg = g_float in
+    let* s_samples = int_bound 500 in
+    return { Stats.Ewma.s_avg; s_samples })
+
+let g_welford =
+  QCheck.Gen.(
+    let* s_n = int_bound 500 in
+    let* s_mean = g_float in
+    let* s_m2 = g_float in
+    let* s_min = g_float in
+    let* s_max = g_float in
+    return { Stats.Welford.s_n; s_mean; s_m2; s_min; s_max })
+
+let g_time_avg =
+  QCheck.Gen.(
+    let* s_start = g_float in
+    let* s_last_time = g_float in
+    let* s_last_value = g_float in
+    let* s_weighted_sum = g_float in
+    return { Stats.Time_avg.s_start; s_last_time; s_last_value; s_weighted_sum })
+
+let g_rcv_state =
+  QCheck.Gen.(
+    let* s_board = QCheck.gen gen_scoreboard_state in
+    let* s_srtt = g_ewma in
+    let* s_interval = g_ewma in
+    let* s_cperiod_start = g_float in
+    let* s_last_signal = g_float in
+    let* s_signals = int_bound 100 in
+    let* s_acks = int_bound 1000 in
+    let* s_active = bool in
+    return
+      {
+        Rla.Rcv_state.s_board;
+        s_srtt;
+        s_interval;
+        s_cperiod_start;
+        s_last_signal;
+        s_signals;
+        s_acks;
+        s_active;
+      })
+
+let g_rla_receiver =
+  QCheck.Gen.(
+    let* s_rng = ui64 in
+    let* s_ooo = g_ints in
+    let* s_recent = g_ints in
+    let* s_expected = int_bound 1000 in
+    let* s_received_total = int_bound 1000 in
+    let* s_duplicates = int_bound 50 in
+    let* s_rexmits_received = int_bound 50 in
+    let* s_pending_acks =
+      list_size (int_bound 4) (triple (int_bound 1000) g_float bool)
+    in
+    return
+      {
+        Rla.Receiver.s_rng;
+        s_ooo;
+        s_recent;
+        s_expected;
+        s_received_total;
+        s_duplicates;
+        s_rexmits_received;
+        s_pending_acks;
+      })
+
+let gen_rla_sender_state =
+  QCheck.make
+    QCheck.Gen.(
+      let* s_rcvrs = list_size (int_bound 4) g_rcv_state in
+      let* s_endpoints = list_size (int_bound 4) g_rla_receiver in
+      let* s_rng = ui64 in
+      let* s_srtt = g_float in
+      let* s_cwnd = g_float in
+      let* s_ssthresh = g_float in
+      let* s_awnd = g_ewma in
+      let* s_last_window_cut = g_float in
+      let* s_next_seq = int_bound 5000 in
+      let* s_mra = int_bound 5000 in
+      let* s_coverage =
+        list_size (int_bound 6)
+          (let* c_seq = int_bound 5000 in
+           let* c_covered = int_bound 27 in
+           let* c_rexmitted = bool in
+           let* c_sent_at = g_float in
+           return { Rla.Sender.c_seq; c_covered; c_rexmitted; c_sent_at })
+      in
+      let* s_pending = g_ints in
+      let* s_rexmit_queue =
+        list_size (int_bound 4)
+          (pair (int_bound 5000)
+             (oneof
+                [
+                  return Rla.Sender.To_group;
+                  map (fun l -> Rla.Sender.To_receivers l) g_ints;
+                ]))
+      in
+      let* s_queued = g_ints in
+      let* s_timer = g_event in
+      let* s_start_event = g_event in
+      let* c = int_bound 10_000 in
+      let* s_cwnd_avg = g_time_avg in
+      let* s_rtt = g_welford in
+      let* s_rtt_acks = g_welford in
+      let* s_meas_time = g_float in
+      let* s_meas_signals_per = g_ints in
+      return
+        {
+          Rla.Sender.s_rcvrs;
+          s_n_active = List.length s_rcvrs;
+          s_endpoints;
+          s_rng;
+          s_rto = { Tcp.Rto.s_srtt; s_rttvar = 0.05; s_shift = 1; s_samples = 4 };
+          s_cwnd;
+          s_ssthresh;
+          s_awnd;
+          s_last_window_cut;
+          s_next_seq;
+          s_mra;
+          s_coverage;
+          s_pending;
+          s_rexmit_queue;
+          s_queued;
+          s_timer;
+          s_start_event;
+          s_num_trouble = c + 1;
+          s_window_cuts = c + 2;
+          s_forced_cuts = c + 3;
+          s_timeouts = c + 4;
+          s_signals = c + 5;
+          s_rexmits_multicast = c + 6;
+          s_rexmits_unicast = c + 7;
+          s_sent_new = c + 8;
+          s_cwnd_avg;
+          s_rtt;
+          s_rtt_acks;
+          s_meas_time;
+          s_meas_mra = c + 9;
+          s_meas_signals = c + 10;
+          s_meas_cuts = c + 11;
+          s_meas_forced = c + 12;
+          s_meas_timeouts = c + 13;
+          s_meas_rexmits = c + 14;
+          s_meas_sent_new = c + 15;
+          s_meas_signals_per;
+        })
+
+let prop_rla_sender_codec_round_trip =
+  QCheck.Test.make ~name:"rla sender state codec round-trips" ~count:200
+    gen_rla_sender_state (fun st -> round_trip Ckpt.State.rla_sender st = Ok st)
+
+let gen_registry_state =
+  QCheck.make
+    QCheck.Gen.(
+      let g_name = string_size ~gen:printable (int_bound 12) in
+      let g_floats = array_size (int_bound 50) g_float in
+      let* s_counters =
+        list_size (int_bound 5) (pair g_name (int_bound 1_000_000))
+      in
+      let* s_gauges = list_size (int_bound 5) (pair g_name g_float) in
+      let* s_series =
+        list_size (int_bound 4)
+          (let* name = g_name in
+           let* limit = int_bound 10_000 in
+           let* s_times = g_floats in
+           let* s_values = g_floats in
+           let* s_stride = int_range 1 8 in
+           let* s_skip = int_bound 8 in
+           let* s_offered = int_bound 100_000 in
+           return
+             ( name,
+               limit,
+               { Obs.Series.s_times; s_values; s_stride; s_skip; s_offered } ))
+      in
+      return { Obs.Registry.s_counters; s_gauges; s_series })
+
+let prop_registry_codec_round_trip =
+  QCheck.Test.make ~name:"registry state codec round-trips" ~count:200
+    gen_registry_state (fun st -> round_trip Ckpt.State.registry st = Ok st)
+
+let gen_sharing_config =
+  QCheck.make
+    QCheck.Gen.(
+      let* gateway =
+        oneofl [ Experiments.Scenario.Droptail; Experiments.Scenario.Red ]
+      in
+      let* k = int_range 1 27 in
+      let* case =
+        oneofl
+          Experiments.Tree.
+            [ L1_bottleneck; L2_all; L3_all; L4_all; L4_first k; L2_single ]
+      in
+      let* duration = float_range 1.0 3000.0 in
+      let* seed = int_bound 1_000_000 in
+      let* eta = g_float in
+      let* power = g_float in
+      let* rtt_scaling =
+        oneofl [ Rla.Params.Equal_rtt; Rla.Params.Rtt_power power ]
+      in
+      let* trouble_counting =
+        oneofl [ Rla.Params.Dynamic; Rla.Params.All_receivers ]
+      in
+      let* dupthresh = int_range 1 10 in
+      let* share = g_float in
+      let* phase_jitter = opt bool in
+      let* ecn = bool in
+      let base = Experiments.Sharing.default_config ~gateway ~case in
+      return
+        {
+          base with
+          Experiments.Sharing.duration;
+          warmup = duration /. 3.0;
+          seed;
+          rla_params =
+            {
+              base.Experiments.Sharing.rla_params with
+              Rla.Params.eta;
+              rtt_scaling;
+              trouble_counting;
+              dupthresh;
+            };
+          share;
+          phase_jitter;
+          ecn;
+        })
+
+let prop_sharing_config_codec_round_trip =
+  QCheck.Test.make ~name:"sharing config codec round-trips" ~count:200
+    gen_sharing_config (fun c -> round_trip Ckpt.State.sharing_config c = Ok c)
 
 let prop_scheduler_restore_preserves_order =
   (* restore (capture s) into a fresh scheduler + rearm reproduces the
@@ -556,68 +841,6 @@ let test_heap_capture_restore () =
   in
   Alcotest.(check (list int)) "same drain order" (drain h1) (drain h2)
 
-(* --- injector capture/restore --------------------------------------- *)
-
-let injector_fixture () =
-  let net = Net.Network.create ~seed:5 () in
-  let a = Net.Node.id (Net.Network.add_node net) in
-  let b = Net.Node.id (Net.Network.add_node net) in
-  ignore
-    (Net.Network.duplex net a b
-       (Experiments.Scenario.fast_link_config
-          ~gateway:Experiments.Scenario.Droptail ~delay:0.01 ()));
-  Net.Network.install_routes net;
-  let timeline =
-    Faults.Timeline.scripted
-      [
-        (1.0, Faults.Timeline.Link_down (a, b));
-        (2.0, Faults.Timeline.Link_up (a, b));
-        (3.0, Faults.Timeline.Link_down (a, b));
-        (4.0, Faults.Timeline.Link_up (a, b));
-      ]
-  in
-  (net, Faults.Injector.install ~net timeline)
-
-let test_injector_capture_restore () =
-  (* Uninterrupted reference. *)
-  let net_ref, inj_ref = injector_fixture () in
-  Net.Network.run_until net_ref 5.0;
-  (* Interrupted at t=2.5: capture, rebuild, restore, finish. *)
-  let net1, inj1 = injector_fixture () in
-  Net.Network.run_until net1 2.5;
-  let sched_st = Sim.Scheduler.capture (Net.Network.scheduler net1) in
-  let net_st = Net.Network.capture net1 in
-  let inj_st = Faults.Injector.capture inj1 in
-  let net2, inj2 = injector_fixture () in
-  Sim.Scheduler.restore (Net.Network.scheduler net2) sched_st;
-  Net.Network.restore net2 net_st;
-  Faults.Injector.restore inj2 inj_st;
-  Alcotest.(check (list int)) "all events claimed" []
-    (Sim.Scheduler.unrestored (Net.Network.scheduler net2));
-  Alcotest.(check int) "log restored" (Faults.Injector.injected inj1)
-    (Faults.Injector.injected inj2);
-  Net.Network.run_until net2 5.0;
-  Alcotest.(check int) "same injections" (Faults.Injector.injected inj_ref)
-    (Faults.Injector.injected inj2);
-  Alcotest.(check int) "same outages" (Faults.Injector.outages inj_ref)
-    (Faults.Injector.outages inj2);
-  Alcotest.(check bool) "same applied log" true
-    (Faults.Injector.applied inj_ref = Faults.Injector.applied inj2);
-  Alcotest.(check (float 1e-12)) "same downtime"
-    (Faults.Injector.downtime inj_ref)
-    (Faults.Injector.downtime inj2)
-
-let test_injector_codec_round_trip () =
-  let net, inj = injector_fixture () in
-  Net.Network.run_until net 2.5;
-  let st = Faults.Injector.capture inj in
-  let buf = Buffer.create 256 in
-  Ckpt.State.w_injector buf st;
-  let r = Ckpt.Codec.reader (Buffer.contents buf) in
-  let back = Ckpt.State.r_injector r in
-  Alcotest.(check bool) "codec round-trip" true
-    (Ckpt.Codec.at_end r && back = st)
-
 (* --- journal --------------------------------------------------------- *)
 
 let test_journal_save_load_diff () =
@@ -650,17 +873,30 @@ let test_journal_save_load_diff () =
                 d.Ckpt.Journal.index))
 
 let test_journal_entries_bit_exact () =
-  let j = Ckpt.Journal.create () in
   let e = { Ckpt.Journal.time = 1.0; source = "t"; event = "e"; value = 0.5 } in
-  Ckpt.Journal.record j e;
-  Ckpt.Journal.record j { e with Ckpt.Journal.value = -0.0 };
-  match Ckpt.Journal.entries j with
-  | [ a; b ] ->
-      Alcotest.(check bool) "recording order preserved" true
-        (Ckpt.Journal.entry_equal a e);
-      Alcotest.(check bool) "-0. and 0. are distinct payloads" false
-        (Ckpt.Journal.entry_equal b { e with Ckpt.Journal.value = 0.0 })
-  | _ -> Alcotest.fail "expected two entries"
+  let journal values =
+    let j = Ckpt.Journal.create () in
+    List.iter (fun value -> Ckpt.Journal.record j { e with value }) values;
+    j
+  in
+  Alcotest.(check (list (float 0.0))) "recording order preserved"
+    [ 0.5; -0.0; nan ]
+    (List.map
+       (fun e -> if Float.is_nan e.Ckpt.Journal.value then nan else e.value)
+       (Ckpt.Journal.entries (journal [ 0.5; -0.0; nan ])));
+  Alcotest.(check bool) "identical NaN payloads compare equal" true
+    (Ckpt.Journal.diff (journal [ 0.5; nan ]) (journal [ 0.5; nan ]) = None);
+  match Ckpt.Journal.diff (journal [ 0.5; -0.0 ]) (journal [ 0.5; 0.0 ]) with
+  | Some { Ckpt.Journal.index = 1; _ } -> ()
+  | _ -> Alcotest.fail "-0. and 0. are distinct payloads"
+
+(* Like [Codec.save_file]: a failed journal save raises and leaves no
+   [.tmp] file behind. *)
+let test_journal_save_failure_removes_tmp () =
+  let j = Ckpt.Journal.create () in
+  Ckpt.Journal.record j
+    { Ckpt.Journal.time = 1.0; source = "t"; event = "e"; value = 0.5 };
+  with_occupied_dir (fun path -> Ckpt.Journal.save j ~path)
 
 (* --- manager --------------------------------------------------------- *)
 
@@ -710,8 +946,13 @@ let test_save_load_resume_equivalent () =
   Alcotest.(check (float 0.0)) "ckpt run: same send rate"
     reference.Experiments.Sharing.rla.Rla.Sender.send_rate
     checkpointed.Experiments.Sharing.rla.Rla.Sender.send_rate;
-  let ckpt_t16 = Ckpt.Sharing_ckpt.checkpoint_file ~dir ~prefix:"t" ~time:16.0 in
-  Alcotest.(check bool) "checkpoint written" true (Sys.file_exists ckpt_t16);
+  (* One file per 8 s boundary, named <prefix>_t<time as %010.3f>.ckpt. *)
+  let files = Sys.readdir dir in
+  Array.sort String.compare files;
+  Alcotest.(check (array string)) "checkpoints written"
+    [| "t_t000008.000.ckpt"; "t_t000016.000.ckpt"; "t_t000024.000.ckpt" |]
+    files;
+  let ckpt_t16 = Filename.concat dir "t_t000016.000.ckpt" in
   (match Ckpt.Sharing_ckpt.load ~path:ckpt_t16 with
   | Error e -> Alcotest.fail (Ckpt.Sharing_ckpt.error_to_string e)
   | Ok loaded ->
@@ -743,8 +984,8 @@ let test_save_load_resume_equivalent () =
   Sys.rmdir dir
 
 (* The checkpoint of the golden run, pinned by a digest recorded before
-   the codec moved to whole-word I/O.  The file is [Codec.encode]
-   output, and decoding it and encoding again gives the same bytes. *)
+   the codec moved to whole-word I/O.  Loading the file and saving its
+   sections again gives the same bytes. *)
 let test_checkpoint_bytes_golden () =
   let session, registry = Golden_run.run () in
   let path = tmp_file ".ckpt" in
@@ -758,11 +999,11 @@ let test_checkpoint_bytes_golden () =
       Alcotest.(check int) "length" 5_799_408 (String.length bytes);
       Alcotest.(check string) "digest" "e8d46ba8bcc267c11e90c5559e3aab0e"
         (Digest.to_hex (Digest.string bytes));
-      match Ckpt.Codec.decode bytes with
+      match Ckpt.Codec.load_file ~path with
       | Error e -> Alcotest.fail (Ckpt.Codec.error_to_string e)
       | Ok sections ->
           Alcotest.(check bool) "re-encodes byte-exactly" true
-            (String.equal (Ckpt.Codec.encode sections) bytes))
+            (String.equal (file_bytes sections) bytes))
 
 (* --- hardened TCP endpoint: restore at T/2 is byte-identical --------- *)
 
@@ -889,7 +1130,7 @@ let test_sharing_ckpt_sections () =
       match Ckpt.Codec.load_file ~path with
       | Error e -> Alcotest.fail (Ckpt.Codec.error_to_string e)
       | Ok sections ->
-          let names = List.map (fun s -> s.Ckpt.Codec.name) sections in
+          let names = List.map Ckpt.Codec.name sections in
           List.iter
             (fun required ->
               Alcotest.(check bool)
@@ -925,28 +1166,30 @@ let () =
             test_short_i64_is_parse_error;
           Alcotest.test_case "cut mid-section -> Truncated" `Quick
             test_cut_mid_section_truncated;
+          Alcotest.test_case "overlong header lengths -> Truncated" `Quick
+            test_overlong_header_lengths;
+          Alcotest.test_case "registry array count beyond payload -> Malformed"
+            `Quick test_registry_array_count_refused;
         ] );
       ( "state round-trips",
         [
           QCheck_alcotest.to_alcotest prop_scoreboard_codec_round_trip;
           QCheck_alcotest.to_alcotest prop_link_codec_round_trip;
           QCheck_alcotest.to_alcotest prop_scheduler_codec_round_trip;
+          QCheck_alcotest.to_alcotest prop_rla_sender_codec_round_trip;
+          QCheck_alcotest.to_alcotest prop_registry_codec_round_trip;
+          QCheck_alcotest.to_alcotest prop_sharing_config_codec_round_trip;
           QCheck_alcotest.to_alcotest prop_scheduler_restore_preserves_order;
           Alcotest.test_case "heap capture/restore" `Quick
             test_heap_capture_restore;
-        ] );
-      ( "faults",
-        [
-          Alcotest.test_case "injector capture/restore" `Quick
-            test_injector_capture_restore;
-          Alcotest.test_case "injector codec round-trip" `Quick
-            test_injector_codec_round_trip;
         ] );
       ( "journal",
         [
           Alcotest.test_case "save/load/diff" `Quick test_journal_save_load_diff;
           Alcotest.test_case "entries bit-exact" `Quick
             test_journal_entries_bit_exact;
+          Alcotest.test_case "failed journal save leaves no tmp" `Quick
+            test_journal_save_failure_removes_tmp;
         ] );
       ( "manager",
         [

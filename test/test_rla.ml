@@ -619,15 +619,17 @@ let test_restore_rebuilds_address_index () =
    captured sender state. *)
 let test_distant_receiver_golden () =
   let rla = Golden_run.distant_receiver_run () in
-  let buf = Buffer.create 4096 in
-  Ckpt.State.w_rla_sender buf (Rla.Sender.capture rla);
+  let state =
+    Ckpt.Codec.payload
+      (Ckpt.Codec.section "rla" Ckpt.State.rla_sender (Rla.Sender.capture rla))
+  in
   Alcotest.(check int) "multicast retransmissions" 115
     (Rla.Sender.rexmits_multicast rla);
   Alcotest.(check int) "timeouts" 1 (Rla.Sender.timeouts rla);
   Alcotest.(check int) "delivered to all" 3631 (Rla.Sender.max_reach_all rla);
   Alcotest.(check string) "captured sender state digest"
     "af64312be00953433512d86e970c4ff7"
-    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+    (Digest.to_hex (Digest.string state))
 
 let test_duplicate_receivers_rejected () =
   let net, s, leaves = star () in
