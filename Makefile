@@ -4,8 +4,9 @@
 # then check, then a per-flow trace smoke (non-empty CSV from an
 # instrumented rla_trace run), a churn smoke (a faulted run must
 # inject events and replay byte-identically across --jobs), and an
-# invariant smoke (a run under RLA_DEBUG_INVARIANTS=1 must stay
-# byte-identical to the uninstrumented run), and a checkpoint smoke
+# invariant smoke (a trace run and a sharded scale run under
+# RLA_DEBUG_INVARIANTS=1 must stay byte-identical to the uninstrumented
+# runs), and a checkpoint smoke
 # (checkpointed and restored runs must reproduce the uninterrupted
 # trace CSV and registry JSON byte-for-byte, and a checkpoint whose
 # first section-name length is overwritten with max_int must be
@@ -73,7 +74,12 @@ invariant-smoke: build
 	  --seed 7 --csv $(INV_DIR)/dbg.csv --json $(INV_DIR)/dbg.json
 	@cmp $(INV_DIR)/plain.csv $(INV_DIR)/dbg.csv
 	@cmp $(INV_DIR)/plain.json $(INV_DIR)/dbg.json
-	@echo "invariant smoke OK (instrumented run byte-identical)"
+	dune exec bin/rla_sim.exe -- scale --fanout 5 --depth 3 --duration 4 \
+	  > $(INV_DIR)/scale_plain.txt
+	RLA_DEBUG_INVARIANTS=1 dune exec bin/rla_sim.exe -- scale --fanout 5 \
+	  --depth 3 --duration 4 > $(INV_DIR)/scale_dbg.txt
+	@cmp $(INV_DIR)/scale_plain.txt $(INV_DIR)/scale_dbg.txt
+	@echo "invariant smoke OK (instrumented runs byte-identical)"
 
 # Checkpoint/restore byte-identity: an uninterrupted run, a run that
 # writes checkpoints every 10 s, and a run restored from the mid-run

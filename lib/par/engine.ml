@@ -1,32 +1,14 @@
-(* Cross-shard message: the full wire content of a packet that left
-   its shard through a portal, plus the explicit merge key
-   (arrival, source shard, per-shard sequence). *)
-type msg = {
-  m_arrival : float;
-  m_src_shard : int;
-  m_seq : int;
-  m_entry : int;  (* global address of the receiving node *)
-  m_flow : int;
-  m_psrc : int;
-  m_dst : Net.Packet.dest;
-  m_size : int;
-  m_payload : Net.Packet.payload;
-  m_born : float;
-  m_ecn : bool;
-}
-
 type shard = {
-  index : int;
   net : Net.Network.t;
   registry : Obs.Registry.t option;
-  mutable outbox : msg list;  (* reverse push order *)
-  mutable out_seq : int;
-  mutable inbox : msg list;  (* merge order; drained at round start *)
+  mail : Mailbox.t;
+  import : unit -> unit;  (* the event action of every import here *)
 }
 
 type t = {
   part : Partition.t;
   shards : shard array;
+  mails : Mailbox.t array;  (* [shards.(i).mail] *)
   portals : (int * int, Net.Link.t) Hashtbl.t;
   lookahead : float;
   mutable horizon : float;
@@ -57,33 +39,11 @@ let events_fired t =
       acc + Sim.Scheduler.events_fired (Net.Network.scheduler sh.net))
     0 t.shards
 
-(* The portal's deliver callback runs at serialization end on the
-   sending shard (the portal itself has zero propagation delay); the
-   cut edge's real delay is added here, on the arrival stamp. *)
 let make_portal t ~src_shard ~u ~v ~config =
-  let sh = t.shards.(src_shard) in
-  let net = sh.net in
-  let cut_delay = config.Net.Link.prop_delay in
-  let deliver pkt =
-    let m =
-      {
-        m_arrival = Net.Network.now net +. cut_delay;
-        m_src_shard = src_shard;
-        m_seq = sh.out_seq;
-        m_entry = v;
-        m_flow = pkt.Net.Packet.flow;
-        m_psrc = pkt.Net.Packet.src;
-        m_dst = pkt.Net.Packet.dst;
-        m_size = pkt.Net.Packet.size;
-        m_payload = pkt.Net.Packet.payload;
-        m_born = pkt.Net.Packet.born;
-        m_ecn = pkt.Net.Packet.ecn;
-      }
-    in
-    sh.out_seq <- sh.out_seq + 1;
-    sh.outbox <- m :: sh.outbox;
-    Net.Packet.Pool.release (Net.Network.pool net) pkt
-  in
+  let net = t.shards.(src_shard).net in
+  let mail = t.shards.(src_shard).mail in
+  let delay = config.Net.Link.prop_delay in
+  let deliver pkt = Mailbox.push mail ~delay ~entry:v pkt in
   let link =
     Net.Link.create
       ~sched:(Net.Network.scheduler net)
@@ -117,7 +77,8 @@ let create ~topo ~partition ?(seed = 1) ?(registries = false) () =
               if registries then Some (Obs.Registry.create ()) else None
             in
             Net.Network.set_registry net registry;
-            { index = i; net; registry; outbox = []; out_seq = 0; inbox = [] })
+            let mail = Mailbox.create net in
+            { net; registry; mail; import = (fun () -> Mailbox.import mail) })
       in
       Array.iteri
         (fun i sh ->
@@ -129,6 +90,7 @@ let create ~topo ~partition ?(seed = 1) ?(registries = false) () =
         {
           part = partition;
           shards;
+          mails = Array.map (fun sh -> sh.mail) shards;
           portals = Hashtbl.create 64;
           lookahead = la;
           horizon = 0.0;
@@ -205,56 +167,11 @@ let join t ~group v = Net.Node.join (node_of t v) ~group
 
 (* --- barrier rounds ------------------------------------------------- *)
 
-let msg_compare a b =
-  let c = Float.compare a.m_arrival b.m_arrival in
-  if c <> 0 then c
-  else
-    let c = Int.compare a.m_src_shard b.m_src_shard in
-    if c <> 0 then c else Int.compare a.m_seq b.m_seq
-
 (* Importing at the barrier is always in time: a message produced in
    the round ending at H has arrival > H (see the interface), and the
    shard clock is exactly H after [run_until]. *)
-let admit sh m =
-  let net = sh.net in
-  ignore
-    (Sim.Scheduler.schedule_at
-       (Net.Network.scheduler net)
-       m.m_arrival
-       (fun () ->
-         let pkt =
-           Net.Network.import_packet net ~flow:m.m_flow ~src:m.m_psrc
-             ~dst:m.m_dst ~size:m.m_size ~payload:m.m_payload ~born:m.m_born
-             ~ecn:m.m_ecn
-         in
-         Net.Node.receive (Net.Network.node net m.m_entry) pkt))
-
-(* Barrier exchange, on the coordinating domain only: route every
-   outbox message to its destination shard and sort per destination by
-   the explicit (arrival, source shard, sequence) key.  Messages are
-   then scheduled in that order at the next round start, so equal
-   arrival times fire in merge order — fixed by data, not by worker
-   interleaving. *)
-let exchange t =
-  let k = Array.length t.shards in
-  let per_dst = Array.make k [] in
-  Array.iter
-    (fun sh ->
-      List.iter
-        (fun m ->
-          let d = t.part.Partition.owner.(m.m_entry) in
-          per_dst.(d) <- m :: per_dst.(d))
-        (List.rev sh.outbox);
-      sh.outbox <- [])
-    t.shards;
-  Array.iteri
-    (fun d msgs -> t.shards.(d).inbox <- List.sort msg_compare msgs)
-    per_dst
-
 let round_body h sh =
-  let inbox = sh.inbox in
-  sh.inbox <- [];
-  List.iter (admit sh) inbox;
+  Mailbox.schedule sh.mail sh.import;
   Net.Network.run_until sh.net h
 
 (* One round across all shards.  Workers pull shard indices from a
@@ -264,7 +181,10 @@ let round_body h sh =
 let parallel_round t ~workers h =
   let n = Array.length t.shards in
   let w = Stdlib.min workers n in
-  if w <= 1 then Array.iter (round_body h) t.shards
+  if w <= 1 then
+    for i = 0 to n - 1 do
+      round_body h t.shards.(i)
+    done
   else begin
     let next = Atomic.make 0 in
     let work () =
@@ -293,6 +213,6 @@ let run t ~until ~workers =
     parallel_round t ~workers h;
     t.horizon <- h;
     t.rounds <- t.rounds + 1;
-    exchange t;
+    Mailbox.exchange t.mails ~owner:t.part.Partition.owner;
     if h >= until then continue := false
   done

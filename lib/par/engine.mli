@@ -5,9 +5,10 @@
     addresses) and intra-part links.  Every cut edge becomes a pair of
     {e portal} links — real {!Net.Link.t}s with the cut edge's queue,
     bandwidth and jitter but zero propagation delay — whose delivery
-    callback serializes the packet into the owning shard's outbox
-    instead of a peer node; the cut edge's propagation delay is paid on
-    the receiving side as the message arrival time.
+    callback copies the packet's wire fields into the sending shard's
+    {!Mailbox} outbox instead of handing it to a peer node; the cut
+    edge's propagation delay is paid on the receiving side as the
+    message arrival time.
 
     Execution proceeds in barrier rounds of width [L], the minimum
     propagation delay over all cut edges (the {e lookahead}).  Round
@@ -17,8 +18,10 @@
     importing outbox messages only at the barrier can never deliver a
     message into a shard's past.  At each barrier, messages are merged
     per destination shard in ([arrival], source shard, per-shard
-    sequence) order — an explicit total order — and scheduled before
-    the next round starts.
+    sequence) order — an explicit total order — into that shard's
+    import queue.  When the next round starts, each fresh import gets
+    one scheduler event, in that order; all of a shard's imports fire
+    one shared action, which takes the queue's head.
 
     Determinism: shard construction, the round schedule, the merge
     order and every intra-shard event sequence are pure functions of

@@ -118,6 +118,47 @@ let test_chain_hop () =
   check_at_most "words per hop" ~bound:10.01
     (w /. float_of_int packets /. 2.0)
 
+(* Two shards joined by one 100 ms cut edge: node 0 (shard 0) sends a
+   1000-byte packet to node 1 (shard 1) every 10 ms, so each 100 ms
+   barrier round carries ten packets through the portal, the barrier
+   exchange and the import on the far side. *)
+let test_cross_shard_hop () =
+  let cut = { chain_link with Net.Link.prop_delay = 0.1 } in
+  let topo = Net.Topo.of_edges ~n:2 [ (0, 1, cut) ] in
+  let partition = Par.Partition.kruskal topo ~parts:2 in
+  match Par.Engine.create ~topo ~partition ~seed:3 () with
+  | Error _ -> Alcotest.fail "two-shard engine rejected"
+  | Ok eng ->
+      Par.Engine.install_route eng ~at:0 ~dest:1 ~next:1;
+      let net0 = Par.Engine.shard_net eng 0 in
+      let net1 = Par.Engine.shard_net eng 1 in
+      let flow = Net.Network.fresh_flow net0 in
+      let arrived = ref 0 in
+      Net.Node.attach (Net.Network.node net1 1) ~flow (fun _ -> incr arrived);
+      let sched = Net.Network.scheduler net0 in
+      let dst = Net.Packet.Unicast 1 in
+      let rec tick () =
+        Net.Network.send net0
+          (Net.Network.make_packet net0 ~flow ~src:0 ~dst ~size:1000
+             ~payload:Net.Packet.Raw);
+        ignore
+          (Sim.Scheduler.schedule_after sched 0.01 tick : Sim.Scheduler.event_id)
+      in
+      ignore (Sim.Scheduler.schedule_at sched 0.0 tick : Sim.Scheduler.event_id);
+      Par.Engine.run eng ~until:1.0 ~workers:1;
+      let packets0 = !arrived in
+      let w = measured (fun () -> Par.Engine.run eng ~until:11.0 ~workers:1) in
+      let packets = !arrived - packets0 in
+      Alcotest.(check int) "packets crossed" 1000 packets;
+      (* Measured 18.208 (61.388 with the list outboxes, [msg] records
+         and per-message closures this replaced): the source event (4),
+         the portal's completion and delivery events (8), and the
+         import, whose fire time, clock box and birth time crossing
+         into [Network.import_packet] cost 2 each; the rest is the
+         rounds' own boxed horizons, a tenth of a round per packet. *)
+      check_at_most "words per crossed packet" ~bound:18.21
+        (w /. float_of_int packets)
+
 (* One TCP flow through a 1.5 Mbit/s drop-tail bottleneck with a
    20-packet buffer: slow start, then a loss-driven sawtooth. *)
 let test_tcp_flow () =
@@ -228,6 +269,7 @@ let () =
           Alcotest.test_case "heap add + pop_top" `Quick test_heap_add_pop;
           Alcotest.test_case "scheduler step" `Quick test_scheduler_step;
           Alcotest.test_case "drop-tail chain hop" `Quick test_chain_hop;
+          Alcotest.test_case "cross-shard hop" `Quick test_cross_shard_hop;
           Alcotest.test_case "one TCP flow" `Quick test_tcp_flow;
           Alcotest.test_case "RLA acks" `Quick test_rla_acks;
         ] );

@@ -403,20 +403,28 @@ let test_parallel_engine_is_domain_safe () =
 
 let test_hot_paths_are_annotated () =
   (* The performance contract: the scheduler/packet hot path carries
-     at least five vetted hot annotations, and the scheduler fire loop
-     is one of them. *)
+     at least five vetted hot annotations, the scheduler fire loop is
+     one of them, and so are both ends of a cross-shard hop (the
+     portal's outbox push and the shared import action). *)
   match existing_trees [ "lib" ] with
   | [] -> ()
   | trees ->
       let hots = Lint.Driver.hot_annotations ~paths:trees () in
+      let declared file target =
+        List.exists
+          (fun (f, t) -> Filename.basename f = file && t = target)
+          hots
+      in
       Alcotest.(check bool)
         (Printf.sprintf "%d hot annotations >= 5" (List.length hots))
         true
         (List.length hots >= 5);
       Alcotest.(check bool) "scheduler step is declared hot" true
-        (List.exists
-           (fun (f, t) -> Filename.basename f = "scheduler.ml" && t = "step")
-           hots)
+        (declared "scheduler.ml" "step");
+      Alcotest.(check bool) "Mailbox.push is declared hot" true
+        (declared "mailbox.ml" "push");
+      Alcotest.(check bool) "Mailbox.import is declared hot" true
+        (declared "mailbox.ml" "import")
 
 let test_adversary_is_domain_safe () =
   (* The hostile-workload subsystem must clear the same bar as the

@@ -339,6 +339,40 @@ let test_sharded_sender_golden () =
     "f611b4ee615e13c2e08da34d6d468340"
     (Digest.to_hex (Digest.string r.Par.Scenario.fairness_table))
 
+(* Recorded on the engine that kept outboxes as lists of records and
+   sorted them per destination with an explicit comparator.  Seed 137
+   cuts edges of all three delays (0.01, 0.02 and 0.05 s), so imports
+   stay pending across barriers.  Cross-worker equality cannot catch a
+   merge order that is wrong for every worker count; these values move
+   if a batch is left unsorted or a pending import is overtaken.  Equal
+   arrivals from different source shards do occur here, but their order
+   reaches none of these outputs: reversing it changed no value on any
+   random graph tried (8 to 30 nodes, 3 to 8 parts, 60 seeds each). *)
+let test_merge_order_golden () =
+  let config = random_scenario_config ~seed:137 ~n:10 ~parts:6 ~workers:1 in
+  let cut =
+    (Par.Partition.kruskal config.Par.Scenario.topo ~parts:6)
+      .Par.Partition.cut
+  in
+  Alcotest.(check (list (float 0.0)))
+    "cut delays" [ 0.01; 0.02; 0.05 ]
+    (List.sort_uniq Float.compare
+       (List.map (fun e -> e.Net.Topo.config.Net.Link.prop_delay) cut));
+  match Par.Scenario.run config with
+  | Error e -> Alcotest.fail (Par.Scenario.error_to_string e)
+  | Ok r ->
+      let digest s = Digest.to_hex (Digest.string s) in
+      Alcotest.(check int) "events fired" 5_842 r.Par.Scenario.events_fired;
+      Alcotest.(check string) "fairness table digest"
+        "d23f5177e4c8988a484546d9c3a11902"
+        (digest r.Par.Scenario.fairness_table);
+      Alcotest.(check string) "registry JSON digest"
+        "6f628f418f1991a0786219b453977088"
+        (digest r.Par.Scenario.registry_json);
+      Alcotest.(check string) "trace CSV digest"
+        "4e003ca454769febd7862e1fd741f86d"
+        (digest r.Par.Scenario.trace_csv)
+
 let test_checkpoint_rejected () =
   match
     Par.Scenario.run
@@ -492,6 +526,8 @@ let () =
             test_figure6_golden;
           Alcotest.test_case "sharded sender golden" `Quick
             test_sharded_sender_golden;
+          Alcotest.test_case "merge-order golden" `Quick
+            test_merge_order_golden;
           Alcotest.test_case "checkpoint rejected" `Quick
             test_checkpoint_rejected;
           Alcotest.test_case "cross-shard TCP rejected" `Quick
