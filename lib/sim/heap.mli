@@ -1,16 +1,19 @@
-(** Binary min-heap keyed by [(priority, tie-break counter)].
+(** 4-ary min-heap keyed by [(priority, tie-break counter)].
 
     The heap is the core of the discrete-event scheduler: events are
     ordered by simulated time, and events scheduled for the same time
     fire in insertion order (the monotone counter breaks ties), which
     keeps simulations deterministic.
 
-    The backing store is a structure of arrays (unboxed priorities,
-    unboxed counters, uniform value slots), so the hot sift path never
-    follows a per-element pointer and insertion allocates nothing
-    beyond amortized growth.  Slots vacated by {!pop} (and the whole
-    store on {!clear}/{!restore}) are overwritten, so a drained heap
-    retains no reference to any value it ever held. *)
+    The backing store is a structure of arrays: unboxed priorities,
+    unboxed counters and the slot number of each element are sifted
+    together, while the values sit in a slot table and never move.  A
+    sift therefore follows no per-element pointer and writes no
+    pointer; an element costs one pointer write when it is added and
+    one when it leaves, and insertion allocates nothing beyond
+    amortized growth.  Slots vacated by {!pop} and {!compact} (and the
+    whole store on {!clear}/{!restore}) are overwritten, so the heap
+    retains no reference to a value it has let go. *)
 
 type 'a t
 
@@ -86,6 +89,14 @@ val restore : 'a t -> next_seq:int -> (float * int * 'a) list -> unit
 (** Replace the contents with the captured elements (under their
     original tie-break counters) and set the internal counter, making
     subsequent pops byte-identical to the captured heap's. *)
+
+val compact : 'a t -> keep:(int -> bool) -> unit
+(** [compact t ~keep] removes every element whose tie-break counter
+    fails [keep] and rebuilds the heap in linear time; the slots of
+    the removed elements are cleared, so none of their values stays
+    reachable.  The survivors keep their keys, so they pop in exactly
+    the order they would have popped in without the call.  Allocates
+    nothing itself; [keep] should not either. *)
 
 val iter : 'a t -> f:(float -> 'a -> unit) -> unit
 (** Iterate over all elements in unspecified order. *)

@@ -30,6 +30,7 @@ type t = {
   queue : (unit -> unit) Heap.t;
   mutable flags : Bytes.t;  (* bit id = event id is pending *)
   mutable pending_count : int;
+  is_pending : int -> bool;  (* [flag_is_set] on this scheduler, built once *)
   rearm_times : (int, float) Hashtbl.t;
   mutable clock : float;
   mutable next_id : int;
@@ -40,23 +41,27 @@ type t = {
 
 let initial_flag_bytes = 1024
 
-let create () =
-  {
-    queue = Heap.create ();
-    flags = Bytes.make initial_flag_bytes '\000';
-    pending_count = 0;
-    rearm_times = Hashtbl.create 16;
-    clock = 0.0;
-    next_id = 0;
-    fired = 0;
-    firing = -1;
-    taps = None;
-  }
-
 let flag_is_set t id =
   let byte = id lsr 3 in
   byte < Bytes.length t.flags
   && Char.code (Bytes.unsafe_get t.flags byte) land (1 lsl (id land 7)) <> 0
+
+let create () =
+  let rec t =
+    {
+      queue = Heap.create ();
+      flags = Bytes.make initial_flag_bytes '\000';
+      pending_count = 0;
+      is_pending = (fun id -> flag_is_set t id);
+      rearm_times = Hashtbl.create 16;
+      clock = 0.0;
+      next_id = 0;
+      fired = 0;
+      firing = -1;
+      taps = None;
+    }
+  in
+  t
 
 let ensure_flag_capacity t id =
   let byte = id lsr 3 in
@@ -116,10 +121,29 @@ let schedule_after t delay action =
       (Printf.sprintf "Scheduler.schedule_after: delay %g is not finite" delay);
   schedule_at t (t.clock +. delay) action
 
+(* Cancelled entries tolerated beyond the live ones before [cancel]
+   compacts the heap; the floor keeps a nearly empty queue from
+   compacting on every cancel.  A compaction costs O(heap length) and
+   leaves no cancelled entry, and the next one needs at least
+   [compact_floor] + 1 more cancels, which pay for it: amortized O(1)
+   per cancel, and every cancel leaves at most twice as many entries
+   as pending events, plus the floor. *)
+let compact_floor = 64
+
+(* lint: hot cancel -- every TCP ack restarts the retransmission timer
+   through here; the compaction predicate is built once per scheduler *)
 let cancel t id =
   if id >= 0 && id < t.next_id && flag_is_set t id then begin
     clear_flag t id;
-    t.pending_count <- t.pending_count - 1
+    t.pending_count <- t.pending_count - 1;
+    if Heap.length t.queue > (2 * t.pending_count) + compact_floor then begin
+      Heap.compact t.queue ~keep:t.is_pending;
+      if !Invariant.enabled then
+        Invariant.require (Heap.length t.queue = t.pending_count) (fun () ->
+            Printf.sprintf
+              "Scheduler.cancel: %d entries survive compaction, %d pending"
+              (Heap.length t.queue) t.pending_count)
+    end
   end
 
 (* Pop one event.  [`Fired] executed an event, [`Skipped] discarded a

@@ -29,11 +29,21 @@ val schedule_after : t -> float -> (unit -> unit) -> event_id
 val cancel : t -> event_id -> unit
 (** Cancel a pending event.  Cancelling an event that already fired,
     was already cancelled, or never existed is a strict no-op: it
-    neither perturbs {!pending} nor affects any other event. *)
+    neither perturbs {!pending} nor affects any other event.
+
+    Cancellation is lazy: the entry stays queued (and is later popped
+    as a [`Skipped] step) until the cancelled entries outnumber the
+    pending ones by more than a fixed floor, when the queue is
+    compacted ({!Heap.compact}) and every cancelled closure is
+    released.  Compaction allocates nothing and never changes which
+    events fire or in what order: the order is a function of the
+    pending events' unique [(time, id)] keys alone. *)
 
 val step : t -> float -> [ `Fired | `Skipped | `Done ]
 (** Pop one event at or before the horizon: [`Fired] executed it,
-    [`Skipped] discarded a lazily-cancelled entry, [`Done] means the
+    [`Skipped] discarded a lazily-cancelled entry that compaction had
+    not yet removed (how many such steps a run takes is not part of
+    the contract), [`Done] means the
     queue is exhausted or the next event lies beyond the horizon.  The
     run loops are built on this; it is the per-event hot path.  Its one
     allocation per event is the boxed fire time that becomes the clock

@@ -55,7 +55,15 @@ let step_words ~cancelled =
   let ids =
     Array.init 60_000 (fun i -> Sim.Scheduler.schedule_at s (prio i) noop)
   in
-  if cancelled then Array.iter (Sim.Scheduler.cancel s) ids;
+  if cancelled then begin
+    (* As many live events behind the cancelled ones, so that the
+       cancelled entries stay in the heap to be skipped one by one
+       instead of being compacted out. *)
+    for i = 0 to 59_999 do
+      ignore (Sim.Scheduler.schedule_at s (2048.0 +. prio i) noop)
+    done;
+    Array.iter (Sim.Scheduler.cancel s) ids
+  end;
   let steps k =
     for _ = 1 to k do
       ignore (Sim.Scheduler.step s infinity)
@@ -63,7 +71,33 @@ let step_words ~cancelled =
   in
   steps 10_000;
   let k = 40_000 in
-  measured (fun () -> steps k) /. float_of_int k
+  let w = measured (fun () -> steps k) /. float_of_int k in
+  Alcotest.(check int) "steps that fired"
+    (if cancelled then 0 else 10_000 + k)
+    (Sim.Scheduler.events_fired s);
+  w
+
+(* One retransmission timer restarted over and over, as a TCP sender
+   does on every ack: [cancel] of the pending event, then
+   [schedule_after] of one shared thunk.  The cancelled entries are
+   compacted out of the heap every 65 or so restarts; the compaction
+   must not allocate (its predicate is built with the scheduler). *)
+let test_timer_restart () =
+  let s = Sim.Scheduler.create () in
+  let id = ref (Sim.Scheduler.schedule_after s 1.0 noop) in
+  let restart n =
+    for _ = 1 to n do
+      Sim.Scheduler.cancel s !id;
+      id := Sim.Scheduler.schedule_after s 1.0 noop
+    done
+  in
+  restart 10_000;
+  let k = 100_000 in
+  (* Measured 2.000 before compaction existed, when every cancelled
+     entry stayed in the heap: the fire time [schedule_after] boxes
+     for [schedule_at]. *)
+  check_at_most "words per restart" ~bound:2.0
+    (measured (fun () -> restart k) /. float_of_int k)
 
 let test_scheduler_step () =
   (* The clock box: [Heap.top_prio] returns the fire time boxed across
@@ -268,6 +302,7 @@ let () =
         [
           Alcotest.test_case "heap add + pop_top" `Quick test_heap_add_pop;
           Alcotest.test_case "scheduler step" `Quick test_scheduler_step;
+          Alcotest.test_case "timer restart" `Quick test_timer_restart;
           Alcotest.test_case "drop-tail chain hop" `Quick test_chain_hop;
           Alcotest.test_case "cross-shard hop" `Quick test_cross_shard_hop;
           Alcotest.test_case "one TCP flow" `Quick test_tcp_flow;

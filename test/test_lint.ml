@@ -404,8 +404,10 @@ let test_parallel_engine_is_domain_safe () =
 let test_hot_paths_are_annotated () =
   (* The performance contract: the scheduler/packet hot path carries
      at least five vetted hot annotations, the scheduler fire loop is
-     one of them, and so are both ends of a cross-shard hop (the
-     portal's outbox push and the shared import action). *)
+     one of them, so are both ends of the event heap (the insert that
+     sifts up and the root removal that sifts down), and so are both
+     ends of a cross-shard hop (the portal's outbox push and the shared
+     import action). *)
   match existing_trees [ "lib" ] with
   | [] -> ()
   | trees ->
@@ -421,6 +423,10 @@ let test_hot_paths_are_annotated () =
         (List.length hots >= 5);
       Alcotest.(check bool) "scheduler step is declared hot" true
         (declared "scheduler.ml" "step");
+      Alcotest.(check bool) "Heap.add is declared hot" true
+        (declared "heap.ml" "add");
+      Alcotest.(check bool) "Heap.pop_top is declared hot" true
+        (declared "heap.ml" "pop_top");
       Alcotest.(check bool) "Mailbox.push is declared hot" true
         (declared "mailbox.ml" "push");
       Alcotest.(check bool) "Mailbox.import is declared hot" true

@@ -542,54 +542,135 @@ let test_sched_max_events_ignores_cancelled () =
   Sim.Scheduler.run_until_empty s ~max_events:100;
   Alcotest.(check int) "rest fired" 10 !fired
 
-(* Model-based cancel property: schedule events on a small integer
-   time grid (forcing ties), cancel an arbitrary subset twice
+(* Model-based cancel property: schedule up to 400 events on a small
+   integer time grid (forcing ties), cancel an arbitrary subset twice
    (double-cancel), run to a mid-horizon, cancel a second arbitrary
    subset — which now includes ids that already fired — and run to
-   completion.  The survivors must fire exactly in the model's
-   (time, insertion index) order, and the fired/pending counters must
-   agree with the model, i.e. no cancel ever perturbs other events. *)
+   completion.  In a cancel-heavy case ([heavy] = k > 0) all but every
+   (k+1)-th event are also cancelled up front and each event that fires
+   cancels another one, so the cancelled entries outnumber the live
+   ones and the heap is compacted both between runs and from inside
+   event actions.  Optionally the scheduler goes through a
+   [capture]/[restore]/[rearm] round trip at the mid-horizon.  The
+   survivors must fire exactly in the model's (time, insertion index)
+   order, and the fired/pending counters must agree with the model,
+   i.e. no cancel or compaction ever perturbs other events. *)
 let prop_sched_cancel_survivors =
   QCheck.Test.make
     ~name:"cancel/double-cancel/cancel-after-fire keeps survivor order"
     ~count:300
     QCheck.(
-      triple
-        (list_of_size Gen.(1 -- 40) (int_bound 9))
-        (list (int_bound 100))
-        (list (int_bound 100)))
-    (fun (times, pre_raw, post_raw) ->
+      quad
+        (list_of_size Gen.(1 -- 400) (int_bound 9))
+        (pair (list (int_bound 1000)) (list (int_bound 1000)))
+        (int_bound 8) bool)
+    (fun (times, (pre_raw, post_raw), heavy, round_trip) ->
       let n = List.length times in
       let times_arr = Array.of_list times in
-      let s = Sim.Scheduler.create () in
+      let victim i = ((i * 37) + 11) mod n in
       let log = ref [] in
-      let ids =
-        Array.of_list
-          (List.mapi
-             (fun i time ->
-               Sim.Scheduler.schedule_at s (float_of_int time) (fun () ->
-                   log := i :: !log))
-             times)
+      let sched = ref (Sim.Scheduler.create ()) in
+      let ids = Array.make n (-1) in
+      let actions =
+        Array.init n (fun i () ->
+            log := i :: !log;
+            if heavy > 0 then Sim.Scheduler.cancel !sched ids.(victim i))
       in
+      List.iteri
+        (fun i time ->
+          ids.(i) <- Sim.Scheduler.schedule_at !sched (float_of_int time) actions.(i))
+        times;
       let pre = List.map (fun r -> r mod n) pre_raw in
-      List.iter (fun i -> Sim.Scheduler.cancel s ids.(i)) pre;
-      List.iter (fun i -> Sim.Scheduler.cancel s ids.(i)) pre;
-      Sim.Scheduler.run_until s 4.0;
+      let up_front =
+        if heavy = 0 then []
+        else List.filter (fun i -> i mod (heavy + 1) <> 0) (List.init n Fun.id)
+      in
+      List.iter (fun i -> Sim.Scheduler.cancel !sched ids.(i)) pre;
+      List.iter (fun i -> Sim.Scheduler.cancel !sched ids.(i)) (pre @ up_front);
+      Sim.Scheduler.run_until !sched 4.0;
+      let restored_ok =
+        (not round_trip)
+        ||
+        let st = Sim.Scheduler.capture !sched in
+        let s' = Sim.Scheduler.create () in
+        Sim.Scheduler.restore s' st;
+        sched := s';
+        List.iter
+          (fun (id, _) ->
+            (* Ids were issued in index order from 0. *)
+            Sim.Scheduler.rearm s' ~id actions.(id))
+          st.Sim.Scheduler.s_pending;
+        Sim.Scheduler.unrestored s' = []
+      in
       let post = List.map (fun r -> r mod n) post_raw in
-      List.iter (fun i -> Sim.Scheduler.cancel s ids.(i)) post;
-      Sim.Scheduler.run_until s 20.0;
+      List.iter (fun i -> Sim.Scheduler.cancel !sched ids.(i)) post;
+      Sim.Scheduler.run_until !sched 20.0;
       let fired = List.rev !log in
-      let expected =
-        List.init n (fun i -> i)
-        |> List.filter (fun i ->
-               (not (List.mem i pre))
-               && (times_arr.(i) <= 4 || not (List.mem i post)))
+      (* The model: walk the events in (time, index) order; one fires
+         unless it was cancelled before its turn. *)
+      let cancelled = Array.make n false in
+      List.iter (fun i -> cancelled.(i) <- true) (pre @ up_front);
+      let order =
+        List.init n Fun.id
         |> List.stable_sort (fun a b ->
                compare (times_arr.(a), a) (times_arr.(b), b))
       in
-      fired = expected
-      && Sim.Scheduler.pending s = 0
-      && Sim.Scheduler.events_fired s = List.length expected)
+      let expected = ref [] in
+      let run ~until =
+        List.iter
+          (fun i ->
+            if times_arr.(i) <= until && not cancelled.(i) then begin
+              cancelled.(i) <- true;
+              expected := i :: !expected;
+              if heavy > 0 then cancelled.(victim i) <- true
+            end)
+          order
+      in
+      run ~until:4;
+      List.iter (fun i -> cancelled.(i) <- true) post;
+      run ~until:20;
+      let expected = List.rev !expected in
+      restored_ok
+      && fired = expected
+      && Sim.Scheduler.pending !sched = 0
+      && Sim.Scheduler.events_fired !sched = List.length expected)
+
+(* Cancelled timers must not pin what their closures capture until
+   their fire time.  1,000 far-future events each capture a block
+   watched through a weak pointer; after they are cancelled and one
+   timer keeps restarting (cancel + re-arm every 10 ms, as a TCP
+   sender does on each ack), a major collection may find only a few
+   of them still reachable, long before any would have fired. *)
+let test_sched_cancelled_release_closures () =
+  let s = Sim.Scheduler.create () in
+  let n = 1000 in
+  let w = Weak.create n in
+  let ids =
+    Array.init n (fun i ->
+        let block = ref i in
+        Weak.set w i (Some block);
+        Sim.Scheduler.schedule_at s (1000.0 +. float_of_int i) (fun () ->
+            incr block))
+  in
+  Array.iter (Sim.Scheduler.cancel s) ids;
+  let timer = ref (-1) in
+  let expire () = () in
+  let rec tick () =
+    Sim.Scheduler.cancel s !timer;
+    timer := Sim.Scheduler.schedule_after s 0.2 expire;
+    ignore (Sim.Scheduler.schedule_after s 0.01 tick : Sim.Scheduler.event_id)
+  in
+  ignore (Sim.Scheduler.schedule_at s 0.0 tick : Sim.Scheduler.event_id);
+  Sim.Scheduler.run_until s 1.0;
+  Gc.full_major ();
+  let live = ref 0 in
+  for i = 0 to n - 1 do
+    if Weak.check w i then incr live
+  done;
+  (* The scheduler itself is still live, so its heap could pin them. *)
+  Alcotest.(check int) "timer and ticker pending" 2 (Sim.Scheduler.pending s);
+  if !live > 64 then
+    Alcotest.failf "%d of %d cancelled closures still reachable" !live n
 
 (* ------------------------------------------------------------------ *)
 (* Invariant                                                          *)
@@ -684,6 +765,8 @@ let () =
             test_sched_max_events_ignores_cancelled;
           Alcotest.test_case "run_until_empty bounded" `Quick
             test_sched_run_until_empty_bounded;
+          Alcotest.test_case "cancelled events release their closures" `Quick
+            test_sched_cancelled_release_closures;
           QCheck_alcotest.to_alcotest prop_sched_cancel_survivors;
         ] );
       ( "invariant",
