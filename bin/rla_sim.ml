@@ -104,25 +104,8 @@ let run_eq1 ~duration ~seed =
   Experiments.Report.print_validation ppf (Experiments.Validation.run config)
 
 let run_prop ~seed ~steps =
-  let rng = Sim.Rng.create seed in
-  let rows =
-    List.map
-      (fun (n, ps) ->
-        let w_model = Analysis.Rla_model.pa_window_independent ~ps in
-        let w_mc = Analysis.Rla_model.simulate_window ~rng ~ps ~steps in
-        let p_max = Array.fold_left Stdlib.max 0.0 ps in
-        let lo, hi = Analysis.Rla_model.proposition_bounds ~n ~p_max in
-        (n, ps, w_model, w_mc, lo, hi))
-      [
-        (2, [| 0.01; 0.01 |]);
-        (2, [| 0.02; 0.002 |]);
-        (4, [| 0.02; 0.02; 0.02; 0.02 |]);
-        (8, Array.make 8 0.01);
-        (27, Array.make 27 0.01);
-        (27, Array.append [| 0.03 |] (Array.make 26 0.003));
-      ]
-  in
-  Experiments.Report.print_proposition_table ppf rows
+  Experiments.Report.print_proposition_table ppf
+    (Experiments.Report.proposition_rows ~seed ~steps)
 
 let run_sec31 ~duration ~seed =
   let results =

@@ -139,3 +139,9 @@ let simulate ~rng p ~steps ?(cells = 40) ?w_max () =
       Stats.Density.mass_within density ~cx:fx ~cy:fy
         ~radius:(0.25 *. Stdlib.max fx 1.0 *. 2.0);
   }
+
+module For_testing = struct
+  let signals_at = signals_at
+  let drift_at = drift_at
+  let fair_point = fair_point
+end

@@ -16,14 +16,6 @@ type pipes = { pipe_sizes : float array; counts : int array }
 val uniform_pipes : pipe:float -> n:int -> pipes
 (** All [n] receivers behind one pipe. *)
 
-val signals_at : pipes -> float -> int
-(** Number of congestion signals fed to each sender when
-    [w1 + w2] equals the given sum. *)
-
-val drift_at : pipes -> w:float -> sum:float -> float
-(** Expected drift of one window at value [w] when the current window
-    sum is [sum] (time unit: one step of [2*RTT]). *)
-
 type field_point = { x : float; y : float; dx : float; dy : float }
 
 val drift_field :
@@ -52,5 +44,19 @@ val simulate :
     figure-5 occupancy density.  The fair operating point is
     [(max_pipe/2 - 1, max_pipe/2 - 1)] scaled to the largest pipe. *)
 
-val fair_point : pipes -> float * float
-(** The desired operating point: equal split of the smallest pipe. *)
+module For_testing : sig
+  (** Pieces of the section 4 analysis whose tests reproduce the paper's
+      claims; no product prints them yet (ROADMAP item 8 will set them beside
+      the measured runs). *)
+
+  val signals_at : pipes -> float -> int
+  (** Number of congestion signals fed to each sender when
+      [w1 + w2] equals the given sum. *)
+
+  val drift_at : pipes -> w:float -> sum:float -> float
+  (** Expected drift of one window at value [w] when the current window
+      sum is [sum] (time unit: one step of [2*RTT]). *)
+
+  val fair_point : pipes -> float * float
+  (** The desired operating point: equal split of the smallest pipe. *)
+end

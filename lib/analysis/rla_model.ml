@@ -183,3 +183,13 @@ let simulate_with ~rng ~cut_dist ~steps =
 
 let simulate_window ~rng ~ps ~steps =
   simulate_with ~rng ~cut_dist:(cut_dist_independent ps) ~steps
+
+module For_testing = struct
+  let two_receiver_window = two_receiver_window
+  let drift_common = drift_common
+  let pa_window_common = pa_window_common
+  let min_ratio_for_upper_bound = min_ratio_for_upper_bound
+  let window_ratio_to_tcp = window_ratio_to_tcp
+  let equal_congestion_ratio = equal_congestion_ratio
+  let skewed_congestion_ratio = skewed_congestion_ratio
+end

@@ -49,3 +49,12 @@ let simulate_pa_window ~rng ~p ~steps =
     acc := !acc +. !w
   done;
   !acc /. float_of_int steps
+
+module For_testing = struct
+  let pa_window_approx = pa_window_approx
+  let drift = drift
+  let mahdavi_floyd_rate = mahdavi_floyd_rate
+  let throughput = throughput
+  let congestion_probability_for_window = congestion_probability_for_window
+  let simulate_pa_window = simulate_pa_window
+end

@@ -216,3 +216,10 @@ let create ~net ~src ~receivers config =
       in
       ignore (Sim.Scheduler.schedule_after sched config.rtt_estimate grow));
   t
+
+module For_testing = struct
+  let rate = rate
+  let cuts = cuts
+  let sent = sent
+  let endpoints = endpoints
+end

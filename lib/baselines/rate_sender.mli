@@ -72,16 +72,22 @@ val create :
 (** Requires routes installed; allocates flow + group and builds the
     multicast tree, one {!Report_receiver} per receiver node. *)
 
-val rate : t -> float
-(** Current sending rate, pkt/s. *)
-
-val cuts : t -> int
-
-val sent : t -> int
-
-val endpoints : t -> Report_receiver.t list
-
 val reset_measurement : t -> unit
 
 val min_delivered_rate : t -> float
 (** Worst receiver's goodput since the last measurement reset. *)
+
+module For_testing : sig
+  (** The rate-control state (current rate, cuts, packets sent, receiver
+      endpoints) that the baseline policy tests assert on; experiments read
+      only the delivered rates. *)
+
+  val rate : t -> float
+  (** Current sending rate, pkt/s. *)
+
+  val cuts : t -> int
+
+  val sent : t -> int
+
+  val endpoints : t -> Report_receiver.t list
+end

@@ -83,3 +83,8 @@ let create ~net ~node ~flow ~sender ~period =
   let stagger = Sim.Rng.float (Net.Network.fork_rng net) period in
   ignore (Sim.Scheduler.schedule_after sched (period +. stagger) tick);
   t
+
+module For_testing = struct
+  let received_total = received_total
+  let last_loss_rate = last_loss_rate
+end

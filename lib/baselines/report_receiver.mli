@@ -12,12 +12,17 @@ val create :
   period:float ->
   t
 
-val received_total : t -> int
-
 val delivered_rate : t -> since:float -> float
 (** Packets per second received since [since]. *)
 
 val reset_measurement : t -> now:float -> unit
 
-val last_loss_rate : t -> float
-(** Loss rate of the last completed monitor period. *)
+module For_testing : sig
+  (** The receive counter and the last monitor period's loss rate, which
+      the loss-report tests check. *)
+
+  val received_total : t -> int
+
+  val last_loss_rate : t -> float
+  (** Loss rate of the last completed monitor period. *)
+end

@@ -45,3 +45,9 @@ let jain = function
       let sum = List.fold_left ( +. ) 0.0 xs in
       let sumsq = List.fold_left (fun acc x -> acc +. (x *. x)) 0.0 xs in
       if sumsq <= 0.0 then 1.0 else sum *. sum /. (n *. sumsq)
+
+module For_testing = struct
+  let share = share
+  let soft_bottleneck = soft_bottleneck
+  let fair_share = fair_share
+end

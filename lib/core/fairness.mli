@@ -14,17 +14,6 @@ type branch = {
 
 type gateway = Red | Droptail
 
-val share : branch -> float
-(** [mu / (m + 1)]: the equal share on this branch. *)
-
-val soft_bottleneck : branch list -> int
-(** Index of the branch with the smallest equal share; raises
-    [Invalid_argument] on an empty list. *)
-
-val fair_share : branch list -> float
-(** [min_i mu_i / (m_i + 1)] — the absolutely fair multicast
-    throughput. *)
-
 val essential_bounds : gateway -> n:int -> float * float
 (** [(a, b)] of Theorem I (RED: a = 1/3, b = sqrt(3n)) or Theorem II
     (drop-tail with phase effects eliminated: a = 1/4, b = 2n), for
@@ -43,3 +32,20 @@ val jain : float list -> float
     allocations: 1 when all equal, [1/n] when one branch takes
     everything.  An all-zero allocation is treated as perfectly fair
     (index 1).  Raises [Invalid_argument] on the empty list. *)
+
+module For_testing : sig
+  (** The section 2.2 soft-bottleneck vocabulary; its tests reproduce the
+      paper's definitions, and ROADMAP item 1's fairness verdict will be their
+      first product caller. *)
+
+  val share : branch -> float
+  (** [mu / (m + 1)]: the equal share on this branch. *)
+
+  val soft_bottleneck : branch list -> int
+  (** Index of the branch with the smallest equal share; raises
+      [Invalid_argument] on an empty list. *)
+
+  val fair_share : branch list -> float
+  (** [min_i mu_i / (m_i + 1)] — the absolutely fair multicast
+      throughput. *)
+end

@@ -41,8 +41,6 @@ let observe_rtt t sample = Stats.Ewma.update t.srtt sample
 
 let signals t = t.signals
 
-let acks t = t.acks
-
 let count_ack t = t.acks <- t.acks + 1
 
 let register_losses t ~now =

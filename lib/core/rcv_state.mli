@@ -39,8 +39,6 @@ val observe_rtt : t -> float -> unit
 val signals : t -> int
 (** Congestion signals raised by this receiver so far. *)
 
-val acks : t -> int
-
 val count_ack : t -> unit
 
 val register_losses : t -> now:float -> bool

@@ -26,14 +26,6 @@ type t = {
 
 let node_id t = Net.Node.id t.node
 
-let expected t = t.expected
-
-let received_total t = t.received_total
-
-let duplicates t = t.duplicates
-
-let rexmits_received t = t.rexmits_received
-
 let block_around t seq =
   let lo = ref seq in
   while Hashtbl.mem t.ooo (!lo - 1) do
@@ -246,3 +238,7 @@ let restore t st =
       add_pending t id ~echo ~ece;
       Sim.Scheduler.rearm sched ~id t.ack_thunk)
     st.s_pending_acks
+
+module For_testing = struct
+  let node_id = node_id
+end

@@ -27,17 +27,6 @@ val create :
     packets sent before it existed.  Replaces any handler a previous
     endpoint for the same flow had registered at the node. *)
 
-val node_id : t -> Net.Packet.addr
-
-val expected : t -> int
-(** Next in-order packet expected. *)
-
-val received_total : t -> int
-
-val duplicates : t -> int
-
-val rexmits_received : t -> int
-
 type state = {
   s_rng : int64;
   s_ooo : int list;  (** out-of-order set, ascending *)
@@ -57,3 +46,10 @@ val capture : t -> state
 val restore : t -> state -> unit
 (** Overwrite the endpoint state and re-arm pending delayed-ack events
     under their original ids.  Must run after [Sim.Scheduler.restore]. *)
+
+module For_testing : sig
+  (** Which node an endpoint listens at, to pick one receiver's endpoint
+      out of the sender's list. *)
+
+  val node_id : t -> Net.Packet.addr
+end

@@ -94,8 +94,6 @@ type t = {
 
 let flow t = t.flow
 
-let n_receivers t = Array.length t.rcvrs
-
 let cwnd t = t.cwnd
 
 let num_trouble_rcvr t = t.num_trouble
@@ -109,10 +107,6 @@ let window_cuts t = t.window_cuts
 let forced_cuts t = t.forced_cuts
 
 let timeouts t = t.timeouts
-
-let rexmits_multicast t = t.rexmits_multicast
-
-let rexmits_unicast t = t.rexmits_unicast
 
 let receiver_endpoints t = t.endpoints
 
@@ -1165,3 +1159,11 @@ let restore t st =
   rebuild_index t;
   recompute_min_ack t;
   recompute_pipes t
+
+module For_testing = struct
+  let active_slot = active_slot
+  let num_trouble_rcvr = num_trouble_rcvr
+  let pthresh_for = pthresh_for
+  let min_last_ack = min_last_ack
+  let receiver_endpoints = receiver_endpoints
+end

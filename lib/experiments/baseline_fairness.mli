@@ -28,8 +28,6 @@ type config = {
   cbr_rate : float;  (** Rate for the CBR reference, pkt/s. *)
 }
 
-val default_config : gateway:Scenario.gateway -> scheme:scheme -> config
-
 type result = {
   config : config;
   mcast_throughput : float;
@@ -39,8 +37,6 @@ type result = {
   tcp_max : float;
   ratio : float;  (** multicast / mean TCP. *)
 }
-
-val run : config -> result
 
 val run_matrix :
   ?duration:float -> ?seed:int -> unit -> result list

@@ -68,10 +68,6 @@ val run : ?registry:Obs.Registry.t -> config -> result
 
 val run_with_net : ?registry:Obs.Registry.t -> config -> Net.Network.t * result
 
-val job : label:string -> config -> result Runner.Job.t
-(** Package one run for a {!Runner.Pool} sweep (the network is built
-    inside the closure, so the job is domain-safe). *)
-
 val case_config :
   gateway:Scenario.gateway ->
   case_index:int ->

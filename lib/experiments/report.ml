@@ -241,6 +241,24 @@ let print_buffer_dynamics ppf results =
     " further apart — the basis for grouping losses within 2*srtt)@.";
   hr ppf 100
 
+let proposition_rows ~seed ~steps =
+  let rng = Sim.Rng.create seed in
+  List.map
+    (fun (n, ps) ->
+      let w_model = Analysis.Rla_model.pa_window_independent ~ps in
+      let w_mc = Analysis.Rla_model.simulate_window ~rng ~ps ~steps in
+      let p_max = Array.fold_left Stdlib.max 0.0 ps in
+      let lo, hi = Analysis.Rla_model.proposition_bounds ~n ~p_max in
+      (n, ps, w_model, w_mc, lo, hi))
+    [
+      (2, [| 0.01; 0.01 |]);
+      (2, [| 0.02; 0.002 |]);
+      (4, Array.make 4 0.02);
+      (8, Array.make 8 0.01);
+      (27, Array.make 27 0.01);
+      (27, Array.append [| 0.03 |] (Array.make 26 0.003));
+    ]
+
 let print_proposition_table ppf rows =
   Format.fprintf ppf
     "@.Proposition (eq. 2) — RLA PA window between TCP's and sqrt(n) x TCP's@.";
@@ -252,6 +270,8 @@ let print_proposition_table ppf rows =
       let p_max = Array.fold_left Stdlib.max 0.0 ps in
       Format.fprintf ppf "%4d %10.4f %10.2f %10.2f %10.2f %10.2f %8s@." n
         p_max w_model w_mc lo hi
-        (if w_model > lo && w_model < hi then "yes" else "NO"))
+        (if Analysis.Rla_model.satisfies_proposition ~n ~ps ~window:w_model
+         then "yes"
+         else "NO"))
     rows;
   hr ppf 72

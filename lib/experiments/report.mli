@@ -34,6 +34,15 @@ val print_buffer_dynamics :
   Format.formatter -> Buffer_dynamics.result list -> unit
 (** Section 3.1: buffer-period statistics of a drop-tail bottleneck. *)
 
+val proposition_rows :
+  seed:int ->
+  steps:int ->
+  (int * float array * float * float * float * float) list
+(** The six Proposition check rows (two to 27 receivers, equal and
+    skewed congestion) for {!print_proposition_table}: the drift-model
+    PA window, a [steps]-long Monte-Carlo window average drawn from one
+    generator seeded with [seed], and the equation-2 bounds. *)
+
 val print_proposition_table :
   Format.formatter ->
   (int * float array * float * float * float * float) list ->

@@ -49,15 +49,6 @@ let create ~net ~interval ~probes =
   ignore (Sim.Scheduler.schedule_after sched interval tick);
   t
 
-let length t = t.n
-
-let names t = List.map (fun c -> c.probe.name) t.columns
-
-let column t name =
-  match List.find_opt (fun c -> c.probe.name = name) t.columns with
-  | Some c -> Array.sub c.data 0 c.len
-  | None -> raise Not_found
-
 let to_csv ppf t =
   Format.fprintf ppf "time";
   List.iter (fun c -> Format.fprintf ppf ",%s" c.probe.name) t.columns;
@@ -67,19 +58,3 @@ let to_csv ppf t =
     List.iter (fun c -> Format.fprintf ppf ",%.4f" c.data.(i)) t.columns;
     Format.fprintf ppf "@."
   done
-
-let value_at t name ~time =
-  let col =
-    match List.find_opt (fun c -> c.probe.name = name) t.columns with
-    | Some c -> c
-    | None -> raise Not_found
-  in
-  if t.n = 0 || time < t.times.(0) then
-    invalid_arg "Timeseries.value_at: before first sample";
-  (* Binary search for the last sample at or before [time]. *)
-  let lo = ref 0 and hi = ref (t.n - 1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi + 1) / 2 in
-    if t.times.(mid) <= time then lo := mid else hi := mid - 1
-  done;
-  col.data.(!lo)

@@ -12,17 +12,5 @@ val create :
 (** Starts sampling immediately; every [interval] seconds each probe is
     read once.  Sampling runs for the lifetime of the simulation. *)
 
-val length : t -> int
-(** Samples collected so far. *)
-
-val names : t -> string list
-
-val column : t -> string -> float array
-(** Values for one probe; raises [Not_found] for unknown names. *)
-
 val to_csv : Format.formatter -> t -> unit
 (** Header [time,<probe>...] then one row per sample. *)
-
-val value_at : t -> string -> time:float -> float
-(** The probe's last sampled value at or before [time]; raises
-    [Invalid_argument] when [time] precedes the first sample. *)

@@ -20,8 +20,6 @@ let entries t = t
 
 let is_empty t = t = []
 
-let length = List.length
-
 let pp_link ppf (a, b) = Fmt.pf ppf "%d-%d" a b
 
 let pp_event ppf = function

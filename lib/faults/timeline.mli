@@ -40,8 +40,6 @@ val entries : t -> entry list
 
 val is_empty : t -> bool
 
-val length : t -> int
-
 val scripted : (float * event) list -> t
 (** Build a timeline from explicit (time, event) pairs; sorting is
     stable, so simultaneous events keep their script order.  Raises

@@ -5,10 +5,11 @@
      (* lint: allow <rule> -- <reason> *)        suppress, same + next line
      (* lint: allow-file <rule> -- <reason> *)   suppress, whole file
      (* lint: hot <function> -- <reason> *)      alloc-hot contract: the
-                                                 named exported function is
-                                                 a hot path; allocation
-                                                 constructs in its body are
-                                                 errors
+                                                 named function is a hot
+                                                 path; allocation
+                                                 constructs in its body
+                                                 and its same-file callees
+                                                 are errors
 
    Comments are located with a small scanner that understands string
    literals, char literals and nested comments, because the parsetree

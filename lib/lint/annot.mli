@@ -7,10 +7,12 @@
       (* lint: allow-file <rule> -- <reason> *)   suppresses <rule> for
                                                   the whole file
       (* lint: hot <function> -- <reason> *)      declares the named
-                                                  exported function a
-                                                  hot path; alloc-hot
-                                                  flags allocation
-                                                  constructs in it
+                                                  function a hot path;
+                                                  alloc-hot flags
+                                                  allocation constructs
+                                                  in it and in the
+                                                  same-file functions it
+                                                  calls
     v}
     The reason is mandatory everywhere; malformed annotations and
     unknown rule names come back as [bad-annotation] findings. *)
@@ -19,7 +21,7 @@ type t = { line : int; rule : string; file_wide : bool; reason : string }
 
 type hot = { hot_line : int; target : string; hot_reason : string }
 (** A [(* lint: hot Pool.release -- <reason> *)] directive: [target] is
-    the dotted binding path of a function defined (and exported) by the
+    the dotted binding path of a function defined by the
     file that carries the annotation. *)
 
 val collect :

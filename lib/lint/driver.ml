@@ -110,6 +110,9 @@ let immediate_subdirs dir =
          then Some p
          else None)
 
+(* Callers of a lib/ tree's exports are searched in lib/ and in the
+   product trees beside it.  test/ is not among them: a test is not a
+   caller, and it reaches internals only through [For_testing]. *)
 let unused_export_inputs paths =
   List.filter_map
     (fun p ->
@@ -124,7 +127,7 @@ let unused_export_inputs paths =
           p
           :: List.filter Sys.file_exists
                (List.map (Filename.concat root)
-                  [ "bin"; "test"; "bench"; "perfbench"; "examples" ])
+                  [ "bin"; "bench"; "perfbench"; "examples" ])
         in
         let search_files =
           List.concat_map (fun r -> List.rev (walk [] r)) search_roots
@@ -237,16 +240,7 @@ let run ?rules ~paths () =
         (fun (file, ast) ->
           match List.assoc_opt file p.hots_by_file with
           | None | Some [] -> []
-          | Some hots ->
-              let mli = Filename.remove_extension file ^ ".mli" in
-              let interface =
-                if Sys.file_exists mli then
-                  match parse_interface mli with
-                  | Ok sg -> Some sg
-                  | Error _ -> None
-                else None
-              in
-              Hot_check.check ~file ~hots ~interface ast)
+          | Some hots -> Hot_check.check ~file ~hots ast)
         p.asts
     else []
   in
@@ -393,43 +387,13 @@ let to_sarif findings =
           ] );
     ]
 
-let of_json json =
-  let open Json in
-  let field name f obj =
-    match member name obj with
-    | Some v -> f v
-    | None -> Error (Printf.sprintf "missing field %S" name)
-  in
-  let string_of = function
-    | String s -> Ok s
-    | _ -> Error "expected string"
-  in
-  let int_of = function Int i -> Ok i | _ -> Error "expected int" in
-  let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e in
-  match member "findings" json with
-  | Some (List items) ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | item :: rest ->
-            let* file = field "file" string_of item in
-            let* line = field "line" int_of item in
-            let* col = field "col" int_of item in
-            let* rule = field "rule" string_of item in
-            let* sev_s = field "severity" string_of item in
-            let* message = field "message" string_of item in
-            let* severity =
-              match Finding.severity_of_string sev_s with
-              | Some s -> Ok s
-              | None -> Error (Printf.sprintf "bad severity %S" sev_s)
-            in
-            go (Finding.make ~file ~line ~col ~rule ~severity message :: acc)
-              rest
-      in
-      go [] items
-  | Some _ -> Error "findings is not a list"
-  | None -> Error "missing field \"findings\""
-
 let exit_code ?(strict = false) findings =
   let errors = count Finding.Error findings in
   let warnings = count Finding.Warning findings in
   if errors > 0 || (strict && warnings > 0) then 1 else 0
+
+module For_testing = struct
+  let parse_interface = parse_interface
+  let scope_key = scope_key
+  let hot_annotations = hot_annotations
+end

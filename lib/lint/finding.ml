@@ -11,11 +11,6 @@ type t = {
 
 let severity_to_string = function Error -> "error" | Warning -> "warning"
 
-let severity_of_string = function
-  | "error" -> Some Error
-  | "warning" -> Some Warning
-  | _ -> None
-
 let make ~file ~line ?(col = 0) ~rule ~severity message =
   { file; line; col; rule; severity; message }
 
@@ -32,7 +27,5 @@ let compare a b =
       else
         let c = String.compare a.rule b.rule in
         if c <> 0 then c else String.compare a.message b.message
-
-let equal a b = compare a b = 0
 
 let to_string f = Printf.sprintf "%s:%d %s %s" f.file f.line f.rule f.message

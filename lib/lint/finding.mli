@@ -13,8 +13,6 @@ type t = {
 
 val severity_to_string : severity -> string
 
-val severity_of_string : string -> severity option
-
 val make :
   file:string ->
   line:int ->
@@ -26,8 +24,6 @@ val make :
 
 val compare : t -> t -> int
 (** Orders by file, line, column, rule, message — the report order. *)
-
-val equal : t -> t -> bool
 
 val to_string : t -> string
 (** Renders as [file:line rule message], the CLI's text output line. *)

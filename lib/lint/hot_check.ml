@@ -16,9 +16,17 @@
    is NOT detected (it is invisible syntactically); reviewers still own
    that one.
 
+   The contract covers what the hot function runs, not just its own
+   text: every function of the same file that the body names (outside
+   the exempt subtrees below) is scanned too, transitively and once
+   each, and its findings are named [hot->callee].  A callee that is
+   itself declared hot is scanned under its own name.  Calls into other
+   files are not followed; those carry their own annotations.
+
    [hot-coverage] keeps the annotations honest: each must name a
-   binding the file actually defines and its interface exports, so a
-   rename cannot silently orphan the contract.
+   binding the file actually defines, so a rename cannot silently
+   orphan the contract.  The binding need not be exported: an internal
+   fast path carries the contract as well as a public one.
 
    Blind spots.  The pass reads syntax only, and allocation is decided
    by the types and by the compiler.  It cannot see:
@@ -76,21 +84,6 @@ let bindings_of_structure items =
   go "" items;
   List.rev !out
 
-let rec exported_paths prefix sg =
-  List.concat_map
-    (fun item ->
-      match item.psig_desc with
-      | Psig_value vd -> [ prefix ^ vd.pval_name.txt ]
-      | Psig_module
-          {
-            pmd_name = { txt = Some m; _ };
-            pmd_type = { pmty_desc = Pmty_signature inner; _ };
-            _;
-          } ->
-          exported_paths (prefix ^ m ^ ".") inner
-      | _ -> [])
-    sg
-
 (* --- allocation scan ------------------------------------------------ *)
 
 let error_exits = [ "invalid_arg"; "failwith"; "raise"; "raise_notrace" ]
@@ -137,8 +130,11 @@ let alloc_head = function
       Some ("call into " ^ j ^ " (closure + list cells)")
   | _ -> None
 
+(* Scans one body and returns its findings together with the unqualified
+   names it mentions outside the exempt subtrees (callee candidates). *)
 let scan_body ~file ~target ~reason body =
   let findings = ref [] in
+  let names = ref [] in
   let flag line what =
     findings :=
       Finding.make ~file ~line ~rule:"alloc-hot"
@@ -183,6 +179,8 @@ let scan_body ~file ~target ~reason body =
               flag (line_of e.pexp_loc)
                 (Printf.sprintf "variant `%s allocation" tag);
               Ast_iterator.default_iterator.expr it e
+          | Pexp_ident { txt = Longident.Lident name; _ } ->
+              names := name :: !names
           | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _) -> (
               (match alloc_head (joined txt) with
               | Some what -> flag (line_of e.pexp_loc) what
@@ -204,7 +202,7 @@ let scan_body ~file ~target ~reason body =
     }
   in
   iterator.expr iterator body;
-  List.rev !findings
+  (List.rev !findings, List.rev !names)
 
 (* Skip the binding's own parameter lambdas: [let f a b = body] parses
    as nested [Pexp_fun]s that are not allocations per call. *)
@@ -214,10 +212,55 @@ let rec strip_params e =
   | Pexp_newtype (_, body) -> strip_params body
   | _ -> e
 
-let check ~file ~hots ~interface ast =
+let is_function e =
+  match e.pexp_desc with
+  | Pexp_fun _ | Pexp_function _ | Pexp_newtype _ -> true
+  | _ -> false
+
+let scan_binding ~file ~target ~reason expr =
+  let body = strip_params expr in
+  let results =
+    match body.pexp_desc with
+    | Pexp_function cases ->
+        List.map (fun c -> scan_body ~file ~target ~reason c.pc_rhs) cases
+    | _ -> [ scan_body ~file ~target ~reason body ]
+  in
+  (List.concat_map fst results, List.concat_map snd results)
+
+(* The enclosing module path of a dotted binding name ("Pool." for
+   "Pool.release"), against which a bare callee name resolves first. *)
+let module_prefix target =
+  match String.rindex_opt target '.' with
+  | None -> ""
+  | Some i -> String.sub target 0 (i + 1)
+
+let check ~file ~hots ast =
   let bindings = bindings_of_structure ast in
-  let exported =
-    Option.map (fun sg -> exported_paths "" sg) interface
+  let scanned = Hashtbl.create 16 in
+  List.iter (fun (h : Annot.hot) -> Hashtbl.replace scanned h.target ()) hots;
+  let resolve ~from name =
+    List.find_map
+      (fun key ->
+        match List.assoc_opt key bindings with
+        | Some e when is_function e -> Some (key, e)
+        | _ -> None)
+      [ module_prefix from ^ name; name ]
+  in
+  (* Scan a hot root's callees depth-first, each binding once per file;
+     [root] names the findings. *)
+  let rec callees ~root ~reason ~from = function
+    | [] -> []
+    | name :: rest -> (
+        match resolve ~from name with
+        | Some (key, e) when not (Hashtbl.mem scanned key) ->
+            Hashtbl.replace scanned key ();
+            let findings, names =
+              scan_binding ~file ~target:(root ^ "->" ^ key) ~reason e
+            in
+            findings
+            @ callees ~root ~reason ~from:key names
+            @ callees ~root ~reason ~from rest
+        | _ -> callees ~root ~reason ~from rest)
   in
   List.concat_map
     (fun (h : Annot.hot) ->
@@ -231,27 +274,10 @@ let check ~file ~hots ~interface ast =
                   binding"
                  h.target);
           ]
-      | Some expr -> (
-          match exported with
-          | Some paths when not (List.mem h.target paths) ->
-              [
-                Finding.make ~file ~line:h.hot_line ~rule:"hot-coverage"
-                  ~severity:(Rules.severity_of "hot-coverage")
-                  (Printf.sprintf
-                     "hot annotation names %s, which the interface does \
-                      not export — hot paths are part of the public \
-                      performance contract"
-                     h.target);
-              ]
-          | _ -> (
-              let body = strip_params expr in
-              match body.pexp_desc with
-              | Pexp_function cases ->
-                  List.concat_map
-                    (fun c ->
-                      scan_body ~file ~target:h.target ~reason:h.hot_reason
-                        c.pc_rhs)
-                    cases
-              | _ ->
-                  scan_body ~file ~target:h.target ~reason:h.hot_reason body)))
+      | Some expr ->
+          let findings, names =
+            scan_binding ~file ~target:h.target ~reason:h.hot_reason expr
+          in
+          findings
+          @ callees ~root:h.target ~reason:h.hot_reason ~from:h.target names)
     hots

@@ -6,13 +6,21 @@
    - unused-export: a value declared in an .mli but never referenced
      outside its own .ml/.mli pair is dead API surface (advisory by
      default, an error under --strict).  Callers are searched for in
-     lib/ and its sibling bin/, test/, bench/, perfbench/ and examples/
-     trees.  Reference detection is textual (token `Module.value` with
-     identifier boundaries), which matches both same-library siblings
-     (`Module.value`) and wrapped-library consumers (`Lib.Module.value`
-     contains the token) and deliberately errs on the side of silence.
-     A test that references an export only to keep it alive is not a
-     caller: the fix for a finding is to delete the export. *)
+     lib/ and its sibling bin/, bench/, perfbench/ and examples/ trees;
+     test/ is not searched, because a test that references an export
+     only to keep it alive is not a caller: the fix for a finding is to
+     delete the export, or to move a genuine test seam into the
+     module's [For_testing] submodule (whose values are not top-level,
+     so this rule never reports them).  Reference detection is textual
+     (token `Module.value` with identifier boundaries), which matches
+     both same-library siblings (`Module.value`) and wrapped-library
+     consumers (`Lib.Module.value` contains the token) and deliberately
+     errs on the side of silence.  One exception: `W.Module.value` does
+     not count when W is another library's wrapper whose own
+     [Module] interface declares [value] — that reference names the
+     other library's value.  (An [include]d alias declares nothing
+     itself, so `Runner.Json.of_string` still counts for
+     [Rla_json.Json.of_string].) *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -128,11 +136,23 @@ let is_ident_char = function
   | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true
   | _ -> false
 
+(* The module path component right before position [i] when [hay.[i-1]]
+   is a '.', e.g. "Tcp" for the "Receiver.x" in "Tcp.Receiver.x". *)
+let qualifier hay i =
+  if i < 2 || hay.[i - 1] <> '.' then None
+  else
+    let stop = i - 1 in
+    let start = ref stop in
+    while !start > 0 && is_ident_char hay.[!start - 1] do
+      decr start
+    done;
+    if !start = stop then None else Some (String.sub hay !start (stop - !start))
+
 (* Does [hay] contain [needle] as a module-path token?  The character
    before must not extend an identifier (a preceding '.' is fine: that
-   is the wrapping library prefix) and the character after must not
-   extend the value name. *)
-let contains_token hay needle =
+   is the wrapping library prefix, unless [foreign] rejects that
+   prefix) and the character after must not extend the value name. *)
+let contains_token ~foreign hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec search from =
     if from + nn > nh then false
@@ -145,6 +165,7 @@ let contains_token hay needle =
             String.sub hay i nn = needle
             && (i = 0 || not (is_ident_char hay.[i - 1]))
             && (i + nn = nh || not (is_ident_char hay.[i + nn]))
+            && not (Option.fold ~none:false ~some:foreign (qualifier hay i))
           then true
           else search (i + 1)
   in
@@ -153,7 +174,27 @@ let contains_token hay needle =
 let module_name_of_file path =
   String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
 
-let exported_values ~file signature =
+(* The wrapper module of the library in [dir]: its dune [(name x)], or
+   the directory name when there is no dune file (lint fixtures). *)
+let wrapper_name dir =
+  let rec after_name = function
+    | "name" :: x :: _ -> Some x
+    | _ :: rest -> after_name rest
+    | [] -> None
+  in
+  let declared =
+    match read_file (Filename.concat dir "dune") with
+    | exception Sys_error _ -> None
+    | text ->
+        String.map (function '(' | ')' | '\n' | '\t' -> ' ' | c -> c) text
+        |> String.split_on_char ' '
+        |> List.filter (fun w -> w <> "")
+        |> after_name
+  in
+  String.capitalize_ascii
+    (Option.value declared ~default:(Filename.basename dir))
+
+let exported_values signature =
   List.filter_map
     (fun item ->
       match item.Parsetree.psig_desc with
@@ -165,47 +206,65 @@ let exported_values ~file signature =
           else None
       | _ -> None)
     signature
-  |> fun vals -> (file, module_name_of_file file, vals)
 
 let unused_export ~parse_interface ~lib_dirs ~search_files =
   (* Load every searchable file once. *)
   let corpus =
     List.map (fun f -> (f, try read_file f with Sys_error _ -> "")) search_files
   in
+  (* Every interface once: (library dir, wrapper, mli, module, values). *)
+  let interfaces =
+    List.concat_map
+      (fun (lib_dir, mli_files) ->
+        let wrapper = wrapper_name lib_dir in
+        List.filter_map
+          (fun mli ->
+            match parse_interface mli with
+            | Error _ -> None
+            | Ok signature ->
+                Some
+                  ( lib_dir,
+                    wrapper,
+                    mli,
+                    module_name_of_file mli,
+                    exported_values signature ))
+          mli_files)
+      lib_dirs
+  in
   List.concat_map
-    (fun (_lib_dir, mli_files) ->
-      List.concat_map
-        (fun mli ->
-          match parse_interface mli with
-          | Error _ -> []
-          | Ok signature ->
-              let file, modname, vals = exported_values ~file:mli signature in
-              (* Only the defining .ml/.mli pair is excluded from the
-                 search: an export that no sibling, test, bench or
-                 binary mentions is dead surface even inside its own
-                 library. *)
-              let stem = Filename.remove_extension mli in
-              let outside =
-                List.filter
-                  (fun (f, _) -> Filename.remove_extension f <> stem)
-                  corpus
-              in
-              List.filter_map
-                (fun (value, line) ->
-                  let needle = modname ^ "." ^ value in
-                  if
-                    List.exists
-                      (fun (_, text) -> contains_token text needle)
-                      outside
-                  then None
-                  else
-                    Some
-                      (Finding.make ~file ~line ~rule:"unused-export"
-                         ~severity:(Rules.severity_of "unused-export")
-                         (Printf.sprintf
-                            "%s is exported but never referenced outside %s"
-                            needle
-                            (Filename.basename mli))))
-                vals)
-        mli_files)
-    lib_dirs
+    (fun (lib_dir, _, mli, modname, vals) ->
+      (* Only the defining .ml/.mli pair is excluded from the search: an
+         export that no sibling, bench or binary mentions is dead
+         surface even inside its own library. *)
+      let stem = Filename.remove_extension mli in
+      let outside =
+        List.filter (fun (f, _) -> Filename.remove_extension f <> stem) corpus
+      in
+      List.filter_map
+        (fun (value, line) ->
+          (* Wrappers of the other libraries whose same-named module
+             declares this value itself. *)
+          let wrappers =
+            List.filter_map
+              (fun (dir, wrapper, _, m, vs) ->
+                if dir <> lib_dir && m = modname && List.mem_assoc value vs
+                then Some wrapper
+                else None)
+              interfaces
+          in
+          let foreign w = List.mem w wrappers in
+          let needle = modname ^ "." ^ value in
+          if
+            List.exists
+              (fun (_, text) -> contains_token ~foreign text needle)
+              outside
+          then None
+          else
+            Some
+              (Finding.make ~file:mli ~line ~rule:"unused-export"
+                 ~severity:(Rules.severity_of "unused-export")
+                 (Printf.sprintf
+                    "%s is exported but never referenced outside %s" needle
+                    (Filename.basename mli))))
+        vals)
+    interfaces

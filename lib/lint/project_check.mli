@@ -25,4 +25,8 @@ val unused_export :
     advisory [unused-export] warning for every value declared in one of
     a library's .mli files ([lib_dirs] maps a library directory to its
     .mli paths) that is never referenced, as a [Module.value] token,
-    in any of [search_files] other than its own .ml/.mli pair. *)
+    in any of [search_files] other than its own .ml/.mli pair.  A
+    [W.Module.value] token does not count when [W] is the wrapper of
+    another library in [lib_dirs] whose [Module] interface declares
+    [value] itself.  Values inside submodules (such as [For_testing])
+    are not top-level and are never reported. *)

@@ -102,7 +102,7 @@ let all =
       name = "hot-coverage";
       summary =
         "a (* lint: hot <function> *) annotation must name a function \
-         that the file defines and its interface exports";
+         that the file defines";
       scope = All;
       severity = Finding.Error;
     };

@@ -22,8 +22,6 @@ let init_delta ~bins ~h w =
   end;
   m
 
-let total m = Array.fold_left ( +. ) 0.0 m
-
 let mean ~h m =
   let acc = ref 0.0 in
   Array.iteri (fun i mi -> acc := !acc +. (mi *. center ~h i)) m;

@@ -11,9 +11,6 @@ val init_delta : bins:int -> h:float -> float -> float array
 (** Unit point mass at a given window, linearly split between the two
     bracketing bins (clamped to the histogram range). *)
 
-val total : float array -> float
-(** Total mass. *)
-
 val mean : h:float -> float array -> float
 (** First moment E[W] (assumes unit mass). *)
 

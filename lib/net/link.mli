@@ -71,9 +71,6 @@ val stats : t -> stats
 
 val reset_stats : t -> unit
 
-val service_time : t -> int -> float
-(** [service_time t size] is the transmission time of [size] bytes. *)
-
 val set_drop_hook : t -> (Packet.t -> unit) -> unit
 (** Called on every packet the link drops (for experiment probes). *)
 

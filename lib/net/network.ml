@@ -81,8 +81,6 @@ let node t addr =
   if Node.id n <> addr then raise Not_found;
   n
 
-let node_count t = t.n_nodes
-
 let add_neighbor t a b =
   if not (Hashtbl.mem t.edges (a, b)) then begin
     Hashtbl.replace t.edges (a, b) ();
@@ -308,3 +306,7 @@ let restore t st =
   t.next_uid <- st.s_next_uid;
   List.iteri (fun i n -> Node.restore t.nodes.(i) n) st.s_nodes;
   List.iter2 Link.restore ls st.s_links
+
+module For_testing = struct
+  let neighbors = neighbors
+end

@@ -44,8 +44,6 @@ val add_node_at : t -> Packet.addr -> Node.t
 val node : t -> Packet.addr -> Node.t
 (** Raises [Not_found] for an unknown or gap address. *)
 
-val node_count : t -> int
-
 val duplex : t -> Packet.addr -> Packet.addr -> Link.config -> Link.t * Link.t
 (** [duplex t a b config] connects [a] and [b] with two mirror-image
     links; returns [(a->b, b->a)]. *)
@@ -55,10 +53,6 @@ val link_between : t -> Packet.addr -> Packet.addr -> Link.t option
 
 val links : t -> Link.t list
 (** All links, in creation order. *)
-
-val neighbors : t -> Packet.addr -> Packet.addr list
-(** Nodes with a directed link from the given address, in link
-    creation order (stable, duplicate-free). *)
 
 val install_routes : t -> unit
 (** Fill every node's unicast table with shortest (hop-count) paths.
@@ -144,3 +138,12 @@ val restore : t -> state -> unit
     deterministic setup (same node/link creation order).  Links re-arm
     their pending events, so [Sim.Scheduler.restore] must have run
     first.  Raises [Invalid_argument] on a node/link count mismatch. *)
+
+module For_testing : sig
+  (** The adjacency lists in link-creation order, which BFS routing reads
+      and the routing-determinism test pins. *)
+
+  val neighbors : t -> Packet.addr -> Packet.addr list
+  (** Nodes with a directed link from the given address, in link
+      creation order (stable, duplicate-free). *)
+end

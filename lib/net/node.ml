@@ -41,8 +41,6 @@ let joined t ~group = Hashtbl.mem t.groups group
 
 let attach t ~flow handler = Hashtbl.replace t.handlers flow handler
 
-let detach t ~flow = Hashtbl.remove t.handlers flow
-
 (* The per-packet lookups below use [Hashtbl.find] with an exception
    case instead of [find_opt], so no [Some] cell is built per hop
    ([Not_found] is a constant exception; raising it allocates
@@ -101,11 +99,14 @@ let receive t pkt =
               Link.send first pkt;
               send_each pkt rest))
 
-let undeliverable t = t.undeliverable
-
 (* Routes, multicast branches, group membership and flow handlers are
    topology wiring, rebuilt deterministically by the experiment setup;
    the undeliverable count is the node's only simulation state. *)
 let capture t = t.undeliverable
 
 let restore t n = t.undeliverable <- n
+
+module For_testing = struct
+  let mcast_routes = mcast_routes
+  let joined = joined
+end

@@ -22,18 +22,12 @@ val add_mcast_route : t -> group:Packet.group -> Link.t -> unit
 (** Add an outgoing branch of the distribution tree for [group];
     duplicates are ignored. *)
 
-val mcast_routes : t -> group:Packet.group -> Link.t list
-
 val join : t -> group:Packet.group -> unit
 (** Become a local receiver of [group]'s traffic. *)
-
-val joined : t -> group:Packet.group -> bool
 
 val attach : t -> flow:Packet.flow -> (Packet.t -> unit) -> unit
 (** Register the endpoint handler for [flow]; replaces any previous
     handler for the same flow. *)
-
-val detach : t -> flow:Packet.flow -> unit
 
 val receive : t -> Packet.t -> unit
 (** Entry point for packets arriving at (or originating from) this
@@ -44,11 +38,17 @@ val receive : t -> Packet.t -> unit
     a multicast fan-out retains one extra reference per additional
     branch first. *)
 
-val undeliverable : t -> int
-(** Packets that reached this node but had no handler and no route. *)
-
 val capture : t -> int
 (** The undeliverable count — the node's only simulation state (routing
     tables and handlers are wiring, rebuilt by the experiment setup). *)
 
 val restore : t -> int -> unit
+
+module For_testing : sig
+  (** Group membership and the multicast routing table, which the node
+      tests read directly. *)
+
+  val mcast_routes : t -> group:Packet.group -> Link.t list
+
+  val joined : t -> group:Packet.group -> bool
+end

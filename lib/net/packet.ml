@@ -32,14 +32,6 @@ type t = {
   mutable refs : int;
 }
 
-let dest_to_string = function
-  | Unicast a -> Printf.sprintf "node:%d" a
-  | Multicast g -> Printf.sprintf "group:%d" g
-
-let pp ppf t =
-  Format.fprintf ppf "pkt#%d flow:%d %d->%s %dB" t.uid t.flow t.src
-    (dest_to_string t.dst) t.size
-
 module Pool = struct
   type pkt = t
 

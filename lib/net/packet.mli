@@ -49,10 +49,6 @@ type t = {
           only — treat packets as read-only. *)
 }
 
-val dest_to_string : dest -> string
-
-val pp : Format.formatter -> t -> unit
-
 (** Free-list recycling of packet records.
 
     Rules: a handler or hook invoked with a packet may read it for the

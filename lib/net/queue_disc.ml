@@ -45,11 +45,6 @@ let on_empty t ~now =
   | Tail | Lossy _ -> ()
   | Red_state red -> Red.note_empty red ~now
 
-let avg_queue t =
-  match t.impl with
-  | Tail | Lossy _ -> nan
-  | Red_state red -> Red.avg_queue red
-
 (* Drop-tail and Bernoulli disciplines hold no mutable state of their
    own (the loss RNG is shared with the owning link). *)
 type state = Stateless | Red of Red.state

@@ -33,10 +33,6 @@ val on_arrival : t -> now:float -> qlen:int -> [ `Admit | `Drop | `Mark ]
 val on_empty : t -> now:float -> unit
 (** The buffer just drained (RED idle-time bookkeeping). *)
 
-val avg_queue : t -> float
-(** RED average queue estimate; instantaneous length is not tracked
-    here, so for drop-tail this returns [nan]. *)
-
 type state = Stateless | Red of Red.state
 (** Drop-tail and Bernoulli disciplines are stateless here (the loss
     RNG is shared with — and captured by — the owning link). *)

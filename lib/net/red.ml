@@ -66,8 +66,6 @@ let set_registry t reg ~id =
         })
       reg
 
-let avg_queue t = t.est.avg
-
 let note_empty t ~now =
   t.idle <- true;
   t.est.q_time <- now
@@ -132,10 +130,6 @@ let decide t ~now ~qlen =
     end
     else `Admit
   end
-
-let drops t = t.drops
-
-let marks t = t.marks
 
 (* The rng is shared with the owning link, which captures it once. *)
 type state = {

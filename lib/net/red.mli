@@ -34,21 +34,12 @@ val set_registry : t -> Obs.Registry.t option -> id:string -> unit
     ["red.<id>.early_drops"] and ["red.<id>.marks"] counters.  Probing
     is passive — decisions and RNG draws are unaffected. *)
 
-val avg_queue : t -> float
-(** Current average queue estimate (packets). *)
-
 val decide : t -> now:float -> qlen:int -> [ `Admit | `Drop | `Mark ]
 (** Per-arrival decision given the instantaneous queue length; [`Mark]
     only occurs with {!params.ecn} set. *)
 
 val note_empty : t -> now:float -> unit
 (** Record that the queue just went idle (needed for idle aging). *)
-
-val drops : t -> int
-(** Early (probabilistic + over-threshold) drops so far. *)
-
-val marks : t -> int
-(** ECN marks so far. *)
 
 type state = {
   s_avg : float;

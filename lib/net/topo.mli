@@ -2,11 +2,10 @@
 
     A [Topo.t] is just data: node count plus an ordered edge list,
     each edge carrying the {!Link.config} its duplex link will use.
-    Generators are deterministic — the same parameters (and, for
-    {!random_graph}, the same seed) always produce the same topology,
-    byte for byte — so a topology can be rebuilt identically on every
-    shard of a parallel run.  Nothing here touches a scheduler, a
-    network or ambient randomness. *)
+    The generator is deterministic — the same parameters always
+    produce the same topology, byte for byte — so a topology can be
+    rebuilt identically on every shard of a parallel run.  Nothing here
+    touches a scheduler, a network or ambient randomness. *)
 
 type edge = {
   u : int;
@@ -19,11 +18,6 @@ type t = {
   edges : edge list;  (** Creation order; no self-loops, no duplicates. *)
 }
 
-val of_edges : n:int -> (int * int * Link.config) list -> t
-(** Explicit construction.  Raises [Invalid_argument] on a self-loop,
-    an out-of-range endpoint, or a duplicate edge (in either
-    orientation). *)
-
 val kary : fanout:int -> depth:int -> configs:Link.config array -> t
 (** Complete [fanout]-ary tree of the given [depth] (depth 0 is a
     single root).  Node 0 is the root; node [i]'s children are
@@ -35,31 +29,11 @@ val kary : fanout:int -> depth:int -> configs:Link.config array -> t
     [Invalid_argument] if [fanout < 2], [depth < 0] or [configs] is
     empty. *)
 
-val fat_tree : k:int -> configs:Link.config array -> t
-(** Standard 3-layer fat-tree on even port count [k]: [k^2/4] core
-    switches, [k] pods of [k/2] aggregation + [k/2] edge switches, and
-    [k/2] hosts per edge switch — [k^2/4 + k^2 + k^3/4] nodes and
-    [3k^3/4] edges.  [configs] is indexed by layer: [0] core-agg,
-    [1] agg-edge, [2] edge-host (the last entry repeats if fewer are
-    given).  Raises [Invalid_argument] if [k] is odd or [< 2], or
-    [configs] is empty. *)
-
-val random_graph : seed:int -> n:int -> extra:int -> configs:Link.config array -> t
-(** Connected seeded random graph: a random spanning tree (node [i]
-    attaches to a uniform earlier node) plus up to [extra] additional
-    distinct non-self edges; each edge draws its config uniformly from
-    [configs].  All randomness comes from a private [Sim.Rng] seeded
-    with [seed], so the result is reproducible.  Raises
-    [Invalid_argument] if [n < 1], [extra < 0] or [configs] is
-    empty. *)
-
 val node_count : t -> int
 val edge_count : t -> int
 
 val leaves : t -> int list
 (** Degree-1 nodes, ascending. *)
-
-val connected : t -> bool
 
 val bfs_parents : t -> root:int -> int array
 (** [parents.(root) = root]; unreachable nodes get [-1].  Neighbors

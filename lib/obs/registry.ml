@@ -47,12 +47,6 @@ let counter t name =
 
 let incr c = c.count <- c.count + 1
 
-let add c n = c.count <- c.count + n
-
-let count c = c.count
-
-let counter_name c = c.counter_name
-
 (* --- gauges --------------------------------------------------------- *)
 
 let gauge t name =
@@ -66,8 +60,6 @@ let gauge t name =
 
 let set g v = g.gauge_value <- v
 
-let gauge_value g = g.gauge_value
-
 (* --- series --------------------------------------------------------- *)
 
 let series ?limit t name =
@@ -80,8 +72,6 @@ let series ?limit t name =
       Hashtbl.replace t.series_tbl name s;
       t.series_order <- s :: t.series_order;
       s
-
-let sample ?limit t name ~time value = Series.add (series ?limit t name) ~time value
 
 let find_series t name = Hashtbl.find_opt t.series_tbl name
 

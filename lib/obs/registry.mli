@@ -29,12 +29,6 @@ val counter : t -> string -> counter
 
 val incr : counter -> unit
 
-val add : counter -> int -> unit
-
-val count : counter -> int
-
-val counter_name : counter -> string
-
 (** {2 Gauges} *)
 
 type gauge
@@ -44,17 +38,10 @@ val gauge : t -> string -> gauge
 
 val set : gauge -> float -> unit
 
-val gauge_value : gauge -> float
-
 (** {2 Time series} *)
 
 val series : ?limit:int -> t -> string -> Series.t
 (** Get or create the named series.  [limit] applies only on creation. *)
-
-val sample : ?limit:int -> t -> string -> time:float -> float -> unit
-(** [sample t name ~time v] offers one sample to the named series
-    (creating it on first use).  Hot paths should prefer caching the
-    handle from {!series}. *)
 
 val find_series : t -> string -> Series.t option
 

@@ -75,8 +75,6 @@ let times t = Array.sub t.times 0 t.len
 
 let values t = Array.sub t.values 0 t.len
 
-let last t = if t.len = 0 then None else Some (t.times.(t.len - 1), t.values.(t.len - 1))
-
 (* The buffers are restored at exactly [s_len] capacity: the next add
    that needs room re-grows them, which is unobservable (growth policy
    depends only on [len]/[limit], both restored). *)

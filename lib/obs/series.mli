@@ -45,9 +45,6 @@ val times : t -> float array
 val values : t -> float array
 (** Stored sample values, aligned with {!times} (a copy). *)
 
-val last : t -> (float * float) option
-(** Most recent stored sample. *)
-
 type state = {
   s_times : float array;
   s_values : float array;

@@ -67,10 +67,6 @@ val shard_registry : t -> int -> Obs.Registry.t option
 val link_for : t -> int -> int -> Net.Link.t option
 (** The directed link [u -> v]: an intra-shard link or a portal. *)
 
-val install_route : t -> at:int -> dest:int -> next:int -> unit
-(** Route [dest] at node [at] via the link to neighbor [next] (portal
-    or local).  Raises [Invalid_argument] if no such link exists. *)
-
 val install_toward : t -> parents:int array -> dest:int -> unit
 (** Given a BFS parent forest rooted at [dest], route [dest] at every
     reachable node via its parent. *)

@@ -37,6 +37,9 @@ type t = {
 
 let initial_capacity = 16
 
+(* Filler for unused [dst] cells, built once. *)
+let no_dest = Net.Packet.Unicast 0
+
 let create_box () =
   let c = initial_capacity in
   {
@@ -48,7 +51,7 @@ let create_box () =
     flow = Array.make c 0;
     psrc = Array.make c 0;
     size = Array.make c 0;
-    dst = Array.make c (Net.Packet.Unicast 0);
+    dst = Array.make c no_dest;
     payload = Array.make c Net.Packet.Raw;
     ecn = Array.make c false;
   }
@@ -80,7 +83,7 @@ let grow b =
   b.flow <- extend b.flow n cap 0;
   b.psrc <- extend b.psrc n cap 0;
   b.size <- extend b.size n cap 0;
-  b.dst <- extend b.dst n cap (Net.Packet.Unicast 0);
+  b.dst <- extend b.dst n cap no_dest;
   b.payload <- extend b.payload n cap Net.Packet.Raw;
   b.ecn <- extend b.ecn n cap false
 

@@ -22,9 +22,14 @@
    ['a] including [float] (floats are stored boxed, never unboxed, and
    all accesses go through the uniform-array path).  A slot is
    overwritten with the immediate dummy when its entry is popped or
-   filtered out, and [clear]/[restore] drop the arrays, so the heap
+   filtered out, and [clear] drops the arrays, so the heap
    keeps no value (and hence no closure, packet or sender captured by
    one) reachable once it has let the entry go. *)
+
+(* lint: allow-file ckpt-coverage -- the heap holds event closures,
+   which no checkpoint can carry: Scheduler.capture records the pending
+   (time, id) pairs and its restore re-inserts them with add_with_seq
+   and set_next_seq. *)
 
 type 'a t = {
   mutable prios : float array;
@@ -164,8 +169,6 @@ let add t ~prio value =
    The caller owns seq uniqueness; [next_seq] is left untouched. *)
 let add_with_seq t ~prio ~seq value = push t ~prio ~seq value
 
-let next_seq t = t.next_seq
-
 let set_next_seq t n = t.next_seq <- n
 
 let value_at t i : 'a = Obj.obj (Array.unsafe_get t.vals t.slots.(i))
@@ -187,23 +190,12 @@ let clear t =
   t.vals <- [||];
   t.size <- 0
 
-let restore t ~next_seq entries =
-  clear t;
-  List.iter (fun (prio, seq, value) -> push t ~prio ~seq value) entries;
-  t.next_seq <- next_seq
-
-let min_prio t = if t.size = 0 then None else Some t.prios.(0)
-
 (* lint: hot top_prio -- read once per scheduler step; one array load.
    Under -opaque the float result is boxed at the call (2 words), and
    the scheduler keeps that box as its clock *)
 let top_prio t =
   if t.size = 0 then invalid_arg "Heap.top_prio: empty heap";
   t.prios.(0)
-
-let peek t =
-  if t.size = 0 then None
-  else Some (t.prios.(0), (value_at t 0 : 'a))
 
 (* Whether the minimum element's priority is above [bound], without
    returning (and so boxing) the priority itself. *)
@@ -243,7 +235,7 @@ let pop_top t =
         (not (t.prios.(0) < prio || (t.prios.(0) = prio && t.seqs.(0) < seq)))
         (fun () ->
           Printf.sprintf
-            "Heap.pop: successor (%g, #%d) precedes popped entry (%g, #%d)"
+            "Heap.pop_top: successor (%g, #%d) precedes popped entry (%g, #%d)"
             t.prios.(0) t.seqs.(0) prio seq)
   end;
   value
@@ -319,27 +311,3 @@ let compact t ~keep =
             t.seqs.(i))
     done
   end
-
-(* lint: hot pop_entry -- checkpoint drain + replay path over the live
-   heap; one option cell per entry is its only allowed allocation *)
-let pop_entry t =
-  if t.size = 0 then None
-  else begin
-    let prio = t.prios.(0) in
-    let seq = t.seqs.(0) in
-    (* lint: allow alloc-hot -- the Some-triple is the drain API; one
-       cell per drained entry, off the per-event fire loop *)
-    Some (prio, seq, pop_top t)
-  end
-
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let prio = t.prios.(0) in
-    Some (prio, pop_top t)
-  end
-
-let iter t ~f =
-  for i = 0 to t.size - 1 do
-    f t.prios.(i) (value_at t i : 'a)
-  done

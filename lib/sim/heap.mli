@@ -11,9 +11,9 @@
     sift therefore follows no per-element pointer and writes no
     pointer; an element costs one pointer write when it is added and
     one when it leaves, and insertion allocates nothing beyond
-    amortized growth.  Slots vacated by {!pop} and {!compact} (and the
-    whole store on {!clear}/{!restore}) are overwritten, so the heap
-    retains no reference to a value it has let go. *)
+    amortized growth.  Slots vacated by {!pop_top} and {!compact} (and
+    the whole store on {!clear}) are overwritten, so the heap retains
+    no reference to a value it has let go. *)
 
 type 'a t
 
@@ -29,19 +29,12 @@ val add : 'a t -> prio:float -> 'a -> unit
 (** [add t ~prio x] inserts [x] with priority [prio].  Elements with
     equal priority are returned in insertion order. *)
 
-val min_prio : 'a t -> float option
-(** Priority of the minimum element, if any. *)
-
 val top_prio : 'a t -> float
-(** Priority of the minimum element.  Unlike {!min_prio} this builds no
-    option, but a float returned across modules is boxed (2 words)
-    unless the call is inlined, which dune's dev profile ([-opaque])
-    rules out; see {!top_above} for a test that boxes nothing.  Raises
-    [Invalid_argument] on an empty heap, so callers on the hot path pair
-    it with {!is_empty}. *)
-
-val pop : 'a t -> (float * 'a) option
-(** Remove and return the minimum element with its priority. *)
+(** Priority of the minimum element.  A float returned across modules
+    is boxed (2 words) unless the call is inlined, which dune's dev
+    profile ([-opaque]) rules out; see {!top_above} for a test that
+    boxes nothing.  Raises [Invalid_argument] on an empty heap, so
+    callers on the hot path pair it with {!is_empty}. *)
 
 val top_above : 'a t -> float -> bool
 (** [top_above t bound] is [top_prio t > bound], without boxing the
@@ -57,15 +50,6 @@ val pop_top : 'a t -> 'a
     hot-path combination with {!top_prio}/{!top_seq}.  Raises
     [Invalid_argument] on an empty heap. *)
 
-val pop_entry : 'a t -> (float * int * 'a) option
-(** Like {!pop} but also returns the element's tie-break counter.  The
-    scheduler relies on this: its event ids advance in lockstep with
-    the heap counter, so the counter of a popped event {e is} its id
-    and no per-event id record needs allocating. *)
-
-val peek : 'a t -> (float * 'a) option
-(** Return the minimum element without removing it. *)
-
 val clear : 'a t -> unit
 (** Remove all elements. *)
 
@@ -75,20 +59,12 @@ val add_with_seq : 'a t -> prio:float -> seq:int -> 'a -> unit
     reproduces the original pop order exactly.  The caller guarantees
     [seq] uniqueness; the internal counter is not advanced. *)
 
-val next_seq : 'a t -> int
-(** Value the internal tie-break counter will assign next. *)
-
 val set_next_seq : 'a t -> int -> unit
 (** Overwrite the internal tie-break counter (checkpoint restore). *)
 
 val capture : 'a t -> (float * int * 'a) list
 (** All elements as [(prio, seq, value)] sorted in pop order.  Pure
     read; the heap is unchanged. *)
-
-val restore : 'a t -> next_seq:int -> (float * int * 'a) list -> unit
-(** Replace the contents with the captured elements (under their
-    original tie-break counters) and set the internal counter, making
-    subsequent pops byte-identical to the captured heap's. *)
 
 val compact : 'a t -> keep:(int -> bool) -> unit
 (** [compact t ~keep] removes every element whose tie-break counter
@@ -97,6 +73,3 @@ val compact : 'a t -> keep:(int -> bool) -> unit
     reachable.  The survivors keep their keys, so they pop in exactly
     the order they would have popped in without the call.  Allocates
     nothing itself; [keep] should not either. *)
-
-val iter : 'a t -> f:(float -> 'a -> unit) -> unit
-(** Iterate over all elements in unspecified order. *)

@@ -6,7 +6,7 @@
    instrumented run stays byte-identical to an uninstrumented one.
 
    Gate: the RLA_DEBUG_INVARIANTS environment variable at startup
-   (1/true/yes/on), or [set_enabled] from tests.  Disabled, the cost at
+   (1/true/yes/on), or [enabled := true] from tests.  Disabled, the cost at
    every check site is a single ref read. *)
 
 exception Violation of string
@@ -21,8 +21,6 @@ let env_enabled =
 (* lint: allow shared-mutable-capture -- set before any Domain.spawn;
    workers only read it, and a stale read just skips a debug check *)
 let enabled = ref env_enabled
-
-let set_enabled b = enabled := b
 
 (* Counters are informational but shared across shard workers, so they
    must be atomic or parallel runs would under-count (and race). *)
@@ -47,3 +45,9 @@ let require cond msg =
     Atomic.incr failures;
     raise (Violation (msg ()))
   end
+
+module For_testing = struct
+  let checks_run = checks_run
+  let failures_seen = failures_seen
+  let reset_counters = reset_counters
+end

@@ -1,7 +1,7 @@
 (** Debug-gated runtime invariants: the dynamic backstop to the static
     determinism linter.  Enabled by the [RLA_DEBUG_INVARIANTS]
-    environment variable (1/true/yes/on) or {!set_enabled}; checks are
-    passive, so instrumented runs replay byte-identically. *)
+    environment variable (1/true/yes/on) or by setting {!enabled};
+    checks are passive, so instrumented runs replay byte-identically. *)
 
 exception Violation of string
 
@@ -9,15 +9,18 @@ val enabled : bool ref
 (** Check sites guard on [!enabled] so the disabled cost is one ref
     read per site. *)
 
-val set_enabled : bool -> unit
-
 val require : bool -> (unit -> string) -> unit
 (** [require cond msg] counts a check; on failure counts it and raises
     {!Violation} with [msg ()] (built lazily). *)
 
-val checks_run : unit -> int
-(** Checks evaluated since start (or {!reset_counters}). *)
+module For_testing : sig
+  (** Check counters: the invariant tests read them to prove that
+      checks ran and passed. *)
 
-val failures_seen : unit -> int
+  val checks_run : unit -> int
+  (** Checks evaluated since start (or {!reset_counters}). *)
 
-val reset_counters : unit -> unit
+  val failures_seen : unit -> int
+
+  val reset_counters : unit -> unit
+end

@@ -40,11 +40,7 @@ let[@inline] next t =
   Bytes.set_int64_ne t.state 0 s;
   mix s
 
-let bits64 t = next t
-
 let split t = of_state (mix (next t))
-
-let copy t = of_state (state t)
 
 (* 53 uniformly random mantissa bits -> float in [0, 1). *)
 let[@inline] unit_float t =

@@ -14,9 +14,6 @@ val split : t -> t
 (** [split t] derives a statistically independent generator, advancing
     [t] by one step. *)
 
-val copy : t -> t
-(** Duplicate the current state. *)
-
 val state : t -> int64
 (** [state t] is the complete generator state (splitmix64 is a single
     64-bit counter).  [set_state t (state t')] makes [t] continue
@@ -24,9 +21,6 @@ val state : t -> int64
 
 val set_state : t -> int64 -> unit
 (** Overwrite the generator state in place. *)
-
-val bits64 : t -> int64
-(** Next raw 64-bit output. *)
 
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)

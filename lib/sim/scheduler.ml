@@ -148,9 +148,7 @@ let cancel t id =
 
 (* Pop one event.  [`Fired] executed an event, [`Skipped] discarded a
    lazily-cancelled entry, [`Done] means the queue is exhausted or the
-   next event lies beyond [horizon].  Only [`Fired] counts against
-   run_until_empty's budget: a cancel-heavy run must still fire
-   [max_events] real events. *)
+   next event lies beyond [horizon]. *)
 (* lint: hot step -- fires every simulated event; the events/s number
    in BENCH_perf.json is mostly this function *)
 let step t horizon =
@@ -197,18 +195,6 @@ let run_until t horizon =
     match step t horizon with `Fired | `Skipped -> () | `Done -> continue := false
   done;
   if horizon > t.clock then t.clock <- horizon
-
-let run_until_empty t ~max_events =
-  let budget = ref max_events in
-  let continue = ref (max_events > 0) in
-  while !continue do
-    match step t infinity with
-    | `Fired ->
-        decr budget;
-        if !budget <= 0 then continue := false
-    | `Skipped -> ()
-    | `Done -> continue := false
-  done
 
 let pending t = t.pending_count
 
@@ -269,3 +255,8 @@ let rearm t ~id action =
 let unrestored t =
   Hashtbl.fold (fun id _ acc -> id :: acc) t.rearm_times []
   |> List.sort Int.compare
+
+module For_testing = struct
+  let step = step
+  let pending = pending
+end

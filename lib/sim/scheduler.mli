@@ -29,7 +29,7 @@ val schedule_after : t -> float -> (unit -> unit) -> event_id
 val cancel : t -> event_id -> unit
 (** Cancel a pending event.  Cancelling an event that already fired,
     was already cancelled, or never existed is a strict no-op: it
-    neither perturbs {!pending} nor affects any other event.
+    neither perturbs {!For_testing.pending} nor affects any other event.
 
     Cancellation is lazy: the entry stays queued (and is later popped
     as a [`Skipped] step) until the cancelled entries outnumber the
@@ -38,18 +38,6 @@ val cancel : t -> event_id -> unit
     released.  Compaction allocates nothing and never changes which
     events fire or in what order: the order is a function of the
     pending events' unique [(time, id)] keys alone. *)
-
-val step : t -> float -> [ `Fired | `Skipped | `Done ]
-(** Pop one event at or before the horizon: [`Fired] executed it,
-    [`Skipped] discarded a lazily-cancelled entry that compaction had
-    not yet removed (how many such steps a run takes is not part of
-    the contract), [`Done] means the
-    queue is exhausted or the next event lies beyond the horizon.  The
-    run loops are built on this; it is the per-event hot path.  Its one
-    allocation per event is the boxed fire time that becomes the clock
-    (2 words: under dune's dev profile, which compiles with [-opaque],
-    a float returned across modules is boxed); it must allocate nothing
-    else. *)
 
 val firing : t -> event_id
 (** Id of the event whose action is running now; [-1] between events.
@@ -60,12 +48,6 @@ val firing : t -> event_id
 val run_until : t -> float -> unit
 (** Execute events in order until the queue is empty or the next event
     is past the horizon; the clock ends at exactly the horizon. *)
-
-val run_until_empty : t -> max_events:int -> unit
-(** Run until no events remain or [max_events] have fired. *)
-
-val pending : t -> int
-(** Number of pending (non-cancelled) events. *)
 
 val set_registry : t -> Obs.Registry.t option -> unit
 (** Install (or remove, with [None]) a metrics registry.  With one
@@ -113,3 +95,23 @@ val unrestored : t -> event_id list
 (** Restored pending ids not yet re-armed, ascending.  Non-empty after
     the components' re-arm pass means the checkpoint recorded an event
     no component claims — the caller must fail rather than resume. *)
+
+module For_testing : sig
+  (** The per-event step and the pending count, which the scheduler's
+      contract and allocation tests observe directly. *)
+
+  val step : t -> float -> [ `Fired | `Skipped | `Done ]
+  (** Pop one event at or before the horizon: [`Fired] executed it,
+      [`Skipped] discarded a lazily-cancelled entry that compaction had
+      not yet removed (how many such steps a run takes is not part of
+      the contract), [`Done] means the queue is exhausted or the next
+      event lies beyond the horizon.  {!run_until} is built on this; it
+      is the per-event hot path.  Its one
+      allocation per event is the boxed fire time that becomes the clock
+      (2 words: under dune's dev profile, which compiles with [-opaque],
+      a float returned across modules is boxed); it must allocate nothing
+      else. *)
+
+  val pending : t -> int
+  (** Number of pending (non-cancelled) events. *)
+end

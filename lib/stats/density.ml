@@ -29,11 +29,6 @@ let cell t ix iy = t.grid.((iy * t.n) + ix)
 
 let total t = t.total
 
-let peak_cell t =
-  let best = ref 0 in
-  Array.iteri (fun i c -> if c > t.grid.(!best) then best := i) t.grid;
-  (!best mod t.n, !best / t.n)
-
 let cell_center t ix iy =
   let wx = (t.x_hi -. t.x_lo) /. float_of_int t.n in
   let wy = (t.y_hi -. t.y_lo) /. float_of_int t.n in
@@ -92,3 +87,8 @@ let pp ppf t =
     done;
     Format.fprintf ppf "@."
   done
+
+module For_testing = struct
+  let cell = cell
+  let total = total
+end

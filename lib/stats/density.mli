@@ -11,14 +11,6 @@ val create : x_lo:float -> x_hi:float -> y_lo:float -> y_hi:float -> cells:int -
 val add : t -> x:float -> y:float -> unit
 (** Out-of-range points are clamped onto the border cells. *)
 
-val cell : t -> int -> int -> int
-(** [cell t ix iy]: visit count of the cell. *)
-
-val total : t -> int
-
-val peak_cell : t -> int * int
-(** Indices of the fullest cell (ties break to the smallest index). *)
-
 val centroid : t -> float * float
 (** Mass-weighted centre; (0, 0) when empty. *)
 
@@ -28,3 +20,13 @@ val mass_within : t -> cx:float -> cy:float -> radius:float -> float
 
 val pp : Format.formatter -> t -> unit
 (** ASCII shading of the grid (darker = more visits). *)
+
+module For_testing : sig
+  (** The grid contents, which the binning and clamping tests read cell by
+      cell. *)
+
+  val cell : t -> int -> int -> int
+  (** [cell t ix iy]: visit count of the cell. *)
+
+  val total : t -> int
+end

@@ -17,14 +17,6 @@ let update t x =
 
 let value t = t.c.avg
 
-let value_opt t = if t.samples = 0 then None else Some t.c.avg
-
-let samples t = t.samples
-
-let reset t =
-  t.c.avg <- 0.0;
-  t.samples <- 0
-
 type state = { s_avg : float; s_samples : int }
 
 let capture t = { s_avg = t.c.avg; s_samples = t.samples }

@@ -16,14 +16,6 @@ val update : t -> float -> unit
 val value : t -> float
 (** Current average; 0 before any sample. *)
 
-val value_opt : t -> float option
-(** [None] before any sample. *)
-
-val samples : t -> int
-(** Number of samples absorbed. *)
-
-val reset : t -> unit
-
 type state = { s_avg : float; s_samples : int }
 (** Complete mutable state (the weight is configuration). *)
 

@@ -35,8 +35,6 @@ let quantile t q =
   let frac = pos -. float_of_int lo in
   (t.data.(lo) *. (1.0 -. frac)) +. (t.data.(hi) *. frac)
 
-let median t = quantile t 0.5
-
 let mean t =
   if t.size = 0 then 0.0
   else begin
@@ -46,7 +44,3 @@ let mean t =
     done;
     !sum /. float_of_int t.size
   end
-
-let to_sorted_array t =
-  ensure_sorted t;
-  Array.sub t.data 0 t.size

@@ -21,8 +21,6 @@ let average t ~upto =
   let span = upto -. t.start in
   if span <= 0.0 then t.last_value else total /. span
 
-let current t = t.last_value
-
 let reset t ~start ~value =
   t.start <- start;
   t.last_time <- start;

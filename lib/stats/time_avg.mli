@@ -17,8 +17,6 @@ val update : t -> time:float -> value:float -> unit
 val average : t -> upto:float -> float
 (** Time-weighted mean over [\[start, upto\]]. *)
 
-val current : t -> float
-
 val reset : t -> start:float -> value:float -> unit
 (** Restart accumulation (used to discard a warm-up interval). *)
 

@@ -27,12 +27,6 @@ let count t = t.n
 
 let mean t = t.m.mean
 
-let variance t = if t.n < 2 then 0.0 else t.m.m2 /. float_of_int (t.n - 1)
-
-let min t = t.m.min
-
-let max t = t.m.max
-
 type state = {
   s_n : int;
   s_mean : float;
@@ -56,22 +50,3 @@ let restore t st =
   t.m.m2 <- st.s_m2;
   t.m.min <- st.s_min;
   t.m.max <- st.s_max
-
-let copy t = make t.n ~mean:t.m.mean ~m2:t.m.m2 ~min:t.m.min ~max:t.m.max
-
-let merge a b =
-  if a.n = 0 then copy b
-  else if b.n = 0 then copy a
-  else begin
-    let n = a.n + b.n in
-    let delta = b.m.mean -. a.m.mean in
-    let mean = a.m.mean +. (delta *. float_of_int b.n /. float_of_int n) in
-    let m2 =
-      a.m.m2 +. b.m.m2
-      +. (delta *. delta *. float_of_int a.n *. float_of_int b.n
-          /. float_of_int n)
-    in
-    make n ~mean ~m2
-      ~min:(Stdlib.min a.m.min b.m.min)
-      ~max:(Stdlib.max a.m.max b.m.max)
-  end

@@ -14,18 +14,6 @@ val count : t -> int
 val mean : t -> float
 (** 0 when empty. *)
 
-val variance : t -> float
-(** Sample variance (unbiased); 0 with fewer than two samples. *)
-
-val min : t -> float
-(** [infinity] when empty. *)
-
-val max : t -> float
-(** [neg_infinity] when empty. *)
-
-val merge : t -> t -> t
-(** Combine two accumulators (Chan's parallel formula). *)
-
 type state = {
   s_n : int;
   s_mean : float;

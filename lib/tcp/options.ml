@@ -11,13 +11,7 @@ type t = { mss : int; wscale : int; sack_ok : bool }
 
 type error = Bad_mss of int | Bad_wscale of int | Bad_bits of int
 
-let error_to_string = function
-  | Bad_mss m -> Fmt.str "mss %d outside 1..65535" m
-  | Bad_wscale w -> Fmt.str "window scale %d outside 0..14 (RFC 7323)" w
-  | Bad_bits v -> Fmt.str "undefined option bits set in %#x" v
-
 let max_wscale = 14
-let default = { mss = Wire.data_size; wscale = 0; sack_ok = true }
 
 let make ~mss ~wscale ~sack_ok =
   if mss < 1 || mss > 0xFFFF then invalid_arg "Tcp.Options.make: bad mss";
@@ -44,6 +38,3 @@ let decode v =
 let negotiate a b =
   { mss = min a.mss b.mss; wscale = min a.wscale b.wscale;
     sack_ok = a.sack_ok && b.sack_ok }
-
-let to_string t =
-  Fmt.str "mss=%d wscale=%d sack=%b" t.mss t.wscale t.sack_ok

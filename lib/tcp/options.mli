@@ -15,14 +15,8 @@ type t = {
 
 type error = Bad_mss of int | Bad_wscale of int | Bad_bits of int
 
-val error_to_string : error -> string
-
 val max_wscale : int
 (** 14, the RFC 7323 maximum shift. *)
-
-val default : t
-(** [mss = Wire.data_size], no scaling, SACK on — the options implied
-    for connections created without a handshake. *)
 
 val make : mss:int -> wscale:int -> sack_ok:bool -> t
 (** Raises [Invalid_argument] outside the ranges above. *)
@@ -36,5 +30,3 @@ val decode : int -> (t, error) result
 
 val negotiate : t -> t -> t
 (** Symmetric meet: min mss, min shift, SACK iff both permit. *)
-
-val to_string : t -> string

@@ -27,13 +27,7 @@ type t = {
   mutable probes_received : int;
 }
 
-let expected t = t.expected
-
 let received_total t = t.received_total
-
-let duplicates t = t.duplicates
-
-let out_of_order_pending t = Hashtbl.length t.ooo
 
 let closed t = t.closed
 
@@ -42,14 +36,6 @@ let rst_accepted t = t.rst_accepted
 let rst_challenged t = t.rst_challenged
 
 let rst_dropped t = t.rst_dropped
-
-let challenge_acks t = t.challenge_acks
-
-let ghost_data t = t.ghost_data
-
-let probes_received t = t.probes_received
-
-let window_scale t = t.wscale
 
 let set_rst_strict t v = t.rst_strict <- v
 

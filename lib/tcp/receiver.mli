@@ -38,23 +38,12 @@ val create :
     RST validation — [false] models a legacy stack that accepts any
     in-window RST. *)
 
-val expected : t -> int
-(** Next in-order packet expected. *)
-
 val received_total : t -> int
 (** Data packets that arrived (including duplicates). *)
-
-val duplicates : t -> int
-
-val out_of_order_pending : t -> int
-(** Packets buffered above the in-order point. *)
 
 val closed : t -> bool
 (** An accepted RST tore the connection down; the endpoint goes
     silent (no acks, no data processing). *)
-
-val window_scale : t -> int
-(** Effective shift after any SYN negotiation. *)
 
 val set_rst_strict : t -> bool -> unit
 (** Toggle RFC 5961 RST validation (for legacy-stack experiments). *)
@@ -66,14 +55,6 @@ val rst_challenged : t -> int
 
 val rst_dropped : t -> int
 (** RSTs outside the receive window, silently discarded. *)
-
-val challenge_acks : t -> int
-
-val ghost_data : t -> int
-(** Data segments dropped by sequence validation (blind injection). *)
-
-val probes_received : t -> int
-(** Zero-window probes answered. *)
 
 type state = {
   s_ooo : int list;  (** out-of-order set, ascending *)

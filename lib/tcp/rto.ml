@@ -44,8 +44,6 @@ let sample ?(rexmitted = false) t m =
 
 let srtt t = t.est.srtt
 
-let rttvar t = t.est.rttvar
-
 (* Typed float clamps ([if a >= b then a else b] is exactly
    [Stdlib.max a b] on floats, NaN and signed zeros included): the
    polymorphic [Stdlib.max]/[min] box both arguments. *)
@@ -63,10 +61,6 @@ let timeout t =
    the cap is enforced structurally: once [timeout t = max_rto] the
    shift freezes and [2.0 ** shift] can never overflow. *)
 let backoff t = if timeout t < t.max_rto then t.shift <- t.shift + 1
-
-let at_max t = timeout t >= t.max_rto
-
-let has_sample t = t.samples > 0
 
 type state = {
   s_srtt : float;

@@ -18,8 +18,6 @@ val sample : ?rexmitted:bool -> t -> float -> unit
 val srtt : t -> float
 (** Smoothed RTT; 0 before the first sample. *)
 
-val rttvar : t -> float
-
 val timeout : t -> float
 (** Current retransmission timeout (includes backoff). *)
 
@@ -27,11 +25,6 @@ val backoff : t -> unit
 (** Double the timeout (up to [max_rto]), as after a timer expiry.
     Once the clamped timeout reaches [max_rto] the shift freezes, so
     repeated backoffs cannot overflow the exponent. *)
-
-val at_max : t -> bool
-(** The timeout has hit the [max_rto] ceiling. *)
-
-val has_sample : t -> bool
 
 type state = {
   s_srtt : float;

@@ -120,15 +120,15 @@ let sack_one t seq =
 
 let no_report (_ : int) = ()
 
-let mark_sacked_iter t ~lo ~hi f =
-  let newly = ref 0 in
-  for seq = lo to hi - 1 do
-    if sack_one t seq then begin
-      incr newly;
-      f seq
-    end
-  done;
-  !newly
+let rec sack_range t seq hi f newly =
+  if seq >= hi then newly
+  else if sack_one t seq then begin
+    f seq;
+    sack_range t (seq + 1) hi f (newly + 1)
+  end
+  else sack_range t (seq + 1) hi f newly
+
+let mark_sacked_iter t ~lo ~hi f = sack_range t lo hi f 0
 
 let mark_sacked t ~lo ~hi = mark_sacked_iter t ~lo ~hi no_report
 
@@ -172,19 +172,22 @@ let mark_lost t seq =
 (* A packet is lost once a packet >= seq + dupthresh has been SACKed;
    only the range [loss_floor, highest_sacked - dupthresh] can contain
    fresh losses. *)
+let rec mark_lost_range t seq upper f found =
+  if seq > upper then found
+  else if mark_lost t seq then begin
+    f seq;
+    mark_lost_range t (seq + 1) upper f (found + 1)
+  end
+  else mark_lost_range t (seq + 1) upper f found
+
 let detect_losses_iter t ~dupthresh f =
   let upper = t.highest_sacked - dupthresh in
-  let found = ref 0 in
-  if upper >= t.loss_floor then begin
-    for seq = t.loss_floor to upper do
-      if mark_lost t seq then begin
-        incr found;
-        f seq
-      end
-    done;
-    t.loss_floor <- upper + 1
-  end;
-  !found
+  if upper < t.loss_floor then 0
+  else begin
+    let found = mark_lost_range t t.loss_floor upper f 0 in
+    t.loss_floor <- upper + 1;
+    found
+  end
 
 let detect_losses t ~dupthresh =
   let lost = ref [] in
@@ -373,3 +376,12 @@ let check_invariants t =
   assert (!lost = t.lost_cnt);
   assert (!rexmit = t.rexmit_out);
   assert (pipe t >= 0)
+
+module For_testing = struct
+  let advance_cum = advance_cum
+  let mark_sacked = mark_sacked
+  let detect_losses = detect_losses
+  let mark_lost = mark_lost
+  let highest_sacked = highest_sacked
+  let check_invariants = check_invariants
+end

@@ -28,35 +28,25 @@ val next_seq : t -> int
 val register_send : t -> int
 (** Allocate and return the next new sequence number. *)
 
-val advance_cum : t -> int -> int
-(** [advance_cum t ack] processes a cumulative ack ([ack] = next
-    expected).  Returns how many packets were newly acknowledged.
-    Acks below the current point return 0. *)
-
-val mark_sacked : t -> lo:int -> hi:int -> int
-(** SACK the half-open range; returns the number of newly SACKed
-    packets.  Ranges at or below [high_ack] are ignored. *)
-
 (** The [_iter] variants below also call [f] on each affected sequence
     number, ascending, instead of returning a list, so a per-ack caller
     that allocates [f] once builds nothing per ack. *)
 
 val mark_sacked_iter : t -> lo:int -> hi:int -> (int -> unit) -> int
-(** {!mark_sacked}, reporting the newly SACKed sequence numbers.  The
-    RLA sender needs them to maintain its acked-by-all coverage counts
-    without double counting. *)
+(** SACK the half-open range, ignoring what lies at or below
+    [high_ack], reporting the newly SACKed sequence numbers and
+    returning their count.  The RLA sender needs them to maintain its
+    acked-by-all coverage counts without double counting. *)
 
 val advance_cum_iter : t -> int -> (int -> unit) -> int
-(** {!advance_cum}, reporting the sequence numbers in the newly
-    acknowledged range that had {e not} been SACKed before; previously
-    SACKed packets were already reported by {!mark_sacked_iter}. *)
-
-val detect_losses : t -> dupthresh:int -> int list
-(** Newly lost packets (ascending), marking them lost as a side
-    effect. *)
+(** Process a cumulative ack ([ack] = next expected), reporting the
+    sequence numbers in the newly acknowledged range that had {e not}
+    been SACKed before (previously SACKed packets were already reported
+    by {!mark_sacked_iter}); returns how far the cumulative point moved,
+    0 for an ack below it. *)
 
 val detect_losses_iter : t -> dupthresh:int -> (int -> unit) -> int
-(** Mark and report the newly lost packets, as {!detect_losses}, and
+(** Mark the newly lost packets lost, report them (ascending) and
     return how many there were. *)
 
 val process_ack :
@@ -64,14 +54,10 @@ val process_ack :
 (** One-call ack processing for the sender hot path: advance the
     cumulative point, apply the SACK blocks (half-open
     [[block_lo, block_hi)] ranges) and run loss detection, the same
-    transitions as {!advance_cum}, {!mark_sacked} and {!detect_losses}
-    in that order.  Returns the number of packets newly marked lost;
-    allocates nothing.  The newly cumulatively acknowledged count is
-    the change in {!high_ack} across the call. *)
-
-val mark_lost : t -> int -> bool
-(** Force-mark one packet lost (used on timeout); [false] if it was
-    already lost or SACKed. *)
+    transitions as the three [_iter] functions above in that order.
+    Returns the number of packets newly marked lost; allocates nothing.
+    The newly cumulatively acknowledged count is the change in
+    {!high_ack} across the call. *)
 
 val mark_all_lost : t -> int
 (** Timeout handling: every outstanding unSACKed packet is marked lost
@@ -104,18 +90,11 @@ val pipe : t -> int
 val in_flight_window : t -> int
 (** [next_seq - high_ack]: outstanding window including holes. *)
 
-val highest_sacked : t -> int
-(** Highest packet ever SACKed, or -1. *)
-
 val is_sacked : t -> int -> bool
 
 val is_lost : t -> int -> bool
 
 val is_rexmitted : t -> int -> bool
-
-val check_invariants : t -> unit
-(** Recompute counters from scratch and raise [Assert_failure] on
-    mismatch (test support). *)
 
 type entry_state = {
   e_seq : int;
@@ -139,3 +118,33 @@ type state = {
 val capture : t -> state
 
 val restore : t -> state -> unit
+
+module For_testing : sig
+  (** The single transitions and the recount that the model-based
+      scoreboard tests drive step by step; the sender reaches them only
+      through process_ack, mark_all_lost and the iter variants. *)
+
+  val advance_cum : t -> int -> int
+  (** [advance_cum t ack] processes a cumulative ack ([ack] = next
+      expected).  Returns how many packets were newly acknowledged.
+      Acks below the current point return 0. *)
+
+  val mark_sacked : t -> lo:int -> hi:int -> int
+  (** SACK the half-open range; returns the number of newly SACKed
+      packets.  Ranges at or below [high_ack] are ignored. *)
+
+  val detect_losses : t -> dupthresh:int -> int list
+  (** Newly lost packets (ascending), marking them lost as a side
+      effect. *)
+
+  val mark_lost : t -> int -> bool
+  (** Force-mark one packet lost (used on timeout); [false] if it was
+      already lost or SACKed. *)
+
+  val highest_sacked : t -> int
+  (** Highest packet ever SACKed, or -1. *)
+
+  val check_invariants : t -> unit
+  (** Recompute counters from scratch and raise [Assert_failure] on
+      mismatch (test support). *)
+end

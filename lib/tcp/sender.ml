@@ -117,19 +117,9 @@ let retransmits t = t.retransmits
 
 let sent_new t = t.sent_new
 
-let rtt_stats t = !(t.rtt)
-
 let receiver t = t.receiver
 
-let established t = t.established
-
-let syn_sent t = t.syn_sent
-
-let negotiated_wscale t = t.neg_wscale
-
 let ghost_acks t = t.ghost_acks
-
-let zero_window_probes t = t.zero_window_probes
 
 let now t = Net.Network.now t.net
 
@@ -445,8 +435,6 @@ let on_syn_ack t ~options ~rwnd ~sent_at =
         try_send t
 
 let completed_at t = t.completed_at
-
-let is_complete t = t.completed_at <> None
 
 (* Flow churn: end the flow now.  Reuses the finite-flow completion
    machinery — acknowledgments for packets already in flight keep

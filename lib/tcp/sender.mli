@@ -82,9 +82,6 @@ val retransmits : t -> int
 
 val sent_new : t -> int
 
-val rtt_stats : t -> Stats.Welford.t
-(** RTT samples since the last {!reset_measurement}. *)
-
 val reset_measurement : t -> unit
 (** Restart the measurement window: cwnd time-average, RTT stats and
     the snapshot baseline all restart at the current instant (the paper
@@ -112,15 +109,6 @@ val snapshot : t -> snapshot
 
 val receiver : t -> Receiver.t
 
-val established : t -> bool
-(** [true] once the handshake completed (immediately, without one). *)
-
-val syn_sent : t -> int
-(** SYN transmissions, including backoff retries. *)
-
-val negotiated_wscale : t -> int
-(** Effective window-scale shift after negotiation (0 before). *)
-
 val ack_in_window : t -> cum_ack:int -> bool
 (** The ack-validation fast path: a cumulative ack is acceptable iff
     it does not acknowledge data never sent ([cum_ack <= next_seq]).
@@ -131,20 +119,15 @@ val ack_in_window : t -> cum_ack:int -> bool
 val ghost_acks : t -> int
 (** Acks dropped by {!ack_in_window} validation. *)
 
-val zero_window_probes : t -> int
-(** Persist-timer probes sent against a closed peer window. *)
-
 val completed_at : t -> float option
 (** For finite flows: when the last packet was cumulatively
     acknowledged; [None] while incomplete or for infinite flows. *)
 
-val is_complete : t -> bool
-
 val stop : t -> unit
 (** End the flow now (traffic churn): the retransmission timer is
     cancelled and no further packet is ever sent, but acknowledgments
-    for data already in flight keep draining.  After [stop] the flow
-    reports {!is_complete}.  Idempotent; a no-op on flows that already
+    for data already in flight keep draining.  After [stop]
+    {!completed_at} is [Some _].  Idempotent; a no-op on flows that already
     completed. *)
 
 (** {2 Checkpoint/restore} *)

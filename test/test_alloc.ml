@@ -66,7 +66,7 @@ let step_words ~cancelled =
   end;
   let steps k =
     for _ = 1 to k do
-      ignore (Sim.Scheduler.step s infinity)
+      ignore (Sim.Scheduler.For_testing.step s infinity)
     done
   in
   steps 10_000;
@@ -158,12 +158,12 @@ let test_chain_hop () =
    exchange and the import on the far side. *)
 let test_cross_shard_hop () =
   let cut = { chain_link with Net.Link.prop_delay = 0.1 } in
-  let topo = Net.Topo.of_edges ~n:2 [ (0, 1, cut) ] in
+  let topo = Topo_gen.of_edges ~n:2 [ (0, 1, cut) ] in
   let partition = Par.Partition.kruskal topo ~parts:2 in
   match Par.Engine.create ~topo ~partition ~seed:3 () with
   | Error _ -> Alcotest.fail "two-shard engine rejected"
   | Ok eng ->
-      Par.Engine.install_route eng ~at:0 ~dest:1 ~next:1;
+      Par.Engine.install_toward eng ~parents:[| 1; 1 |] ~dest:1;
       let net0 = Par.Engine.shard_net eng 0 in
       let net1 = Par.Engine.shard_net eng 1 in
       let flow = Net.Network.fresh_flow net0 in
@@ -236,9 +236,9 @@ let test_rla_acks () =
   let rla = Rla.Sender.create ~net ~src:0 ~receivers:[ 2; 3; 4; 5 ] () in
   let acks () =
     List.fold_left
-      (fun n e -> n + Rla.Receiver.received_total e)
+      (fun n e -> n + (Rla.Receiver.capture e).s_received_total)
       0
-      (Rla.Sender.receiver_endpoints rla)
+      (Rla.Sender.For_testing.receiver_endpoints rla)
   in
   Net.Network.run_until net 20.0;
   let acks0 = acks () in

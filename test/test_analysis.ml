@@ -17,7 +17,7 @@ let test_pa_window_values () =
 let test_pa_window_approx () =
   let p = 0.001 in
   let exact = Analysis.Tcp_model.pa_window p in
-  let approx = Analysis.Tcp_model.pa_window_approx p in
+  let approx = Analysis.Tcp_model.For_testing.pa_window_approx p in
   Alcotest.(check bool) "approx close for small p" true
     (abs_float (exact -. approx) /. exact < 0.001)
 
@@ -59,24 +59,24 @@ let test_drift_zero_at_pa_window () =
     (fun p ->
       let w = Analysis.Tcp_model.pa_window p in
       check_close (Printf.sprintf "drift zero at p=%.3f" p) ~tol:1e-9 0.0
-        (Analysis.Tcp_model.drift ~p w))
+        (Analysis.Tcp_model.For_testing.drift ~p w))
     [ 0.001; 0.01; 0.05 ]
 
 let test_drift_signs () =
   let p = 0.01 in
   let w = Analysis.Tcp_model.pa_window p in
   Alcotest.(check bool) "positive below" true
-    (Analysis.Tcp_model.drift ~p (w /. 2.0) > 0.0);
+    (Analysis.Tcp_model.For_testing.drift ~p (w /. 2.0) > 0.0);
   Alcotest.(check bool) "negative above" true
-    (Analysis.Tcp_model.drift ~p (w *. 2.0) < 0.0)
+    (Analysis.Tcp_model.For_testing.drift ~p (w *. 2.0) < 0.0)
 
 let test_mahdavi_floyd () =
   (* 1.3/(0.1*sqrt(0.01)) = 130. *)
   check_close "formula" ~tol:1e-9 130.0
-    (Analysis.Tcp_model.mahdavi_floyd_rate ~rtt:0.1 ~p:0.01);
+    (Analysis.Tcp_model.For_testing.mahdavi_floyd_rate ~rtt:0.1 ~p:0.01);
   (* PA-window throughput is within ~10% of Mahdavi-Floyd at small p. *)
-  let a = Analysis.Tcp_model.throughput ~rtt:0.1 ~p:0.01 in
-  let b = Analysis.Tcp_model.mahdavi_floyd_rate ~rtt:0.1 ~p:0.01 in
+  let a = Analysis.Tcp_model.For_testing.throughput ~rtt:0.1 ~p:0.01 in
+  let b = Analysis.Tcp_model.For_testing.mahdavi_floyd_rate ~rtt:0.1 ~p:0.01 in
   Alcotest.(check bool) "similar formulas" true (abs_float (a -. b) /. b < 0.1)
 
 let test_inverse_window () =
@@ -86,13 +86,13 @@ let test_inverse_window () =
       check_close
         (Printf.sprintf "inverse at p=%.3f" p)
         ~tol:1e-9 p
-        (Analysis.Tcp_model.congestion_probability_for_window w))
+        (Analysis.Tcp_model.For_testing.congestion_probability_for_window w))
     [ 0.005; 0.02; 0.05 ]
 
 let test_mc_agrees_with_model () =
   let rng = Sim.Rng.create 4 in
   let p = 0.01 in
-  let mc = Analysis.Tcp_model.simulate_pa_window ~rng ~p ~steps:500_000 in
+  let mc = Analysis.Tcp_model.For_testing.simulate_pa_window ~rng ~p ~steps:500_000 in
   let model = Analysis.Tcp_model.pa_window p in
   (* The sample mean sits slightly above the PA window; 15% is ample. *)
   Alcotest.(check bool)
@@ -107,7 +107,7 @@ let test_mc_agrees_with_model () =
 let test_two_receiver_closed_form () =
   (* Equation 3 with p1 = p2 = p: W^2 = 4(1-p+p^2/4)/(2p - p^2/4). *)
   let p = 0.01 in
-  let w = Analysis.Rla_model.two_receiver_window ~p1:p ~p2:p in
+  let w = Analysis.Rla_model.For_testing.two_receiver_window ~p1:p ~p2:p in
   let expected =
     sqrt (4.0 *. (1.0 -. p +. (p *. p /. 4.0)) /. ((2.0 *. p) -. (p *. p /. 4.0)))
   in
@@ -116,7 +116,7 @@ let test_two_receiver_closed_form () =
 let test_two_receiver_matches_drift_zero () =
   List.iter
     (fun (p1, p2) ->
-      let closed = Analysis.Rla_model.two_receiver_window ~p1 ~p2 in
+      let closed = Analysis.Rla_model.For_testing.two_receiver_window ~p1 ~p2 in
       let numeric = Analysis.Rla_model.pa_window_independent ~ps:[| p1; p2 |] in
       Alcotest.(check bool)
         (Printf.sprintf "closed %.3f vs numeric %.3f at (%.3f, %.3f)" closed
@@ -156,7 +156,7 @@ let test_common_loss_larger_window () =
       let independent =
         Analysis.Rla_model.pa_window_independent ~ps:(Array.make n p)
       in
-      let common = Analysis.Rla_model.pa_window_common ~n ~p in
+      let common = Analysis.Rla_model.For_testing.pa_window_common ~n ~p in
       Alcotest.(check bool)
         (Printf.sprintf "n=%d p=%.3f: common %.2f > independent %.2f" n p
            common independent)
@@ -167,16 +167,16 @@ let test_common_loss_larger_window () =
 let test_more_receivers_larger_window () =
   (* Equal congestion everywhere: the window grows (weakly) with n
      because multi-signal packets waste cuts. *)
-  let w2 = Analysis.Rla_model.pa_window_common ~n:2 ~p:0.02 in
-  let w8 = Analysis.Rla_model.pa_window_common ~n:8 ~p:0.02 in
+  let w2 = Analysis.Rla_model.For_testing.pa_window_common ~n:2 ~p:0.02 in
+  let w8 = Analysis.Rla_model.For_testing.pa_window_common ~n:8 ~p:0.02 in
   Alcotest.(check bool) "monotone in n for common loss" true (w8 >= w2)
 
 let test_min_ratio_function () =
   check_close "f(0.05)" ~tol:1e-9 (0.05 /. 1.925)
-    (Analysis.Rla_model.min_ratio_for_upper_bound 0.05);
+    (Analysis.Rla_model.For_testing.min_ratio_for_upper_bound 0.05);
   (* eta = 20 leaves margin: 1/20 > f(0.05). *)
   Alcotest.(check bool) "eta=20 margin" true
-    (0.05 > Analysis.Rla_model.min_ratio_for_upper_bound 0.05)
+    (0.05 > Analysis.Rla_model.For_testing.min_ratio_for_upper_bound 0.05)
 
 let test_equal_congestion_bounded () =
   (* Section 4.3: with all receivers equally congested the RLA's window
@@ -184,7 +184,7 @@ let test_equal_congestion_bounded () =
      throughput stays within 4x; the window part stays within 2x). *)
   List.iter
     (fun n ->
-      let ratio = Analysis.Rla_model.equal_congestion_ratio ~n ~p:0.01 in
+      let ratio = Analysis.Rla_model.For_testing.equal_congestion_ratio ~n ~p:0.01 in
       Alcotest.(check bool)
         (Printf.sprintf "n=%d ratio %.2f < 2" n ratio)
         true
@@ -195,8 +195,8 @@ let test_skewed_congestion_grows () =
   (* One truly congested receiver among n: the multiplier grows with n
      (the O(n)-advantage regime) but stays under the sqrt(3n)-ish
      window bound. *)
-  let r4 = Analysis.Rla_model.skewed_congestion_ratio ~n:4 ~p_max:0.02 ~eta:20.0 in
-  let r27 = Analysis.Rla_model.skewed_congestion_ratio ~n:27 ~p_max:0.02 ~eta:20.0 in
+  let r4 = Analysis.Rla_model.For_testing.skewed_congestion_ratio ~n:4 ~p_max:0.02 ~eta:20.0 in
+  let r27 = Analysis.Rla_model.For_testing.skewed_congestion_ratio ~n:27 ~p_max:0.02 ~eta:20.0 in
   Alcotest.(check bool)
     (Printf.sprintf "grows with n (%.2f -> %.2f)" r4 r27)
     true (r27 > r4);
@@ -210,7 +210,7 @@ let test_window_ratio_consistency () =
     /. Analysis.Tcp_model.pa_window 0.02
   in
   Alcotest.(check (float 1e-9)) "matches components" direct
-    (Analysis.Rla_model.window_ratio_to_tcp ~ps)
+    (Analysis.Rla_model.For_testing.window_ratio_to_tcp ~ps)
 
 let test_rla_mc_agrees () =
   let rng = Sim.Rng.create 10 in
@@ -227,7 +227,7 @@ let test_rla_model_validation () =
     (try ignore (Analysis.Rla_model.pa_window_independent ~ps:[||]); false
      with Invalid_argument _ -> true);
   Alcotest.(check bool) "both zero" true
-    (try ignore (Analysis.Rla_model.two_receiver_window ~p1:0.0 ~p2:0.0); false
+    (try ignore (Analysis.Rla_model.For_testing.two_receiver_window ~p1:0.0 ~p2:0.0); false
      with Invalid_argument _ -> true)
 
 (* The O(1) closed form used by the mean-field solver must agree with
@@ -242,7 +242,7 @@ let test_drift_rate_common_closed_form () =
         (fun p ->
           List.iter
             (fun w ->
-              let per_packet = Analysis.Rla_model.drift_common ~n ~p w in
+              let per_packet = Analysis.Rla_model.For_testing.drift_common ~n ~p w in
               let expected = w /. rtt *. per_packet in
               let got = Analysis.Rla_model.drift_rate_common ~n ~p ~rtt w in
               let tol = 1e-9 *. Float.max 1.0 (Float.abs expected) in
@@ -256,7 +256,7 @@ let test_drift_rate_common_closed_form () =
   List.iter
     (fun n ->
       let p = 0.02 in
-      let w = Analysis.Rla_model.pa_window_common ~n ~p in
+      let w = Analysis.Rla_model.For_testing.pa_window_common ~n ~p in
       check_close (Printf.sprintf "zero at pa_window_common, n=%d" n) ~tol:1e-6
         0.0
         (Analysis.Rla_model.drift_rate_common ~n ~p ~rtt w))
@@ -279,30 +279,30 @@ let test_drift_rate_common_closed_form () =
 let pipes10 = Analysis.Particle.uniform_pipes ~pipe:10.0 ~n:3
 
 let test_particle_signals_at () =
-  Alcotest.(check int) "below pipe" 0 (Analysis.Particle.signals_at pipes10 9.9);
-  Alcotest.(check int) "at pipe" 3 (Analysis.Particle.signals_at pipes10 10.0);
+  Alcotest.(check int) "below pipe" 0 (Analysis.Particle.For_testing.signals_at pipes10 9.9);
+  Alcotest.(check int) "at pipe" 3 (Analysis.Particle.For_testing.signals_at pipes10 10.0);
   let multi =
     {
       Analysis.Particle.pipe_sizes = [| 10.0; 20.0 |];
       counts = [| 2; 3 |];
     }
   in
-  Alcotest.(check int) "first level" 2 (Analysis.Particle.signals_at multi 15.0);
-  Alcotest.(check int) "both levels" 5 (Analysis.Particle.signals_at multi 25.0)
+  Alcotest.(check int) "first level" 2 (Analysis.Particle.For_testing.signals_at multi 15.0);
+  Alcotest.(check int) "both levels" 5 (Analysis.Particle.For_testing.signals_at multi 25.0)
 
 let test_particle_drift_signs () =
   (* No congestion: both coordinates drift up by 2 per step. *)
   check_close "uncongested drift" ~tol:1e-9 2.0
-    (Analysis.Particle.drift_at pipes10 ~w:4.0 ~sum:8.0);
+    (Analysis.Particle.For_testing.drift_at pipes10 ~w:4.0 ~sum:8.0);
   (* Deep congestion with a large window: drift is negative. *)
   Alcotest.(check bool) "congested drift negative" true
-    (Analysis.Particle.drift_at pipes10 ~w:9.0 ~sum:18.0 < 0.0);
+    (Analysis.Particle.For_testing.drift_at pipes10 ~w:9.0 ~sum:18.0 < 0.0);
   (* Congested but tiny window: increments beat rare cuts. *)
   Alcotest.(check bool) "small window still grows" true
-    (Analysis.Particle.drift_at pipes10 ~w:0.5 ~sum:12.0 > 0.0)
+    (Analysis.Particle.For_testing.drift_at pipes10 ~w:0.5 ~sum:12.0 > 0.0)
 
 let test_particle_fair_point () =
-  let fx, fy = Analysis.Particle.fair_point pipes10 in
+  let fx, fy = Analysis.Particle.For_testing.fair_point pipes10 in
   check_close "x" ~tol:1e-9 5.0 fx;
   check_close "y" ~tol:1e-9 5.0 fy
 
@@ -344,7 +344,7 @@ let test_particle_validation () =
   Alcotest.(check bool) "descending sizes rejected" true
     (try
        ignore
-         (Analysis.Particle.signals_at
+         (Analysis.Particle.For_testing.signals_at
             { Analysis.Particle.pipe_sizes = [| 10.0; 5.0 |]; counts = [| 1; 1 |] }
             7.0);
        false

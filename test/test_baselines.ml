@@ -57,7 +57,7 @@ let test_report_receiver_counts () =
     [ 0; 1; 3; 4; 6; 7; 8; 9 ];
   Net.Network.run_until net 3.0;
   Alcotest.(check int) "received total" 8
-    (Baselines.Report_receiver.received_total rcv);
+    (Baselines.Report_receiver.For_testing.received_total rcv);
   match List.rev !reports with
   | (received, expected, loss_rate) :: _ ->
       (* Highest seq seen is 9; span is 0..9 = 9 expected after the
@@ -75,7 +75,7 @@ let test_report_receiver_idle_reports_zero () =
   in
   Net.Network.run_until net 3.0;
   Alcotest.(check (float 1e-9)) "idle loss rate" 0.0
-    (Baselines.Report_receiver.last_loss_rate rcv)
+    (Baselines.Report_receiver.For_testing.last_loss_rate rcv)
 
 let test_report_receiver_bad_period () =
   let net, s, leaves = star () in
@@ -108,10 +108,10 @@ let test_cbr_rate_fixed () =
   in
   Net.Network.run_until net 20.0;
   Alcotest.(check (float 1e-9)) "rate unchanged" 50.0
-    (Baselines.Rate_sender.rate cbr);
-  Alcotest.(check int) "no cuts" 0 (Baselines.Rate_sender.cuts cbr);
+    (Baselines.Rate_sender.For_testing.rate cbr);
+  Alcotest.(check int) "no cuts" 0 (Baselines.Rate_sender.For_testing.cuts cbr);
   (* ~50 pkt/s for 20 s. *)
-  let sent = Baselines.Rate_sender.sent cbr in
+  let sent = Baselines.Rate_sender.For_testing.sent cbr in
   Alcotest.(check bool)
     (Printf.sprintf "sent %d near 1000" sent)
     true
@@ -127,9 +127,9 @@ let test_cbr_delivery_all_receivers () =
   List.iter
     (fun ep ->
       Alcotest.(check bool) "receiver got most packets" true
-        (Baselines.Report_receiver.received_total ep
-        > (Baselines.Rate_sender.sent cbr * 9 / 10)))
-    (Baselines.Rate_sender.endpoints cbr)
+        (Baselines.Report_receiver.For_testing.received_total ep
+        > (Baselines.Rate_sender.For_testing.sent cbr * 9 / 10)))
+    (Baselines.Rate_sender.For_testing.endpoints cbr)
 
 (* ------------------------------------------------------------------ *)
 (* LTRC                                                               *)
@@ -141,11 +141,11 @@ let test_ltrc_increases_without_loss () =
     Baselines.Rate_sender.create ~net ~src:s ~receivers:leaves
       (Baselines.Rate_sender.default_config Baselines.Rate_sender.ltrc)
   in
-  let r0 = Baselines.Rate_sender.rate ltrc in
+  let r0 = Baselines.Rate_sender.For_testing.rate ltrc in
   Net.Network.run_until net 10.0;
   Alcotest.(check bool) "rate increased" true
-    (Baselines.Rate_sender.rate ltrc > r0);
-  Alcotest.(check int) "no cuts" 0 (Baselines.Rate_sender.cuts ltrc)
+    (Baselines.Rate_sender.For_testing.rate ltrc > r0);
+  Alcotest.(check int) "no cuts" 0 (Baselines.Rate_sender.For_testing.cuts ltrc)
 
 let test_ltrc_cuts_on_loss () =
   let net, s, leaves = star ~branch_mu:50.0 ~capacity:5 () in
@@ -154,7 +154,7 @@ let test_ltrc_cuts_on_loss () =
       (Baselines.Rate_sender.default_config Baselines.Rate_sender.ltrc)
   in
   Net.Network.run_until net 60.0;
-  Alcotest.(check bool) "cuts happened" true (Baselines.Rate_sender.cuts ltrc > 0)
+  Alcotest.(check bool) "cuts happened" true (Baselines.Rate_sender.For_testing.cuts ltrc > 0)
 
 let test_ltrc_refractory_limits_cut_rate () =
   (* With a 1 s refractory period there can be at most ~T cuts in T
@@ -166,9 +166,9 @@ let test_ltrc_refractory_limits_cut_rate () =
   in
   Net.Network.run_until net 30.0;
   Alcotest.(check bool)
-    (Printf.sprintf "cuts %d bounded by refractory" (Baselines.Rate_sender.cuts ltrc))
+    (Printf.sprintf "cuts %d bounded by refractory" (Baselines.Rate_sender.For_testing.cuts ltrc))
     true
-    (Baselines.Rate_sender.cuts ltrc <= 31)
+    (Baselines.Rate_sender.For_testing.cuts ltrc <= 31)
 
 let test_rate_floor_respected () =
   let net, s, leaves = star ~branch_mu:20.0 ~capacity:3 () in
@@ -178,7 +178,7 @@ let test_rate_floor_respected () =
   in
   Net.Network.run_until net 120.0;
   Alcotest.(check bool) "rate never below min" true
-    (Baselines.Rate_sender.rate ltrc >= 1.0)
+    (Baselines.Rate_sender.For_testing.rate ltrc >= 1.0)
 
 (* ------------------------------------------------------------------ *)
 (* MBFC                                                               *)
@@ -228,7 +228,7 @@ let test_mbfc_needs_population () =
         (Baselines.Rate_sender.default_config policy)
     in
     Net.Network.run_until net 60.0;
-    Baselines.Rate_sender.cuts sender
+    Baselines.Rate_sender.For_testing.cuts sender
   in
   Alcotest.(check bool) "low threshold reacts" true (build 0.25 > 0);
   Alcotest.(check int) "high threshold ignores the minority" 0 (build 0.5)
@@ -240,7 +240,7 @@ let test_mbfc_cuts_when_all_congested () =
       (Baselines.Rate_sender.default_config Baselines.Rate_sender.mbfc)
   in
   Net.Network.run_until net 60.0;
-  Alcotest.(check bool) "cuts" true (Baselines.Rate_sender.cuts mbfc > 0)
+  Alcotest.(check bool) "cuts" true (Baselines.Rate_sender.For_testing.cuts mbfc > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Rate-based random listening                                        *)
@@ -252,11 +252,11 @@ let test_rl_rate_grows_without_loss () =
     Baselines.Rate_sender.create ~net ~src:s ~receivers:leaves
       (Baselines.Rate_sender.default_config Baselines.Rate_sender.random_listening)
   in
-  let r0 = Baselines.Rate_sender.rate sender in
+  let r0 = Baselines.Rate_sender.For_testing.rate sender in
   Net.Network.run_until net 10.0;
   Alcotest.(check bool) "rate increased" true
-    (Baselines.Rate_sender.rate sender > r0);
-  Alcotest.(check int) "no cuts" 0 (Baselines.Rate_sender.cuts sender)
+    (Baselines.Rate_sender.For_testing.rate sender > r0);
+  Alcotest.(check int) "no cuts" 0 (Baselines.Rate_sender.For_testing.cuts sender)
 
 let test_rl_rate_cuts_under_loss () =
   let net, s, leaves = star ~branch_mu:50.0 ~capacity:5 () in
@@ -266,7 +266,7 @@ let test_rl_rate_cuts_under_loss () =
   in
   Net.Network.run_until net 90.0;
   Alcotest.(check bool) "cuts happened" true
-    (Baselines.Rate_sender.cuts sender > 0)
+    (Baselines.Rate_sender.For_testing.cuts sender > 0)
 
 let test_rl_rate_cuts_less_than_ltrc () =
   (* Random listening reacts to ~1/n of the congested reports; with all
@@ -279,7 +279,7 @@ let test_rl_rate_cuts_less_than_ltrc () =
         (Baselines.Rate_sender.default_config policy)
     in
     Net.Network.run_until net 120.0;
-    Baselines.Rate_sender.cuts sender
+    Baselines.Rate_sender.For_testing.cuts sender
   in
   let rl = run Baselines.Rate_sender.random_listening in
   let ltrc = run Baselines.Rate_sender.ltrc in
@@ -350,11 +350,11 @@ let test_rate_sender_accessors () =
   in
   Net.Network.run_until net 10.0;
   Alcotest.(check int) "one endpoint per leaf" (List.length leaves)
-    (List.length (Baselines.Rate_sender.endpoints ltrc));
-  Alcotest.(check bool) "packets sent" true (Baselines.Rate_sender.sent ltrc > 0);
+    (List.length (Baselines.Rate_sender.For_testing.endpoints ltrc));
+  Alcotest.(check bool) "packets sent" true (Baselines.Rate_sender.For_testing.sent ltrc > 0);
   Alcotest.(check bool) "rate within the configured bounds" true
-    (Baselines.Rate_sender.rate ltrc >= 1.0
-    && Baselines.Rate_sender.rate ltrc <= 1e5)
+    (Baselines.Rate_sender.For_testing.rate ltrc >= 1.0
+    && Baselines.Rate_sender.For_testing.rate ltrc <= 1e5)
 
 let test_measurement_reset () =
   let net, s, leaves = star ~branch_mu:10_000.0 () in

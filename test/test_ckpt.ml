@@ -824,20 +824,21 @@ let test_heap_capture_restore () =
     (fun (p, v) -> Sim.Heap.add h1 ~prio:p v)
     [ (3.0, 30); (1.0, 10); (2.0, 20); (1.0, 11) ];
   let entries = Sim.Heap.capture h1 in
-  let next = Sim.Heap.next_seq h1 in
+  (* The scheduler's restore path: re-insert under the captured
+     counters, then carry the internal counter. *)
   let h2 : int Sim.Heap.t = Sim.Heap.create () in
-  Sim.Heap.restore h2 ~next_seq:next entries;
-  Alcotest.(check int) "next_seq carried" next (Sim.Heap.next_seq h2);
+  List.iter
+    (fun (prio, seq, v) -> Sim.Heap.add_with_seq h2 ~prio ~seq v)
+    entries;
+  Sim.Heap.set_next_seq h2 4;
+  Sim.Heap.add h1 ~prio:1.0 12;
+  Sim.Heap.add h2 ~prio:1.0 12;
   let drain h =
-    let out = ref [] in
-    let rec go () =
-      match Sim.Heap.pop h with
-      | None -> List.rev !out
-      | Some (_, v) ->
-          out := v :: !out;
-          go ()
+    let rec go acc =
+      if Sim.Heap.is_empty h then List.rev acc
+      else go (Sim.Heap.pop_top h :: acc)
     in
-    go ()
+    go []
   in
   Alcotest.(check (list int)) "same drain order" (drain h1) (drain h2)
 
@@ -1055,7 +1056,7 @@ let hardened_drive (net, a, b, tcp) ~until =
     (* In-window for the 8-packet validation window, ahead of the ~20
        pkt/s drain-throttled in-order point during the 10 ms flight. *)
     send
-      (Tcp.Wire.Tcp_rst { seq = Tcp.Receiver.expected rcv + 4 })
+      (Tcp.Wire.Tcp_rst { seq = (Tcp.Receiver.capture rcv).s_expected + 4 })
       Tcp.Wire.ack_size;
     send (Tcp.Wire.Tcp_data { seq = 50_000_000; sent_at = 2.0 }) 1000;
     Net.Network.run_until net until
@@ -1083,13 +1084,13 @@ let test_hardened_endpoint_restore_at_half () =
   (* The features actually engaged before the cut... *)
   let rcv_ref = Tcp.Sender.receiver tcp_ref in
   Alcotest.(check bool) "handshake completed" true
-    (Tcp.Sender.established tcp_ref);
+    ((Tcp.Sender.capture tcp_ref).s_established);
   Alcotest.(check int) "wscale negotiated" 3
-    (Tcp.Sender.negotiated_wscale tcp_ref);
+    ((Tcp.Sender.capture tcp_ref).s_neg_wscale);
   Alcotest.(check bool) "persist probes sent" true
-    (Tcp.Sender.zero_window_probes tcp_ref > 0);
+    ((Tcp.Sender.capture tcp_ref).s_zero_window_probes > 0);
   Alcotest.(check int) "RST challenged" 1 (Tcp.Receiver.rst_challenged rcv_ref);
-  Alcotest.(check int) "injection ghosted" 1 (Tcp.Receiver.ghost_data rcv_ref);
+  Alcotest.(check int) "injection ghosted" 1 ((Tcp.Receiver.capture rcv_ref).s_ghost_data);
   (* ... and the restored run ends in the reference's exact state,
      receiver counters, estimator floats and pending event ids
      included. *)

@@ -65,7 +65,7 @@ let build case =
 let test_tree_structure () =
   let t = build Experiments.Tree.L4_all in
   (* S + G1 + 3 G2 + 9 G3 + 27 leaves. *)
-  Alcotest.(check int) "41 nodes" 41 (Net.Network.node_count t.Experiments.Tree.net);
+  Alcotest.(check int) "41 nodes" 41 (List.length (Net.Network.capture t.Experiments.Tree.net).Net.Network.s_nodes);
   Alcotest.(check int) "3 g2" 3 (Array.length t.Experiments.Tree.g2);
   Alcotest.(check int) "9 g3" 9 (Array.length t.Experiments.Tree.g3);
   Alcotest.(check int) "27 leaves" 27 (Array.length t.Experiments.Tree.leaves);
@@ -229,16 +229,13 @@ let test_validation_run () =
   | _ -> Alcotest.fail "expected one point"
 
 let test_baseline_run () =
+  (* The matrix's default warm-up is 100 s, so 110 s measures 10 s. *)
   let r =
-    Experiments.Baseline_fairness.run
-      {
-        (Experiments.Baseline_fairness.default_config
-           ~gateway:Experiments.Scenario.Droptail
-           ~scheme:Experiments.Baseline_fairness.Scheme_cbr)
-        with
-        Experiments.Baseline_fairness.duration = 40.0;
-        warmup = 10.0;
-      }
+    List.find
+      (fun (r : Experiments.Baseline_fairness.result) ->
+        r.config.gateway = Experiments.Scenario.Droptail
+        && r.config.scheme = Experiments.Baseline_fairness.Scheme_cbr)
+      (Experiments.Baseline_fairness.run_matrix ~duration:110.0 ())
   in
   Alcotest.(check bool) "cbr delivered about its rate" true
     (r.Experiments.Baseline_fairness.mcast_throughput > 50.0);
@@ -439,6 +436,19 @@ let test_ablation_variant_lists () =
 (* Timeseries                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* The CSV as (header, rows): one float array per sample, time first. *)
+let timeseries_rows ts =
+  let csv = Format.asprintf "%a" Experiments.Timeseries.to_csv ts in
+  match String.split_on_char '\n' (String.trim csv) with
+  | [] -> ("", [])
+  | header :: rows ->
+      ( header,
+        List.map
+          (fun row ->
+            Array.of_list
+              (List.map float_of_string (String.split_on_char ',' row)))
+          rows )
+
 let test_timeseries_sampling () =
   let net = Net.Network.create ~seed:1 () in
   let counter = ref 0.0 in
@@ -458,16 +468,20 @@ let test_timeseries_sampling () =
          counter := 7.0));
   Net.Network.run_until net 3.0;
   (* Samples at 0.5, 1.0, ..., 3.0. *)
-  Alcotest.(check int) "six samples" 6 (Experiments.Timeseries.length ts);
-  Alcotest.(check (list string)) "names" [ "c"; "t" ]
-    (Experiments.Timeseries.names ts);
-  let c = Experiments.Timeseries.column ts "c" in
-  Alcotest.(check (float 1e-9)) "before change" 0.0 c.(1);
-  Alcotest.(check (float 1e-9)) "after change" 7.0 c.(2);
-  Alcotest.(check (float 1e-9)) "value_at" 0.0
-    (Experiments.Timeseries.value_at ts "c" ~time:1.1);
-  Alcotest.(check (float 1e-9)) "value_at later" 7.0
-    (Experiments.Timeseries.value_at ts "c" ~time:2.9)
+  let header, rows = timeseries_rows ts in
+  Alcotest.(check int) "six samples" 6 (List.length rows);
+  Alcotest.(check string) "names" "time,c,t" header;
+  let c = List.map (fun row -> row.(1)) rows in
+  Alcotest.(check (float 1e-9)) "before change" 0.0 (List.nth c 1);
+  Alcotest.(check (float 1e-9)) "after change" 7.0 (List.nth c 2);
+  (* The last sample at or before a time holds the value then. *)
+  let value_at time =
+    List.fold_left
+      (fun v row -> if row.(0) <= time then row.(1) else v)
+      nan rows
+  in
+  Alcotest.(check (float 1e-9)) "value_at" 0.0 (value_at 1.1);
+  Alcotest.(check (float 1e-9)) "value_at later" 7.0 (value_at 2.9)
 
 let test_timeseries_csv () =
   let net = Net.Network.create ~seed:1 () in
@@ -495,15 +509,12 @@ let test_timeseries_times () =
         ]
   in
   Net.Network.run_until net 2.0;
-  let csv = Format.asprintf "%a" Experiments.Timeseries.to_csv ts in
-  let times =
-    List.map
-      (fun line -> float_of_string (List.hd (String.split_on_char ',' line)))
-      (List.tl (String.split_on_char '\n' (String.trim csv)))
-  in
+  let _, rows = timeseries_rows ts in
+  let times = List.map (fun row -> row.(0)) rows in
   Alcotest.(check bool) "sampled" true (times <> []);
-  Alcotest.(check int) "one timestamp per sample"
-    (Experiments.Timeseries.length ts) (List.length times);
+  (* Samples at 0.5, 1.0, 1.5, 2.0, each stamped with its own time. *)
+  Alcotest.(check (list (float 1e-9))) "one timestamp per sample"
+    (List.map (fun row -> row.(1)) rows) times;
   Alcotest.(check bool) "timestamps ascend" true
     (List.sort compare times = times)
 

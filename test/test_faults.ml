@@ -29,7 +29,7 @@ let test_timeline_scripted_sorts () =
         (5.0, Faults.Timeline.Receiver_join 3);
       ]
   in
-  Alcotest.(check int) "three entries" 3 (Faults.Timeline.length t);
+  Alcotest.(check int) "three entries" 3 (List.length (Faults.Timeline.entries t));
   match Faults.Timeline.entries t with
   | [ a; b; c ] ->
       check_float "earliest first" 1.0 a.Faults.Timeline.time;
@@ -62,7 +62,7 @@ let test_spec_roundtrip () =
   | Error e ->
       Alcotest.failf "parse failed: %s" (Faults.Timeline.parse_error_to_string e)
   | Ok t -> (
-      Alcotest.(check int) "eight entries" 8 (Faults.Timeline.length t);
+      Alcotest.(check int) "eight entries" 8 (List.length (Faults.Timeline.entries t));
       match Faults.Timeline.of_spec (Faults.Timeline.to_spec t) with
       | Error e ->
           Alcotest.failf "round-trip failed: %s"

@@ -168,17 +168,17 @@ let test_invariants_do_not_perturb_run () =
   in
   let was_enabled = !Sim.Invariant.enabled in
   Fun.protect
-    ~finally:(fun () -> Sim.Invariant.set_enabled was_enabled)
+    ~finally:(fun () -> Sim.Invariant.enabled := was_enabled)
     (fun () ->
-      Sim.Invariant.set_enabled false;
+      Sim.Invariant.enabled := false;
       let plain_json, plain_signals = render () in
-      Sim.Invariant.set_enabled true;
-      Sim.Invariant.reset_counters ();
+      Sim.Invariant.enabled := true;
+      Sim.Invariant.For_testing.reset_counters ();
       let checked_json, checked_signals = render () in
       Alcotest.(check bool) "invariant checks exercised" true
-        (Sim.Invariant.checks_run () > 0);
+        (Sim.Invariant.For_testing.checks_run () > 0);
       Alcotest.(check int) "no invariant failures" 0
-        (Sim.Invariant.failures_seen ());
+        (Sim.Invariant.For_testing.failures_seen ());
       Alcotest.(check int) "same congestion signals" plain_signals
         checked_signals;
       Alcotest.(check string) "byte-identical exported metrics" plain_json
@@ -336,8 +336,8 @@ let test_rla_is_reliable_transport () =
   List.iter
     (fun ep ->
       Alcotest.(check bool) "receiver has full prefix" true
-        (Rla.Receiver.expected ep >= frontier))
-    (Rla.Sender.receiver_endpoints rla)
+        ((Rla.Receiver.capture ep).s_expected >= frontier))
+    (Rla.Sender.For_testing.receiver_endpoints rla)
 
 let test_red_tighter_than_droptail () =
   (* Theorem I vs II: RED gives tighter bounds; empirically the RED

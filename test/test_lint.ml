@@ -80,7 +80,7 @@ let test_unused_export () =
   let fs = run [ fx (Filename.concat "unused" "lib") ] in
   (* Api.used is referenced from the sibling bin/ and Api.bench_only
      from the sibling perfbench/, the benchmark of record; Api.unused
-     is not referenced at all. *)
+     is referenced only from the sibling test/, which is not a caller. *)
   check_count fs ~rule:"unused-export" 1;
   (match List.find_opt (fun (f : Lint.Finding.t) -> f.rule = "unused-export") fs with
   | Some f ->
@@ -96,6 +96,22 @@ let test_unused_export () =
     (Lint.Driver.exit_code fs);
   Alcotest.(check int) "strict mode promotes warnings" 1
     (Lint.Driver.exit_code ~strict:true fs)
+
+let test_unused_export_qualified () =
+  (* Two libraries both define Receiver.total; bin/ names only beta's
+     (Beta.Receiver.total), so alpha's is unused.  Beta.Wire is an
+     include alias of Alpha.Wire, so Beta.Wire.encode counts for
+     alpha's encode. *)
+  let fs = run ~rules:[ "unused-export" ] [ fx (Filename.concat "qualified" "lib") ] in
+  let unused = List.filter (fun (f : Lint.Finding.t) -> f.rule = "unused-export") fs in
+  Alcotest.(check (list string)) "only alpha's Receiver.total"
+    [ "receiver.mli" ]
+    (List.map (fun (f : Lint.Finding.t) -> Filename.basename f.file) unused);
+  List.iter
+    (fun (f : Lint.Finding.t) ->
+      Alcotest.(check string) "in alpha" "alpha"
+        (Filename.basename (Filename.dirname f.file)))
+    unused
 
 let test_ckpt_coverage () =
   let fs = run [ fx "ckpt_coverage" ] in
@@ -195,6 +211,22 @@ let test_alloc_hot_clean () =
   check_count fs ~rule:"alloc-hot" 0;
   check_count fs ~rule:"hot-coverage" 0
 
+let test_alloc_hot_follows_callees () =
+  let fs = run [ fx (Filename.concat "hot" "callee.ml") ] in
+  check_count fs ~rule:"alloc-hot" 1;
+  check_count fs ~rule:"hot-coverage" 0;
+  match List.find_opt (fun (f : Lint.Finding.t) -> f.rule = "alloc-hot") fs with
+  | None -> Alcotest.fail "expected an alloc-hot finding"
+  | Some f ->
+      let has_sub s sub =
+        let n = String.length s and m = String.length sub in
+        let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+        go 0
+      in
+      Alcotest.(check bool) "named hot->callee" true
+        (has_sub f.message "via_helper->pair");
+      Alcotest.(check int) "points into the helper" 5 f.line
+
 let test_hot_coverage_rejects_unknown_name () =
   let fs = run [ fx (Filename.concat "hot" "coverage_bad.ml") ] in
   check_count fs ~rule:"hot-coverage" 1;
@@ -209,7 +241,7 @@ let test_hot_coverage_rejects_unknown_name () =
         (f.severity = Lint.Finding.Error)
 
 let test_hot_annotations_inventory () =
-  let hots = Lint.Driver.hot_annotations ~paths:[ fx "hot" ] () in
+  let hots = Lint.Driver.For_testing.hot_annotations ~paths:[ fx "hot" ] () in
   let targets_of file =
     List.filter_map
       (fun (f, t) -> if Filename.basename f = file then Some t else None)
@@ -273,7 +305,7 @@ let test_missing_path_rejected () =
 
 let test_scope_key () =
   let check_key path expected =
-    Alcotest.(check (option string)) path expected (Lint.Driver.scope_key path)
+    Alcotest.(check (option string)) path expected (Lint.Driver.For_testing.scope_key path)
   in
   check_key "lib/sim/heap.ml" (Some "lib/sim");
   check_key "bin/rla_trace.ml" (Some "bin");
@@ -286,7 +318,7 @@ let test_scope_key () =
 
 let test_parse_interface () =
   let mli = fx (Filename.concat "ckpt_coverage" "covered.mli") in
-  match Lint.Driver.parse_interface mli with
+  match Lint.Driver.For_testing.parse_interface mli with
   | Ok sg -> Alcotest.(check bool) "non-empty signature" true (sg <> [])
   | Error e -> Alcotest.fail ("fixture interface failed to parse: " ^ e)
 
@@ -300,18 +332,27 @@ let test_json_round_trip () =
   | exception Rla_json.Json.Parse_error e ->
       Alcotest.fail ("json reparse failed: " ^ e)
   | reparsed -> (
-      match Lint.Driver.of_json reparsed with
-      | Error e -> Alcotest.fail ("findings decode failed: " ^ e)
-      | Ok fs' ->
+      let open Rla_json.Json in
+      match member "findings" reparsed with
+      | Some (List items) ->
           Alcotest.(check int) "same cardinality" (List.length fs)
-            (List.length fs');
+            (List.length items);
           List.iter2
-            (fun a b ->
+            (fun (f : Lint.Finding.t) item ->
+              let field name = member name item in
               Alcotest.(check bool)
-                (Lint.Finding.to_string a)
+                (Lint.Finding.to_string f)
                 true
-                (Lint.Finding.equal a b))
-            fs fs')
+                (field "file" = Some (String f.file)
+                && field "line" = Some (Int f.line)
+                && field "col" = Some (Int f.col)
+                && field "rule" = Some (String f.rule)
+                && field "severity"
+                   = Some
+                       (String (Lint.Finding.severity_to_string f.severity))
+                && field "message" = Some (String f.message)))
+            fs items
+      | _ -> Alcotest.fail "findings is not a list")
 
 let test_text_rendering () =
   let fs = run [ fx "mli_missing" ] in
@@ -371,6 +412,94 @@ let test_lib_is_clean () =
              (List.length errs)
              (Lint.Driver.render_text errs))
 
+(* The unused-export rule over the real tree: every value lib/ exports
+   has a caller in lib/ or in a product tree beside it.  test/ is not
+   searched.  The trees are dune deps of this test, so it never skips. *)
+let product_trees = [ "lib"; "bin"; "bench"; "perfbench"; "examples" ]
+
+let test_exports_have_callers () =
+  List.iter
+    (fun tree ->
+      if not (Sys.file_exists (Filename.concat ".." tree)) then
+        Alcotest.failf "../%s is missing: declare it as a dune dep" tree)
+    product_trees;
+  match
+    List.filter
+      (fun (f : Lint.Finding.t) -> f.rule = "unused-export")
+      (run ~rules:[ "unused-export" ] [ Filename.concat ".." "lib" ])
+  with
+  | [] -> ()
+  | fs ->
+      Alcotest.failf "%d exports have no caller outside test/:\n%s"
+        (List.length fs) (Lint.Driver.render_text fs)
+
+(* Values that tests reach through a [For_testing] submodule, per
+   library.  Each is a seam a test needs and no product uses; a change
+   to this table is a change to the public surface and is made on
+   purpose. *)
+let for_testing_inventory =
+  [
+    ("analysis", 16);
+    ("baselines", 6);
+    ("core", 9);
+    ("lint", 3);
+    ("net", 3);
+    ("sim", 5);
+    ("stats", 2);
+    ("tcp", 6);
+  ]
+
+let for_testing_values signature =
+  List.fold_left
+    (fun n item ->
+      match item.Parsetree.psig_desc with
+      | Parsetree.Psig_module
+          {
+            pmd_name = { txt = Some "For_testing"; _ };
+            pmd_type = { pmty_desc = Pmty_signature sg; _ };
+            _;
+          } ->
+          n
+          + List.length
+              (List.filter
+                 (fun i ->
+                   match i.Parsetree.psig_desc with
+                   | Parsetree.Psig_value _ -> true
+                   | _ -> false)
+                 sg)
+      | _ -> n)
+    0 signature
+
+let test_for_testing_inventory () =
+  let lib = Filename.concat ".." "lib" in
+  if not (Sys.file_exists lib) then
+    Alcotest.fail "../lib is missing: declare it as a dune dep";
+  let counts =
+    Sys.readdir lib |> Array.to_list |> List.sort String.compare
+    |> List.filter_map (fun name ->
+           let dir = Filename.concat lib name in
+           if not (Sys.is_directory dir) then None
+           else
+             let n =
+               Sys.readdir dir |> Array.to_list
+               |> List.filter (fun f -> Filename.check_suffix f ".mli")
+               |> List.fold_left
+                    (fun n f ->
+                      match
+                        Lint.Driver.For_testing.parse_interface
+                          (Filename.concat dir f)
+                      with
+                      | Ok sg -> n + for_testing_values sg
+                      | Error e -> Alcotest.failf "%s: %s" f e)
+                    0
+             in
+             if n = 0 then None else Some (name, n))
+  in
+  Alcotest.(check (list (pair string int)))
+    "For_testing values per library" for_testing_inventory counts;
+  Alcotest.(check int) "total" 50
+    (List.fold_left (fun n (_, k) -> n + k) 0 counts)
+
 let existing_trees subs =
   List.filter
     (fun p -> Sys.file_exists p && Sys.is_directory p)
@@ -411,7 +540,7 @@ let test_hot_paths_are_annotated () =
   match existing_trees [ "lib" ] with
   | [] -> ()
   | trees ->
-      let hots = Lint.Driver.hot_annotations ~paths:trees () in
+      let hots = Lint.Driver.For_testing.hot_annotations ~paths:trees () in
       let declared file target =
         List.exists
           (fun (f, t) -> Filename.basename f = file && t = target)
@@ -466,7 +595,7 @@ let test_ack_validation_declared_hot () =
   match existing_trees [ Filename.concat "lib" "tcp" ] with
   | [] -> ()
   | trees ->
-      let hots = Lint.Driver.hot_annotations ~paths:trees () in
+      let hots = Lint.Driver.For_testing.hot_annotations ~paths:trees () in
       Alcotest.(check bool) "ack_in_window is declared hot" true
         (List.exists
            (fun (f, t) ->
@@ -479,7 +608,7 @@ let test_rla_ack_dispatch_declared_hot () =
   match existing_trees [ Filename.concat "lib" "core" ] with
   | [] -> ()
   | trees ->
-      let hots = Lint.Driver.hot_annotations ~paths:trees () in
+      let hots = Lint.Driver.For_testing.hot_annotations ~paths:trees () in
       Alcotest.(check bool) "active_slot is declared hot" true
         (List.exists
            (fun (f, t) -> Filename.basename f = "sender.ml" && t = "active_slot")
@@ -492,7 +621,7 @@ let test_event_path_declared_hot () =
   match existing_trees [ Filename.concat "lib" "net" ] with
   | [] -> ()
   | trees ->
-      let hots = Lint.Driver.hot_annotations ~paths:trees () in
+      let hots = Lint.Driver.For_testing.hot_annotations ~paths:trees () in
       let declared file target =
         List.exists
           (fun (f, t) -> Filename.basename f = file && t = target)
@@ -517,6 +646,8 @@ let () =
           Alcotest.test_case "mli-required" `Quick test_mli_required;
           Alcotest.test_case "parse-error" `Quick test_parse_error;
           Alcotest.test_case "unused-export" `Quick test_unused_export;
+          Alcotest.test_case "unused-export qualified by another library"
+            `Quick test_unused_export_qualified;
           Alcotest.test_case "ckpt-coverage" `Quick test_ckpt_coverage;
         ] );
       ( "escape",
@@ -537,6 +668,8 @@ let () =
           Alcotest.test_case "alloc-hot waived" `Quick
             test_alloc_hot_waiver_honoured;
           Alcotest.test_case "clean hot function" `Quick test_alloc_hot_clean;
+          Alcotest.test_case "alloc-hot follows callees" `Quick
+            test_alloc_hot_follows_callees;
           Alcotest.test_case "hot-coverage unknown name" `Quick
             test_hot_coverage_rejects_unknown_name;
           Alcotest.test_case "annotation inventory" `Quick
@@ -566,6 +699,10 @@ let () =
       ( "self-check",
         [
           Alcotest.test_case "lib/ clean" `Quick test_lib_is_clean;
+          Alcotest.test_case "every export has a product caller" `Quick
+            test_exports_have_callers;
+          Alcotest.test_case "For_testing inventory" `Quick
+            test_for_testing_inventory;
           Alcotest.test_case "parallel engine domain-safe" `Quick
             test_parallel_engine_is_domain_safe;
           Alcotest.test_case "hot paths annotated" `Quick

@@ -16,30 +16,6 @@ let droptail_config ?(capacity = 20) ?(bw = 8_000_000.0) ?(delay = 0.01) () =
 (* Packet                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let test_packet_dest_strings () =
-  Alcotest.(check string) "unicast" "node:3"
-    (Net.Packet.dest_to_string (Net.Packet.Unicast 3));
-  Alcotest.(check string) "multicast" "group:1"
-    (Net.Packet.dest_to_string (Net.Packet.Multicast 1))
-
-let test_packet_pp () =
-  let pkt =
-    {
-      Net.Packet.uid = 1;
-      flow = 2;
-      src = 0;
-      dst = Net.Packet.Unicast 5;
-      size = 1000;
-      payload = Net.Packet.Raw;
-      born = 0.0;
-      ecn = false;
-      refs = 1;
-    }
-  in
-  let s = Format.asprintf "%a" Net.Packet.pp pkt in
-  Alcotest.(check bool) "mentions flow" true
-    (String.length s > 0 && String.contains s '2')
-
 (* ------------------------------------------------------------------ *)
 (* Packet pool                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -136,7 +112,7 @@ let test_red_avg_tracks_queue () =
     ignore (Net.Red.decide red ~now:0.0 ~qlen:10)
   done;
   Alcotest.(check bool) "avg converged toward 10" true
-    (abs_float (Net.Red.avg_queue red -. 10.0) < 0.5)
+    (abs_float ((Net.Red.capture red).Net.Red.s_avg -. 10.0) < 0.5)
 
 let test_red_drops_above_max () =
   let red = Net.Red.create red_params ~rng:(Sim.Rng.create 1) in
@@ -147,7 +123,7 @@ let test_red_drops_above_max () =
   (match Net.Red.decide red ~now:0.0 ~qlen:18 with
   | `Drop -> ()
   | `Admit | `Mark -> Alcotest.fail "must drop above max threshold");
-  Alcotest.(check bool) "drop counter advanced" true (Net.Red.drops red > 0)
+  Alcotest.(check bool) "drop counter advanced" true ((Net.Red.capture red).Net.Red.s_drops > 0)
 
 let test_red_probabilistic_between_thresholds () =
   let red = Net.Red.create red_params ~rng:(Sim.Rng.create 42) in
@@ -184,7 +160,7 @@ let test_red_ecn_marks_in_band () =
   done;
   Alcotest.(check bool) "marks happened" true (!marks > 10);
   Alcotest.(check int) "no drops in band with ecn" 0 !drops;
-  Alcotest.(check bool) "mark counter" true (Net.Red.marks red > 0)
+  Alcotest.(check bool) "mark counter" true ((Net.Red.capture red).Net.Red.s_marks > 0)
 
 let test_red_ecn_still_drops_above_max () =
   let params = { red_params with Net.Red.ecn = true } in
@@ -201,12 +177,12 @@ let test_red_idle_decay () =
   for _ = 1 to 5_000 do
     ignore (Net.Red.decide red ~now:0.0 ~qlen:12)
   done;
-  let before = Net.Red.avg_queue red in
+  let before = (Net.Red.capture red).Net.Red.s_avg in
   Net.Red.note_empty red ~now:1.0;
   (* After a long idle period the average decays substantially. *)
   ignore (Net.Red.decide red ~now:10.0 ~qlen:0);
   Alcotest.(check bool) "idle decayed the average" true
-    (Net.Red.avg_queue red < before /. 2.0)
+    ((Net.Red.capture red).Net.Red.s_avg < before /. 2.0)
 
 (* ------------------------------------------------------------------ *)
 (* Queue_disc                                                         *)
@@ -261,7 +237,8 @@ let test_disc_avg_queue_nan_for_droptail () =
     Net.Queue_disc.create Net.Queue_disc.Droptail ~capacity:5
       ~rng:(Sim.Rng.create 1)
   in
-  Alcotest.(check bool) "nan" true (Float.is_nan (Net.Queue_disc.avg_queue d))
+  Alcotest.(check bool) "no average kept" true
+    (Net.Queue_disc.capture d = Net.Queue_disc.Stateless)
 
 (* ------------------------------------------------------------------ *)
 (* Link                                                               *)
@@ -382,10 +359,9 @@ let test_link_delivery_timing () =
   in
   Net.Link.send link (make_packet ());
   Sim.Scheduler.run_until sched 1.0;
-  (match !arrivals with
+  match !arrivals with
   | [ t ] -> check_float "tx + prop" 0.011 t
-  | _ -> Alcotest.fail "expected one delivery");
-  check_float "service time" 0.001 (Net.Link.service_time link 1000)
+  | _ -> Alcotest.fail "expected one delivery"
 
 let test_link_serializes () =
   let sched = Sim.Scheduler.create () in
@@ -639,22 +615,13 @@ let test_node_undeliverable () =
     { (make_packet ()) with Net.Packet.dst = Net.Packet.Unicast 7; flow = 99 };
   Net.Node.receive node
     { (make_packet ()) with Net.Packet.dst = Net.Packet.Unicast 8 };
-  Alcotest.(check int) "no handler, no route" 2 (Net.Node.undeliverable node)
-
-let test_node_detach () =
-  let node = Net.Node.create ~pool:(Net.Packet.Pool.create ()) 0 in
-  let got = ref 0 in
-  Net.Node.attach node ~flow:1 (fun _ -> incr got);
-  Net.Node.detach node ~flow:1;
-  Net.Node.receive node
-    { (make_packet ()) with Net.Packet.dst = Net.Packet.Unicast 0; flow = 1 };
-  Alcotest.(check int) "detached" 0 !got
+  Alcotest.(check int) "no handler, no route" 2 (Net.Node.capture node)
 
 let test_node_multicast_membership () =
   let node = Net.Node.create ~pool:(Net.Packet.Pool.create ()) 3 in
-  Alcotest.(check bool) "not joined" false (Net.Node.joined node ~group:1);
+  Alcotest.(check bool) "not joined" false (Net.Node.For_testing.joined node ~group:1);
   Net.Node.join node ~group:1;
-  Alcotest.(check bool) "joined" true (Net.Node.joined node ~group:1);
+  Alcotest.(check bool) "joined" true (Net.Node.For_testing.joined node ~group:1);
   let got = ref 0 in
   Net.Node.attach node ~flow:5 (fun _ -> incr got);
   Net.Node.receive node
@@ -670,7 +637,7 @@ let test_node_mcast_route_dedup () =
   in
   Net.Node.add_mcast_route node ~group:1 link;
   Net.Node.add_mcast_route node ~group:1 link;
-  Alcotest.(check int) "dedup" 1 (List.length (Net.Node.mcast_routes node ~group:1))
+  Alcotest.(check int) "dedup" 1 (List.length (Net.Node.For_testing.mcast_routes node ~group:1))
 
 (* ------------------------------------------------------------------ *)
 (* Network                                                            *)
@@ -811,11 +778,11 @@ let test_network_neighbors_order () =
   (* A second duplex on an existing pair must not duplicate entries. *)
   ignore (Net.Network.duplex net hub (List.hd spokes) (droptail_config ()));
   Alcotest.(check (list int)) "creation order, no duplicates" spokes
-    (Net.Network.neighbors net hub);
+    (Net.Network.For_testing.neighbors net hub);
   Alcotest.(check (list int)) "spoke sees hub" [ hub ]
-    (Net.Network.neighbors net (List.hd spokes));
+    (Net.Network.For_testing.neighbors net (List.hd spokes));
   Alcotest.(check (list int)) "unknown node empty" []
-    (Net.Network.neighbors net 999)
+    (Net.Network.For_testing.neighbors net 999)
 
 let test_network_pool_recycles_after_delivery () =
   (* End-to-end pool accounting: once every packet of a burst is
@@ -860,11 +827,6 @@ let test_network_node_lookup () =
 let () =
   Alcotest.run "net"
     [
-      ( "packet",
-        [
-          Alcotest.test_case "dest strings" `Quick test_packet_dest_strings;
-          Alcotest.test_case "pp" `Quick test_packet_pp;
-        ] );
       ( "pool",
         [
           Alcotest.test_case "acquire/release recycles" `Quick
@@ -920,7 +882,6 @@ let () =
         [
           Alcotest.test_case "local dispatch" `Quick test_node_local_dispatch;
           Alcotest.test_case "undeliverable" `Quick test_node_undeliverable;
-          Alcotest.test_case "detach" `Quick test_node_detach;
           Alcotest.test_case "multicast membership" `Quick
             test_node_multicast_membership;
           Alcotest.test_case "mcast route dedup" `Quick test_node_mcast_route_dedup;

@@ -15,8 +15,6 @@ let test_series_basic () =
   let s = Obs.Series.create "x" in
   Alcotest.(check string) "name" "x" (Obs.Series.name s);
   Alcotest.(check int) "empty" 0 (Obs.Series.length s);
-  Alcotest.(check (option (pair (float 0.0) (float 0.0))))
-    "no last" None (Obs.Series.last s);
   Obs.Series.add s ~time:1.0 10.0;
   Obs.Series.add s ~time:2.0 20.0;
   Obs.Series.add s ~time:3.0 30.0;
@@ -26,9 +24,7 @@ let test_series_basic () =
   Alcotest.(check (array (float 0.0)))
     "times" [| 1.0; 2.0; 3.0 |] (Obs.Series.times s);
   Alcotest.(check (array (float 0.0)))
-    "values" [| 10.0; 20.0; 30.0 |] (Obs.Series.values s);
-  Alcotest.(check (option (pair (float 0.0) (float 0.0))))
-    "last" (Some (3.0, 30.0)) (Obs.Series.last s)
+    "values" [| 10.0; 20.0; 30.0 |] (Obs.Series.values s)
 
 let test_series_limit_validated () =
   Alcotest.(check bool) "limit 1 rejected" true
@@ -88,9 +84,11 @@ let test_registry_counters () =
   let c1 = Obs.Registry.counter reg "drops" in
   let c2 = Obs.Registry.counter reg "drops" in
   Obs.Registry.incr c1;
-  Obs.Registry.add c2 4;
-  Alcotest.(check int) "interned: one cell" 5 (Obs.Registry.count c1);
-  Alcotest.(check string) "name" "drops" (Obs.Registry.counter_name c1);
+  for _ = 1 to 4 do
+    Obs.Registry.incr c2
+  done;
+  Alcotest.(check (list (pair string int)))
+    "interned: one cell" [ ("drops", 5) ] (Obs.Registry.counters reg);
   ignore (Obs.Registry.counter reg "marks");
   Alcotest.(check (list (pair string int)))
     "creation-order enumeration"
@@ -100,10 +98,10 @@ let test_registry_counters () =
 let test_registry_gauges () =
   let reg = Obs.Registry.create () in
   let g = Obs.Registry.gauge reg "ssthresh" in
-  Alcotest.(check (float 0.0)) "starts at 0" 0.0 (Obs.Registry.gauge_value g);
+  Alcotest.(check (list (pair string (float 0.0))))
+    "starts at 0" [ ("ssthresh", 0.0) ] (Obs.Registry.gauges reg);
   Obs.Registry.set g 12.5;
   Obs.Registry.set (Obs.Registry.gauge reg "ssthresh") 13.0;
-  check_float "interned: one cell" 13.0 (Obs.Registry.gauge_value g);
   Alcotest.(check (list (pair string (float 0.0))))
     "enumeration" [ ("ssthresh", 13.0) ]
     (Obs.Registry.gauges reg)
@@ -112,7 +110,7 @@ let test_registry_series () =
   let reg = Obs.Registry.create ~series_limit:8 () in
   let s = Obs.Registry.series reg "q" in
   Alcotest.(check int) "registry limit applies" 8 (Obs.Series.limit s);
-  Obs.Registry.sample reg "q" ~time:1.0 3.0;
+  Obs.Series.add (Obs.Registry.series reg "q") ~time:1.0 3.0;
   Alcotest.(check int) "sample reaches interned series" 1
     (Obs.Series.length s);
   Alcotest.(check bool) "find_series hit" true
@@ -260,8 +258,8 @@ let prop_faulted_report_deterministic =
       let pooled jobs =
         let jobs_list =
           List.init 2 (fun i ->
-              Experiments.Churn.job ~label:(Printf.sprintf "churn/%d" i)
-                config)
+              Runner.Job.create ~label:(Printf.sprintf "churn/%d" i)
+                (fun () -> Experiments.Churn.run_with_net config))
         in
         List.map
           (fun (o : _ Runner.Pool.outcome) -> report o.Runner.Pool.value)

@@ -35,7 +35,7 @@ let prop_kary_shape =
       let nodes = (pow fanout (depth + 1) - 1) / (fanout - 1) in
       Net.Topo.node_count t = nodes
       && Net.Topo.edge_count t = nodes - 1
-      && Net.Topo.connected t
+      && Topo_gen.connected t
       && List.for_all (fun e -> e.Net.Topo.u <> e.Net.Topo.v) t.Net.Topo.edges
       && (* every non-root node hangs off its level-order parent *)
       List.for_all
@@ -45,12 +45,12 @@ let prop_kary_shape =
 let test_fat_tree_shape () =
   List.iter
     (fun k ->
-      let t = Net.Topo.fat_tree ~k ~configs:test_cfgs in
+      let t = Topo_gen.fat_tree ~k ~configs:test_cfgs in
       let nodes = (k * k / 4) + (k * k) + (k * k * k / 4) in
       let edges = 3 * k * k * k / 4 in
       Alcotest.(check int) "node count" nodes (Net.Topo.node_count t);
       Alcotest.(check int) "edge count" edges (Net.Topo.edge_count t);
-      Alcotest.(check bool) "connected" true (Net.Topo.connected t);
+      Alcotest.(check bool) "connected" true (Topo_gen.connected t);
       Alcotest.(check bool) "no self loops" true
         (List.for_all
            (fun e -> e.Net.Topo.u <> e.Net.Topo.v)
@@ -62,23 +62,23 @@ let prop_random_graph_sound =
     ~count:50
     QCheck.(triple (int_range 1 1000) (int_range 2 30) (int_range 0 10))
     (fun (seed, n, extra) ->
-      let t = Net.Topo.random_graph ~seed ~n ~extra ~configs:test_cfgs in
+      let t = Topo_gen.random_graph ~seed ~n ~extra ~configs:test_cfgs in
       let key e = (min e.Net.Topo.u e.Net.Topo.v, max e.Net.Topo.u e.Net.Topo.v) in
       let keys = List.map key t.Net.Topo.edges in
       Net.Topo.node_count t = n
-      && Net.Topo.connected t
+      && Topo_gen.connected t
       && Net.Topo.edge_count t >= n - 1
       && Net.Topo.edge_count t <= n - 1 + extra
       && List.for_all (fun e -> e.Net.Topo.u <> e.Net.Topo.v) t.Net.Topo.edges
       && List.length (List.sort_uniq compare keys) = List.length keys
       && (* byte-level reproducibility from the seed *)
-      Net.Topo.random_graph ~seed ~n ~extra ~configs:test_cfgs = t)
+      Topo_gen.random_graph ~seed ~n ~extra ~configs:test_cfgs = t)
 
 let test_of_edges_validation () =
   let reject name spec =
     Alcotest.(check bool) name true
       (try
-         ignore (Net.Topo.of_edges ~n:3 spec);
+         ignore (Topo_gen.of_edges ~n:3 spec);
          false
        with Invalid_argument _ -> true)
   in
@@ -110,7 +110,7 @@ let prop_partition_invariants =
     ~count:50
     QCheck.(triple (int_range 1 1000) (int_range 2 30) (int_range 0 8))
     (fun (seed, n, extra) ->
-      let t = Net.Topo.random_graph ~seed ~n ~extra ~configs:test_cfgs in
+      let t = Topo_gen.random_graph ~seed ~n ~extra ~configs:test_cfgs in
       let parts = 1 + (seed mod n) in
       let p = Net.Topo.node_count t |> fun _ -> Par.Partition.kruskal t ~parts in
       let owner = p.Par.Partition.owner in
@@ -167,7 +167,7 @@ let test_partition_validation () =
 (* ------------------------------------------------------------------ *)
 
 let two_node_engine ~delay =
-  let t = Net.Topo.of_edges ~n:2 [ (0, 1, cfg ~bw:8e6 delay) ] in
+  let t = Topo_gen.of_edges ~n:2 [ (0, 1, cfg ~bw:8e6 delay) ] in
   let partition = Par.Partition.kruskal t ~parts:2 in
   Par.Engine.create ~topo:t ~partition ~seed:1 ()
 
@@ -184,7 +184,7 @@ let cross_shard_probe ~send_at =
   match two_node_engine ~delay:0.1 with
   | Error _ -> Alcotest.fail "positive-delay engine rejected"
   | Ok eng ->
-      Par.Engine.install_route eng ~at:0 ~dest:1 ~next:1;
+      Par.Engine.install_toward eng ~parents:[| 1; 1 |] ~dest:1;
       let net0 = Par.Engine.shard_net eng 0 in
       let net1 = Par.Engine.shard_net eng 1 in
       let flow = Net.Network.fresh_flow net0 in
@@ -239,7 +239,7 @@ let scenario_outputs config =
         r.Par.Scenario.trace_csv )
 
 let random_scenario_config ~seed ~n ~parts ~workers =
-  let topo = Net.Topo.random_graph ~seed ~n ~extra:3 ~configs:test_cfgs in
+  let topo = Topo_gen.random_graph ~seed ~n ~extra:3 ~configs:test_cfgs in
   let receivers =
     match List.filter (fun v -> v <> 0) (Net.Topo.leaves topo) with
     | [] -> [ n - 1 ]
@@ -385,7 +385,7 @@ let test_checkpoint_rejected () =
   | Ok _ -> Alcotest.fail "checkpointed sharded run accepted"
 
 let test_cross_shard_tcp_rejected () =
-  let topo = Net.Topo.of_edges ~n:2 [ (0, 1, cfg 0.1) ] in
+  let topo = Topo_gen.of_edges ~n:2 [ (0, 1, cfg 0.1) ] in
   let config =
     {
       Par.Scenario.topo;
@@ -424,7 +424,7 @@ let test_bad_config_rejected () =
   bad "zero workers" { base with Par.Scenario.workers = 0 }
 
 let test_scenario_zero_delay_cut () =
-  let topo = Net.Topo.of_edges ~n:2 [ (0, 1, cfg 0.0) ] in
+  let topo = Topo_gen.of_edges ~n:2 [ (0, 1, cfg 0.0) ] in
   let config =
     { (figure6_config ~workers:1) with Par.Scenario.topo; parts = 2;
       receivers = [ 1 ]; tcp_pairs = [] }

@@ -32,9 +32,9 @@ let test_params_generalized () =
 
 let test_fairness_share () =
   check_float "mu/(m+1)" 50.0
-    (Rla.Fairness.share { Rla.Fairness.mu = 200.0; tcp_flows = 3 });
+    (Rla.Fairness.For_testing.share { Rla.Fairness.mu = 200.0; tcp_flows = 3 });
   check_float "no tcp" 200.0
-    (Rla.Fairness.share { Rla.Fairness.mu = 200.0; tcp_flows = 0 })
+    (Rla.Fairness.For_testing.share { Rla.Fairness.mu = 200.0; tcp_flows = 0 })
 
 let test_fairness_soft_bottleneck () =
   let branches =
@@ -47,8 +47,8 @@ let test_fairness_soft_bottleneck () =
       (* share 150 *)
     ]
   in
-  Alcotest.(check int) "index" 1 (Rla.Fairness.soft_bottleneck branches);
-  check_float "fair share" 100.0 (Rla.Fairness.fair_share branches)
+  Alcotest.(check int) "index" 1 (Rla.Fairness.For_testing.soft_bottleneck branches);
+  check_float "fair share" 100.0 (Rla.Fairness.For_testing.fair_share branches)
 
 let test_fairness_soft_vs_hard () =
   (* The hard bottleneck (min mu) is branch 1, but branch 0 with many
@@ -61,11 +61,11 @@ let test_fairness_soft_vs_hard () =
       (* share 100 *)
     ]
   in
-  Alcotest.(check int) "soft, not hard" 0 (Rla.Fairness.soft_bottleneck branches)
+  Alcotest.(check int) "soft, not hard" 0 (Rla.Fairness.For_testing.soft_bottleneck branches)
 
 let test_fairness_empty () =
   Alcotest.(check bool) "empty raises" true
-    (try ignore (Rla.Fairness.soft_bottleneck []); false
+    (try ignore (Rla.Fairness.For_testing.soft_bottleneck []); false
      with Invalid_argument _ -> true)
 
 let test_fairness_bounds () =
@@ -110,12 +110,12 @@ let test_fairness_soft_bottleneck_tie () =
     ]
   in
   Alcotest.(check int) "first minimal wins" 0
-    (Rla.Fairness.soft_bottleneck branches);
-  check_float "tied fair share" 100.0 (Rla.Fairness.fair_share branches);
+    (Rla.Fairness.For_testing.soft_bottleneck branches);
+  check_float "tied fair share" 100.0 (Rla.Fairness.For_testing.fair_share branches);
   (* A strictly smaller share later in the list still wins outright. *)
   let branches' = branches @ [ { Rla.Fairness.mu = 99.0; tcp_flows = 0 } ] in
   Alcotest.(check int) "strict minimum beats earlier ties" 3
-    (Rla.Fairness.soft_bottleneck branches')
+    (Rla.Fairness.For_testing.soft_bottleneck branches')
 
 let test_fairness_bounds_single_receiver () =
   let a, b = Rla.Fairness.essential_bounds Rla.Fairness.Red ~n:1 in
@@ -197,7 +197,7 @@ let test_rcv_state_acks () =
   let r = make_rcv () in
   Rla.Rcv_state.count_ack r;
   Rla.Rcv_state.count_ack r;
-  Alcotest.(check int) "acks" 2 (Rla.Rcv_state.acks r)
+  Alcotest.(check int) "acks" 2 ((Rla.Rcv_state.capture r).s_acks)
 
 (* ------------------------------------------------------------------ *)
 (* Sender on small networks                                           *)
@@ -239,8 +239,8 @@ let test_sender_reaches_all_receivers () =
   List.iter
     (fun ep ->
       Alcotest.(check bool) "receiver kept up" true
-        (Rla.Receiver.expected ep >= Rla.Sender.max_reach_all rla))
-    (Rla.Sender.receiver_endpoints rla)
+        ((Rla.Receiver.capture ep).s_expected >= Rla.Sender.max_reach_all rla))
+    (Rla.Sender.For_testing.receiver_endpoints rla)
 
 let test_sender_no_loss_grows_window () =
   (* Huge branches: no congestion, no cuts, monotone frontier. *)
@@ -273,7 +273,7 @@ let test_sender_congestion_cuts_window () =
     (Rla.Sender.congestion_signals rla > 0);
   Alcotest.(check bool) "cuts happened" true (Rla.Sender.window_cuts rla > 0);
   Alcotest.(check bool) "retransmissions happened" true
-    (Rla.Sender.rexmits_multicast rla + Rla.Sender.rexmits_unicast rla > 0)
+    ((Rla.Sender.capture rla).Rla.Sender.s_rexmits_multicast + (Rla.Sender.capture rla).Rla.Sender.s_rexmits_unicast > 0)
 
 let test_sender_randomized_cut_rate () =
   (* Cuts (excluding timeouts) should be roughly signals/n — the random
@@ -297,7 +297,7 @@ let test_sender_min_last_ack_coherent () =
   let rla = Rla.Sender.create ~net ~src:s ~receivers:leaves () in
   Net.Network.run_until net 10.0;
   Alcotest.(check bool) "mla >= mra" true
-    (Rla.Sender.min_last_ack rla >= Rla.Sender.max_reach_all rla)
+    (Rla.Sender.For_testing.min_last_ack rla >= Rla.Sender.max_reach_all rla)
 
 let test_sender_signals_per_receiver () =
   let net, s, leaves = star ~branch_mu:100.0 () in
@@ -329,15 +329,15 @@ let test_sender_pthresh_restricted () =
   Net.Network.run_until net 60.0;
   (* All three branches congest equally: each should be troubled and
      pthresh ~ 1/3. *)
-  Alcotest.(check int) "all troubled" 3 (Rla.Sender.num_trouble_rcvr rla);
-  let p = Rla.Sender.pthresh_for rla (List.hd leaves) in
+  Alcotest.(check int) "all troubled" 3 (Rla.Sender.For_testing.num_trouble_rcvr rla);
+  let p = Rla.Sender.For_testing.pthresh_for rla (List.hd leaves) in
   Alcotest.(check (float 1e-9)) "1/num_trouble" (1.0 /. 3.0) p
 
 let test_sender_pthresh_unknown_receiver () =
   let net, s, leaves = star () in
   let rla = Rla.Sender.create ~net ~src:s ~receivers:leaves () in
   Alcotest.(check bool) "unknown receiver raises" true
-    (try ignore (Rla.Sender.pthresh_for rla 999); false
+    (try ignore (Rla.Sender.For_testing.pthresh_for rla 999); false
      with Invalid_argument _ -> true)
 
 let test_sender_rexmit_multicast_vs_unicast () =
@@ -348,7 +348,7 @@ let test_sender_rexmit_multicast_vs_unicast () =
     let params = { Rla.Params.default with Rla.Params.rexmit_thresh = thresh } in
     let rla = Rla.Sender.create ~net ~src:s ~receivers:leaves ~params () in
     Net.Network.run_until net 60.0;
-    (Rla.Sender.rexmits_multicast rla, Rla.Sender.rexmits_unicast rla)
+    ((Rla.Sender.capture rla).Rla.Sender.s_rexmits_multicast, (Rla.Sender.capture rla).Rla.Sender.s_rexmits_unicast)
   in
   let mc, uc = run 0 in
   Alcotest.(check bool) "thresh 0: multicast used" true (mc > 0);
@@ -382,9 +382,9 @@ let test_receiver_endpoint_rexmits () =
   Net.Network.run_until net 60.0;
   let total_rexmit_received =
     List.fold_left
-      (fun acc ep -> acc + Rla.Receiver.rexmits_received ep)
+      (fun acc ep -> acc + (Rla.Receiver.capture ep).s_rexmits_received)
       0
-      (Rla.Sender.receiver_endpoints rla)
+      (Rla.Sender.For_testing.receiver_endpoints rla)
   in
   Alcotest.(check bool) "receivers saw retransmissions" true
     (total_rexmit_received > 0)
@@ -466,7 +466,7 @@ let test_drop_receiver_ignores_acks () =
   (* min_last_ack now reflects only the active receivers, so it can
      exceed what the dropped receiver has acknowledged. *)
   Alcotest.(check bool) "frontier not gated by dropped receiver" true
-    (Rla.Sender.min_last_ack rla >= Rla.Sender.max_reach_all rla)
+    (Rla.Sender.For_testing.min_last_ack rla >= Rla.Sender.max_reach_all rla)
 
 let test_dropped_receiver_gets_no_rexmits () =
   (* Satellite regression: once dropped, a receiver must stop drawing
@@ -481,20 +481,20 @@ let test_dropped_receiver_gets_no_rexmits () =
   Net.Network.run_until net 30.0;
   let slow_endpoint =
     List.find
-      (fun ep -> Rla.Receiver.node_id ep = List.hd leaves)
-      (Rla.Sender.receiver_endpoints rla)
+      (fun ep -> Rla.Receiver.For_testing.node_id ep = List.hd leaves)
+      (Rla.Sender.For_testing.receiver_endpoints rla)
   in
   Alcotest.(check bool) "slow receiver saw unicast rexmits while active" true
-    (Rla.Receiver.rexmits_received slow_endpoint > 0);
+    ((Rla.Receiver.capture slow_endpoint).s_rexmits_received > 0);
   ignore (Rla.Sender.drop_receiver rla (List.hd leaves));
   (* Let retransmissions already in flight land before baselining. *)
   Net.Network.run_until net 32.0;
-  let baseline = Rla.Receiver.rexmits_received slow_endpoint in
+  let baseline = (Rla.Receiver.capture slow_endpoint).s_rexmits_received in
   Net.Network.run_until net 90.0;
   Alcotest.(check int) "no retransmissions after the drop" baseline
-    (Rla.Receiver.rexmits_received slow_endpoint);
+    ((Rla.Receiver.capture slow_endpoint).s_rexmits_received);
   Alcotest.(check bool) "session kept retransmitting to the others" true
-    (Rla.Sender.rexmits_unicast rla + Rla.Sender.rexmits_multicast rla > 0)
+    ((Rla.Sender.capture rla).Rla.Sender.s_rexmits_unicast + (Rla.Sender.capture rla).Rla.Sender.s_rexmits_multicast > 0)
 
 let test_add_receiver_guards () =
   let net, s, leaves = star_with_slow_branch () in
@@ -521,7 +521,7 @@ let test_join_after_drop_same_address () =
   Alcotest.(check int) "three active again" 3
     (List.length (Rla.Sender.active_receivers rla));
   Alcotest.(check int) "slot reused, not duplicated" 3
-    (Rla.Sender.n_receivers rla);
+    (List.length (Rla.Sender.capture rla).Rla.Sender.s_rcvrs);
   let before = Rla.Sender.max_reach_all rla in
   Net.Network.run_until net 60.0;
   (* The re-joined receiver acknowledges from the join-time frontier,
@@ -542,19 +542,19 @@ let test_pthresh_tracks_membership () =
   let probe = List.nth leaves 2 in
   Net.Network.run_until net 5.0;
   Alcotest.(check (float 1e-9)) "1/3 initially" (1.0 /. 3.0)
-    (Rla.Sender.pthresh_for rla probe);
+    (Rla.Sender.For_testing.pthresh_for rla probe);
   ignore (Rla.Sender.drop_receiver rla (List.hd leaves));
   Alcotest.(check (float 1e-9)) "1/2 after a leave" 0.5
-    (Rla.Sender.pthresh_for rla probe);
-  Alcotest.(check int) "num_trouble follows" 2 (Rla.Sender.num_trouble_rcvr rla);
+    (Rla.Sender.For_testing.pthresh_for rla probe);
+  Alcotest.(check int) "num_trouble follows" 2 (Rla.Sender.For_testing.num_trouble_rcvr rla);
   Net.Network.run_until net 10.0;
   ignore (Rla.Sender.add_receiver rla (List.hd leaves));
   Alcotest.(check (float 1e-9)) "1/3 after the rejoin" (1.0 /. 3.0)
-    (Rla.Sender.pthresh_for rla probe);
+    (Rla.Sender.For_testing.pthresh_for rla probe);
   ignore (Rla.Sender.drop_receiver rla (List.nth leaves 1));
   ignore (Rla.Sender.drop_receiver rla (List.nth leaves 2));
   Alcotest.(check (float 1e-9)) "1/1 at a single receiver" 1.0
-    (Rla.Sender.pthresh_for rla probe)
+    (Rla.Sender.For_testing.pthresh_for rla probe)
 
 let test_restore_rebuilds_address_index () =
   (* The sender's address index is derived state: a restore must
@@ -574,14 +574,14 @@ let test_restore_rebuilds_address_index () =
   let rla_st = Rla.Sender.capture rla1 in
   let net2, s, _, rla2 = build () in
   Alcotest.(check int) "fresh build dispatches to the victim" 0
-    (Rla.Sender.active_slot rla2 victim);
+    (Rla.Sender.For_testing.active_slot rla2 victim);
   Sim.Scheduler.restore (Net.Network.scheduler net2) sched_st;
   Net.Network.restore net2 net_st;
   Rla.Sender.restore rla2 rla_st;
   Alcotest.(check int) "dropped address not dispatched" (-1)
-    (Rla.Sender.active_slot rla2 victim);
+    (Rla.Sender.For_testing.active_slot rla2 victim);
   Alcotest.(check int) "live address keeps its slot" 1
-    (Rla.Sender.active_slot rla2 live);
+    (Rla.Sender.For_testing.active_slot rla2 live);
   let acks () =
     List.map
       (fun r -> r.Rla.Rcv_state.s_acks)
@@ -610,7 +610,7 @@ let test_restore_rebuilds_address_index () =
     (List.mapi (fun i n -> if i = 1 then n + 1 else n) before)
     (acks ());
   Alcotest.(check bool) "unknown addresses are never dispatched" true
-    (Rla.Sender.active_slot rla2 999 = -1 && Rla.Sender.active_slot rla2 (-1) = -1)
+    (Rla.Sender.For_testing.active_slot rla2 999 = -1 && Rla.Sender.For_testing.active_slot rla2 (-1) = -1)
 
 (* Recorded before the sender stopped rescanning every pending
    retransmission on every ack.  Here decisions really do wait on the
@@ -624,7 +624,7 @@ let test_distant_receiver_golden () =
       (Ckpt.Codec.section "rla" Ckpt.State.rla_sender (Rla.Sender.capture rla))
   in
   Alcotest.(check int) "multicast retransmissions" 115
-    (Rla.Sender.rexmits_multicast rla);
+    ((Rla.Sender.capture rla).Rla.Sender.s_rexmits_multicast);
   Alcotest.(check int) "timeouts" 1 (Rla.Sender.timeouts rla);
   Alcotest.(check int) "delivered to all" 3631 (Rla.Sender.max_reach_all rla);
   Alcotest.(check string) "captured sender state digest"

@@ -129,7 +129,7 @@ let ops_arb =
     QCheck.Gen.(list_size (1 -- 300) op_gen)
 
 let agree sb model =
-  Tcp.Scoreboard.check_invariants sb;
+  Tcp.Scoreboard.For_testing.check_invariants sb;
   let ok = ref true in
   let check name a b =
     if a <> b then begin
@@ -140,7 +140,7 @@ let agree sb model =
   check "high_ack" (Tcp.Scoreboard.high_ack sb) model.Model.high_ack;
   check "next_seq" (Tcp.Scoreboard.next_seq sb) model.Model.next_seq;
   check "pipe" (Tcp.Scoreboard.pipe sb) (Model.pipe model);
-  check "highest_sacked" (Tcp.Scoreboard.highest_sacked sb)
+  check "highest_sacked" (Tcp.Scoreboard.For_testing.highest_sacked sb)
     model.Model.highest_sacked;
   for seq = model.Model.high_ack to model.Model.next_seq - 1 do
     if Tcp.Scoreboard.is_sacked sb seq <> Model.mem seq model.Model.sacked then begin
@@ -162,18 +162,18 @@ let apply_both sb model op =
       a = b
   | Cum k ->
       let target = Tcp.Scoreboard.high_ack sb + k in
-      let a = Tcp.Scoreboard.advance_cum sb target in
+      let a = Tcp.Scoreboard.For_testing.advance_cum sb target in
       let before = model.Model.high_ack in
       Model.advance_cum model target;
       a = model.Model.high_ack - before
   | Sack (offset, len) ->
       let lo = Tcp.Scoreboard.high_ack sb + offset in
       let hi = lo + len in
-      ignore (Tcp.Scoreboard.mark_sacked sb ~lo ~hi);
+      ignore (Tcp.Scoreboard.For_testing.mark_sacked sb ~lo ~hi);
       Model.mark_sacked model ~lo ~hi;
       true
   | Detect ->
-      let a = Tcp.Scoreboard.detect_losses sb ~dupthresh:3 in
+      let a = Tcp.Scoreboard.For_testing.detect_losses sb ~dupthresh:3 in
       let b = Model.detect_losses model ~dupthresh:3 in
       a = b
   | Rexmit -> (
@@ -209,7 +209,7 @@ let prop_pipe_monotone_on_sack =
         ignore (Tcp.Scoreboard.register_send sb)
       done;
       let before = Tcp.Scoreboard.pipe sb in
-      ignore (Tcp.Scoreboard.mark_sacked sb ~lo:(s mod (n + 1)) ~hi:((s mod (n + 1)) + 3));
+      ignore (Tcp.Scoreboard.For_testing.mark_sacked sb ~lo:(s mod (n + 1)) ~hi:((s mod (n + 1)) + 3));
       Tcp.Scoreboard.pipe sb <= before)
 
 let prop_cum_clears_window =
@@ -222,12 +222,12 @@ let prop_cum_clears_window =
           ignore (Tcp.Scoreboard.register_send sb);
           if x = 1 then
             ignore
-              (Tcp.Scoreboard.mark_sacked sb
+              (Tcp.Scoreboard.For_testing.mark_sacked sb
                  ~lo:(Tcp.Scoreboard.next_seq sb - 1)
                  ~hi:(Tcp.Scoreboard.next_seq sb));
-          if x = 2 then ignore (Tcp.Scoreboard.detect_losses sb ~dupthresh:3))
+          if x = 2 then ignore (Tcp.Scoreboard.For_testing.detect_losses sb ~dupthresh:3))
         noise;
-      ignore (Tcp.Scoreboard.advance_cum sb (Tcp.Scoreboard.next_seq sb));
+      ignore (Tcp.Scoreboard.For_testing.advance_cum sb (Tcp.Scoreboard.next_seq sb));
       Tcp.Scoreboard.pipe sb = 0
       && Tcp.Scoreboard.in_flight_window sb = 0)
 

@@ -2,6 +2,26 @@
 
 let check_float = Alcotest.(check (float 1e-9))
 
+(* The heap's removal is [pop_top], paired with [top_prio] the way the
+   scheduler pairs them. *)
+let pop h =
+  if Sim.Heap.is_empty h then None
+  else
+    let prio = Sim.Heap.top_prio h in
+    Some (prio, Sim.Heap.pop_top h)
+
+(* Drain a scheduler by hand, charging [max_events] for fired events
+   only, the way a budgeted run loop over [step] must. *)
+let run_until_empty s ~max_events =
+  let rec go budget =
+    if budget > 0 then
+      match Sim.Scheduler.For_testing.step s infinity with
+      | `Fired -> go (budget - 1)
+      | `Skipped -> go budget
+      | `Done -> ()
+  in
+  go max_events
+
 (* ------------------------------------------------------------------ *)
 (* Heap                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -10,17 +30,15 @@ let test_heap_empty () =
   let h = Sim.Heap.create () in
   Alcotest.(check bool) "empty" true (Sim.Heap.is_empty h);
   Alcotest.(check int) "length" 0 (Sim.Heap.length h);
-  Alcotest.(check (option (pair (float 0.0) int))) "pop" None (Sim.Heap.pop h);
-  Alcotest.(check (option (float 0.0))) "min_prio" None (Sim.Heap.min_prio h)
+  Alcotest.(check (option (pair (float 0.0) int))) "pop" None (pop h)
 
 let test_heap_single () =
   let h = Sim.Heap.create () in
   Sim.Heap.add h ~prio:3.5 "x";
   Alcotest.(check int) "length" 1 (Sim.Heap.length h);
+  check_float "top_prio" 3.5 (Sim.Heap.top_prio h);
   Alcotest.(check (option (pair (float 0.0) string)))
-    "peek" (Some (3.5, "x")) (Sim.Heap.peek h);
-  Alcotest.(check (option (pair (float 0.0) string)))
-    "pop" (Some (3.5, "x")) (Sim.Heap.pop h);
+    "pop" (Some (3.5, "x")) (pop h);
   Alcotest.(check bool) "empty after" true (Sim.Heap.is_empty h)
 
 let test_heap_ordering () =
@@ -28,7 +46,7 @@ let test_heap_ordering () =
   List.iter (fun p -> Sim.Heap.add h ~prio:p p)
     [ 5.0; 1.0; 3.0; 2.0; 4.0; 0.5 ];
   let rec drain acc =
-    match Sim.Heap.pop h with
+    match pop h with
     | None -> List.rev acc
     | Some (p, _) -> drain (p :: acc)
   in
@@ -41,7 +59,7 @@ let test_heap_fifo_ties () =
   Sim.Heap.add h ~prio:0.5 "first";
   let order = ref [] in
   let rec drain () =
-    match Sim.Heap.pop h with
+    match pop h with
     | None -> ()
     | Some (_, v) ->
         order := v :: !order;
@@ -60,26 +78,19 @@ let test_heap_clear () =
   Alcotest.(check bool) "cleared" true (Sim.Heap.is_empty h);
   Sim.Heap.add h ~prio:1.0 7;
   Alcotest.(check (option (pair (float 0.0) int)))
-    "usable after clear" (Some (1.0, 7)) (Sim.Heap.pop h)
-
-let test_heap_iter () =
-  let h = Sim.Heap.create () in
-  List.iter (fun p -> Sim.Heap.add h ~prio:p (int_of_float p)) [ 3.0; 1.0; 2.0 ];
-  let sum = ref 0 in
-  Sim.Heap.iter h ~f:(fun _ v -> sum := !sum + v);
-  Alcotest.(check int) "iter visits all" 6 !sum
+    "usable after clear" (Some (1.0, 7)) (pop h)
 
 let test_heap_interleaved () =
   let h = Sim.Heap.create () in
   Sim.Heap.add h ~prio:2.0 2;
   Sim.Heap.add h ~prio:1.0 1;
   Alcotest.(check (option (pair (float 0.0) int))) "pop 1" (Some (1.0, 1))
-    (Sim.Heap.pop h);
+    (pop h);
   Sim.Heap.add h ~prio:0.5 0;
   Alcotest.(check (option (pair (float 0.0) int))) "pop 0" (Some (0.5, 0))
-    (Sim.Heap.pop h);
+    (pop h);
   Alcotest.(check (option (pair (float 0.0) int))) "pop 2" (Some (2.0, 2))
-    (Sim.Heap.pop h)
+    (pop h)
 
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap drains in sorted order" ~count:200
@@ -88,7 +99,7 @@ let prop_heap_sorts =
       let h = Sim.Heap.create () in
       List.iter (fun p -> Sim.Heap.add h ~prio:p ()) prios;
       let rec drain acc =
-        match Sim.Heap.pop h with
+        match pop h with
         | None -> List.rev acc
         | Some (p, ()) -> drain (p :: acc)
       in
@@ -107,7 +118,7 @@ let prop_heap_stable_order =
       let h = Sim.Heap.create () in
       List.iteri (fun i k -> Sim.Heap.add h ~prio:(float_of_int k) (k, i)) keys;
       let rec drain acc =
-        match Sim.Heap.pop h with
+        match pop h with
         | None -> List.rev acc
         | Some (_, v) -> drain (v :: acc)
       in
@@ -128,7 +139,7 @@ let prop_heap_length =
       let ok = ref (Sim.Heap.length h = n) in
       for remaining = n downto 1 do
         ok := !ok && Sim.Heap.length h = remaining;
-        ignore (Sim.Heap.pop h)
+        ignore (pop h)
       done;
       !ok && Sim.Heap.is_empty h)
 
@@ -136,12 +147,13 @@ let test_heap_pop_entry_seqs () =
   let h = Sim.Heap.create () in
   List.iter (fun v -> Sim.Heap.add h ~prio:1.0 v) [ "a"; "b"; "c" ];
   let rec drain acc =
-    match Sim.Heap.pop_entry h with
-    | None -> List.rev acc
-    | Some entry -> drain (entry :: acc)
+    if Sim.Heap.is_empty h then List.rev acc
+    else
+      let prio = Sim.Heap.top_prio h and seq = Sim.Heap.top_seq h in
+      drain ((prio, seq, Sim.Heap.pop_top h) :: acc)
   in
   Alcotest.(check (list (triple (float 0.0) int string)))
-    "pop_entry returns insertion counters"
+    "top_seq returns insertion counters"
     [ (1.0, 0, "a"); (1.0, 1, "b"); (1.0, 2, "c") ]
     (drain [])
 
@@ -173,7 +185,7 @@ let heap_live_after_drain prios =
       Sim.Heap.add h ~prio:p v)
     prios;
   let rec drain () =
-    match Sim.Heap.pop h with Some _ -> drain () | None -> ()
+    match pop h with Some _ -> drain () | None -> ()
   in
   drain ();
   Gc.full_major ();
@@ -209,7 +221,7 @@ let test_rng_seed_sensitivity () =
   let a = Sim.Rng.create 1 and b = Sim.Rng.create 2 in
   let same = ref 0 in
   for _ = 1 to 64 do
-    if Sim.Rng.bits64 a = Sim.Rng.bits64 b then incr same
+    if Sim.Rng.int a max_int = Sim.Rng.int b max_int then incr same
   done;
   Alcotest.(check bool) "different seeds diverge" true (!same < 4)
 
@@ -273,16 +285,18 @@ let test_rng_split_independent () =
   let b = Sim.Rng.split root in
   let same = ref 0 in
   for _ = 1 to 64 do
-    if Sim.Rng.bits64 a = Sim.Rng.bits64 b then incr same
+    if Sim.Rng.int a max_int = Sim.Rng.int b max_int then incr same
   done;
   Alcotest.(check bool) "split streams differ" true (!same < 4)
 
 let test_rng_copy () =
   let a = Sim.Rng.create 31 in
-  ignore (Sim.Rng.bits64 a);
-  let b = Sim.Rng.copy a in
+  ignore (Sim.Rng.uniform a);
+  let b = Sim.Rng.create 0 in
+  Sim.Rng.set_state b (Sim.Rng.state a);
   for _ = 1 to 10 do
-    Alcotest.(check int64) "copy replays" (Sim.Rng.bits64 a) (Sim.Rng.bits64 b)
+    Alcotest.(check int) "copy replays" (Sim.Rng.int a max_int)
+      (Sim.Rng.int b max_int)
   done
 
 let test_rng_range () =
@@ -355,30 +369,30 @@ let test_sched_cancel_idempotent () =
   let id = Sim.Scheduler.schedule_at s 1.0 (fun () -> ()) in
   Sim.Scheduler.cancel s id;
   Sim.Scheduler.cancel s id;
-  Alcotest.(check int) "pending went to zero once" 0 (Sim.Scheduler.pending s)
+  Alcotest.(check int) "pending went to zero once" 0 (Sim.Scheduler.For_testing.pending s)
 
 let test_sched_cancel_after_fire () =
   let s = Sim.Scheduler.create () in
   let id = Sim.Scheduler.schedule_at s 1.0 (fun () -> ()) in
   Sim.Scheduler.run_until s 2.0;
   Alcotest.(check int) "fired" 1 (Sim.Scheduler.events_fired s);
-  Alcotest.(check int) "pending zero" 0 (Sim.Scheduler.pending s);
+  Alcotest.(check int) "pending zero" 0 (Sim.Scheduler.For_testing.pending s);
   (* Cancelling a fired id must be a strict no-op: no negative drift,
      no effect on later events. *)
   Sim.Scheduler.cancel s id;
-  Alcotest.(check int) "pending still zero" 0 (Sim.Scheduler.pending s);
+  Alcotest.(check int) "pending still zero" 0 (Sim.Scheduler.For_testing.pending s);
   let fired = ref false in
   ignore (Sim.Scheduler.schedule_at s 3.0 (fun () -> fired := true));
-  Alcotest.(check int) "new event pending" 1 (Sim.Scheduler.pending s);
+  Alcotest.(check int) "new event pending" 1 (Sim.Scheduler.For_testing.pending s);
   Sim.Scheduler.run_until s 4.0;
   Alcotest.(check bool) "new event fires" true !fired;
-  Alcotest.(check int) "pending back to zero" 0 (Sim.Scheduler.pending s)
+  Alcotest.(check int) "pending back to zero" 0 (Sim.Scheduler.For_testing.pending s)
 
 (* The Done / Fired / Skipped contract of [step], one event at a time,
    including a cancel after the event fired. *)
 let test_sched_step () =
   let s = Sim.Scheduler.create () in
-  let step horizon = Sim.Scheduler.step s horizon in
+  let step horizon = Sim.Scheduler.For_testing.step s horizon in
   Alcotest.(check bool) "empty queue is Done" true (step infinity = `Done);
   let hits = ref 0 in
   let id = Sim.Scheduler.schedule_at s 1.0 (fun () -> incr hits) in
@@ -404,11 +418,11 @@ let test_sched_double_cancel_then_fire_others () =
   Sim.Scheduler.cancel s a;
   Sim.Scheduler.cancel s a;
   Alcotest.(check int) "one pending after double cancel" 1
-    (Sim.Scheduler.pending s);
+    (Sim.Scheduler.For_testing.pending s);
   Sim.Scheduler.run_until s 3.0;
   Alcotest.(check int) "only survivor fired" 1 !hit;
   Alcotest.(check int) "fired counter" 1 (Sim.Scheduler.events_fired s);
-  Alcotest.(check int) "pending exhausted" 0 (Sim.Scheduler.pending s)
+  Alcotest.(check int) "pending exhausted" 0 (Sim.Scheduler.For_testing.pending s)
 
 let test_sched_cancel_storm_invariants () =
   (* Interleave scheduling, firing, and redundant cancels; [pending]
@@ -427,13 +441,13 @@ let test_sched_cancel_storm_invariants () =
         Sim.Scheduler.cancel s id
       end)
     ids;
-  Alcotest.(check int) "half pending" 50 (Sim.Scheduler.pending s);
+  Alcotest.(check int) "half pending" 50 (Sim.Scheduler.For_testing.pending s);
   Sim.Scheduler.run_until s 1000.0;
   Alcotest.(check int) "half fired" 50 (Sim.Scheduler.events_fired s);
-  Alcotest.(check int) "none pending" 0 (Sim.Scheduler.pending s);
+  Alcotest.(check int) "none pending" 0 (Sim.Scheduler.For_testing.pending s);
   (* Cancel everything again after the fact: still a no-op. *)
   List.iter (fun id -> Sim.Scheduler.cancel s id) ids;
-  Alcotest.(check int) "still none pending" 0 (Sim.Scheduler.pending s)
+  Alcotest.(check int) "still none pending" 0 (Sim.Scheduler.For_testing.pending s)
 
 let test_sched_schedule_during_event () =
   let s = Sim.Scheduler.create () in
@@ -462,10 +476,10 @@ let test_sched_counters () =
   for i = 1 to 5 do
     ignore (Sim.Scheduler.schedule_at s (float_of_int i) (fun () -> ()))
   done;
-  Alcotest.(check int) "pending" 5 (Sim.Scheduler.pending s);
+  Alcotest.(check int) "pending" 5 (Sim.Scheduler.For_testing.pending s);
   Sim.Scheduler.run_until s 3.0;
   Alcotest.(check int) "fired" 3 (Sim.Scheduler.events_fired s);
-  Alcotest.(check int) "pending remaining" 2 (Sim.Scheduler.pending s)
+  Alcotest.(check int) "pending remaining" 2 (Sim.Scheduler.For_testing.pending s)
 
 let test_sched_run_until_empty () =
   let s = Sim.Scheduler.create () in
@@ -478,7 +492,7 @@ let test_sched_run_until_empty () =
              chain (n - 1)))
   in
   chain 5;
-  Sim.Scheduler.run_until_empty s ~max_events:100;
+  run_until_empty s ~max_events:100;
   Alcotest.(check int) "all chained events" 5 !count
 
 let test_sched_run_until_empty_bounded () =
@@ -491,7 +505,7 @@ let test_sched_run_until_empty_bounded () =
            forever ()))
   in
   forever ();
-  Sim.Scheduler.run_until_empty s ~max_events:50;
+  run_until_empty s ~max_events:50;
   Alcotest.(check int) "bounded by max_events" 50 !count
 
 let test_sched_rejects_nonfinite () =
@@ -513,7 +527,7 @@ let test_sched_rejects_nonfinite () =
     (raises (fun () ->
          ignore (Sim.Scheduler.schedule_after s Float.infinity (fun () -> ()))));
   (* The rejection must leave the scheduler untouched. *)
-  Alcotest.(check int) "nothing pending" 0 (Sim.Scheduler.pending s);
+  Alcotest.(check int) "nothing pending" 0 (Sim.Scheduler.For_testing.pending s);
   let ok = ref false in
   ignore (Sim.Scheduler.schedule_at s 1.0 (fun () -> ok := true));
   Sim.Scheduler.run_until s 2.0;
@@ -534,12 +548,12 @@ let test_sched_max_events_ignores_cancelled () =
   (* Cancel the 10 earliest, so every skip precedes every real firing;
      under the buggy accounting zero events would fire. *)
   List.iteri (fun i id -> if i < 10 then Sim.Scheduler.cancel s id) ids;
-  Sim.Scheduler.run_until_empty s ~max_events:5;
+  run_until_empty s ~max_events:5;
   Alcotest.(check int) "five real events fired" 5 !fired;
   Alcotest.(check int) "events_fired counter" 5 (Sim.Scheduler.events_fired s);
-  Alcotest.(check int) "five survivors pending" 5 (Sim.Scheduler.pending s);
+  Alcotest.(check int) "five survivors pending" 5 (Sim.Scheduler.For_testing.pending s);
   (* The remaining budget-less drain still works. *)
-  Sim.Scheduler.run_until_empty s ~max_events:100;
+  run_until_empty s ~max_events:100;
   Alcotest.(check int) "rest fired" 10 !fired
 
 (* Model-based cancel property: schedule up to 400 events on a small
@@ -632,7 +646,7 @@ let prop_sched_cancel_survivors =
       let expected = List.rev !expected in
       restored_ok
       && fired = expected
-      && Sim.Scheduler.pending !sched = 0
+      && Sim.Scheduler.For_testing.pending !sched = 0
       && Sim.Scheduler.events_fired !sched = List.length expected)
 
 (* Cancelled timers must not pin what their closures capture until
@@ -668,7 +682,7 @@ let test_sched_cancelled_release_closures () =
     if Weak.check w i then incr live
   done;
   (* The scheduler itself is still live, so its heap could pin them. *)
-  Alcotest.(check int) "timer and ticker pending" 2 (Sim.Scheduler.pending s);
+  Alcotest.(check int) "timer and ticker pending" 2 (Sim.Scheduler.For_testing.pending s);
   if !live > 64 then
     Alcotest.failf "%d of %d cancelled closures still reachable" !live n
 
@@ -677,34 +691,34 @@ let test_sched_cancelled_release_closures () =
 (* ------------------------------------------------------------------ *)
 
 let test_invariant_counters () =
-  Sim.Invariant.reset_counters ();
+  Sim.Invariant.For_testing.reset_counters ();
   Sim.Invariant.require true (fun () -> "fine");
-  Alcotest.(check int) "checks counted" 1 (Sim.Invariant.checks_run ());
-  Alcotest.(check int) "no failures" 0 (Sim.Invariant.failures_seen ());
+  Alcotest.(check int) "checks counted" 1 (Sim.Invariant.For_testing.checks_run ());
+  Alcotest.(check int) "no failures" 0 (Sim.Invariant.For_testing.failures_seen ());
   (match Sim.Invariant.require false (fun () -> "boom") with
   | () -> Alcotest.fail "expected Violation"
   | exception Sim.Invariant.Violation msg ->
       Alcotest.(check string) "message" "boom" msg);
-  Alcotest.(check int) "failure counted" 1 (Sim.Invariant.failures_seen ());
-  Sim.Invariant.reset_counters ();
-  Alcotest.(check int) "counters reset" 0 (Sim.Invariant.checks_run ())
+  Alcotest.(check int) "failure counted" 1 (Sim.Invariant.For_testing.failures_seen ());
+  Sim.Invariant.For_testing.reset_counters ();
+  Alcotest.(check int) "counters reset" 0 (Sim.Invariant.For_testing.checks_run ())
 
 let test_invariant_scheduler_clean () =
   (* A checked scheduler run over interleaved events trips nothing. *)
   let was = !Sim.Invariant.enabled in
   Fun.protect
-    ~finally:(fun () -> Sim.Invariant.set_enabled was)
+    ~finally:(fun () -> Sim.Invariant.enabled := was)
     (fun () ->
-      Sim.Invariant.set_enabled true;
-      Sim.Invariant.reset_counters ();
+      Sim.Invariant.enabled := true;
+      Sim.Invariant.For_testing.reset_counters ();
       let s = Sim.Scheduler.create () in
       for i = 0 to 99 do
         let at = float_of_int ((i * 7919) mod 100) /. 10.0 in
         ignore (Sim.Scheduler.schedule_at s at (fun () -> ()))
       done;
-      Sim.Scheduler.run_until_empty s ~max_events:1000;
-      Alcotest.(check bool) "checks ran" true (Sim.Invariant.checks_run () > 0);
-      Alcotest.(check int) "no violations" 0 (Sim.Invariant.failures_seen ()))
+      run_until_empty s ~max_events:1000;
+      Alcotest.(check bool) "checks ran" true (Sim.Invariant.For_testing.checks_run () > 0);
+      Alcotest.(check int) "no violations" 0 (Sim.Invariant.For_testing.failures_seen ()))
 
 let () =
   Alcotest.run "sim"
@@ -716,7 +730,6 @@ let () =
           Alcotest.test_case "ordering" `Quick test_heap_ordering;
           Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties;
           Alcotest.test_case "clear" `Quick test_heap_clear;
-          Alcotest.test_case "iter" `Quick test_heap_iter;
           Alcotest.test_case "interleaved" `Quick test_heap_interleaved;
           Alcotest.test_case "pop_entry seqs" `Quick test_heap_pop_entry_seqs;
           Alcotest.test_case "top_prio" `Quick test_heap_top_prio;
