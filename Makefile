@@ -20,6 +20,7 @@ CKPT_DIR ?= /tmp/rla_ckpt_smoke
 PAR_DIR ?= /tmp/rla_par_smoke
 MF_DIR ?= /tmp/rla_meanfield_smoke
 HOSTILE_DIR ?= /tmp/rla_hostile_smoke
+SARIF ?= /tmp/rla_lint.sarif
 
 .PHONY: all build test lint smoke trace-smoke churn-smoke \
   invariant-smoke ckpt-smoke par-smoke meanfield-smoke hostile-smoke \
@@ -37,7 +38,7 @@ test:
 lint: build
 	dune exec bin/rla_lint.exe -- --list-rules > /dev/null
 	dune exec bin/rla_lint.exe -- --strict lib bin bench
-	dune exec bin/rla_lint.exe -- --format sarif lib bin bench > /tmp/rla_lint.sarif
+	dune exec bin/rla_lint.exe -- --format sarif lib bin bench > $(SARIF)
 
 smoke: build
 	dune exec bin/rla_sweep.exe -- --cases 1,2 --duration 120 --warmup 40 \

@@ -10,9 +10,9 @@
     window climbs to the cap regardless of congestion.
 
     A positive [lookahead] acknowledges data the sender has not yet
-    transmitted; the hardened sender's ack-validation fast path
-    ({!Tcp.Sender.ack_in_window}) drops those acks and counts them in
-    {!Tcp.Sender.ghost_acks} — the mitigation the suite measures.
+    transmitted; the hardened sender's ack-validation fast path drops
+    those acks and counts them in {!Tcp.Sender.ghost_acks} — the
+    mitigation the suite measures.
     Concealing genuine losses ([lookahead = 0]) is {e not} detectable
     that way, which is exactly the attack's point. *)
 

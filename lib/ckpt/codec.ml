@@ -347,12 +347,7 @@ let save_file ~path sections =
     Printexc.raise_with_backtrace e bt
 
 let load_file ~path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+  match In_channel.with_open_bin path In_channel.input_all with
   | s -> decode s
   | exception Sys_error msg -> Error (Malformed msg)
   | exception _ -> Error Truncated

@@ -16,44 +16,12 @@ type t = {
   mutable pa_ece : bool array;
   mutable n_pending : int;
   mutable ack_thunk : unit -> unit;
-  ooo : (int, unit) Hashtbl.t;
-  mutable recent : int list;
-  mutable expected : int;
+  reasm : Tcp.Reassembly.t;
   mutable received_total : int;
-  mutable duplicates : int;
   mutable rexmits_received : int;
 }
 
 let node_id t = Net.Node.id t.node
-
-let block_around t seq =
-  let lo = ref seq in
-  while Hashtbl.mem t.ooo (!lo - 1) do
-    decr lo
-  done;
-  let hi = ref (seq + 1) in
-  while Hashtbl.mem t.ooo !hi do
-    incr hi
-  done;
-  { Tcp.Wire.block_lo = !lo; block_hi = !hi }
-
-(* A top-level loop rather than a local closure, so an ack with no
-   holes to report builds nothing at all. *)
-let rec build_blocks t acc seen = function
-  | [] -> List.rev acc
-  | _ when List.length acc >= Tcp.Wire.max_sack_blocks -> List.rev acc
-  | rep :: rest ->
-      if rep < t.expected || not (Hashtbl.mem t.ooo rep) then
-        build_blocks t acc seen rest
-      else begin
-        let block = block_around t rep in
-        if List.mem block.Tcp.Wire.block_lo seen then
-          build_blocks t acc seen rest
-        else
-          build_blocks t (block :: acc) (block.Tcp.Wire.block_lo :: seen) rest
-      end
-
-let sack_blocks t = build_blocks t [] [] t.recent
 
 (* Acknowledgments leave after a small random processing delay: an
    equal-RTT multicast tree would otherwise fire all receivers' acks at
@@ -69,8 +37,8 @@ let emit_ack t ~echo ~ece =
         (Wire.Rla_ack
            {
              rcvr = Net.Node.id t.node;
-             cum_ack = t.expected;
-             blocks = sack_blocks t;
+             cum_ack = Tcp.Reassembly.expected t.reasm;
+             blocks = Tcp.Reassembly.blocks t.reasm;
              echo;
              ece;
            })
@@ -124,41 +92,10 @@ let send_ack t ~echo ~ece =
          (Sim.Rng.float t.rng t.ack_jitter)
          t.ack_thunk)
 
-(* [List.filter (fun r -> r >= bound)] without the per-call closure;
-   an unchanged list comes back as itself. *)
-let rec keep_from bound = function
-  | [] -> []
-  | r :: rest as l ->
-      let kept = keep_from bound rest in
-      if r < bound then kept else if kept == rest then l else r :: kept
-
-(* [List.filter (fun r -> r <> v)], the same way. *)
-let rec drop_value v = function
-  | [] -> []
-  | r :: rest as l ->
-      let kept = drop_value v rest in
-      if r = v then kept else if kept == rest then l else r :: kept
-
 let on_data t ~seq ~sent_at ~rexmit ~ecn =
   t.received_total <- t.received_total + 1;
   if rexmit then t.rexmits_received <- t.rexmits_received + 1;
-  if seq < t.expected || Hashtbl.mem t.ooo seq then
-    t.duplicates <- t.duplicates + 1
-  else if seq = t.expected then begin
-    t.expected <- t.expected + 1;
-    while Hashtbl.mem t.ooo t.expected do
-      Hashtbl.remove t.ooo t.expected;
-      t.expected <- t.expected + 1
-    done;
-    t.recent <- keep_from t.expected t.recent
-  end
-  else begin
-    Hashtbl.replace t.ooo seq ();
-    t.recent <- seq :: drop_value seq t.recent;
-    if List.length t.recent > 4 * Tcp.Wire.max_sack_blocks then
-      t.recent <-
-        List.filteri (fun i _ -> i < 4 * Tcp.Wire.max_sack_blocks) t.recent
-  end;
+  Tcp.Reassembly.accept t.reasm seq;
   send_ack t ~echo:sent_at ~ece:ecn
 
 let create ~net ~node ~flow ~sender ?(ack_jitter = 0.002) ?(start = 0) () =
@@ -176,11 +113,8 @@ let create ~net ~node ~flow ~sender ?(ack_jitter = 0.002) ?(start = 0) () =
       pa_ece = [||];
       n_pending = 0;
       ack_thunk = ignore;
-      ooo = Hashtbl.create 64;
-      recent = [];
-      expected = start;
+      reasm = Tcp.Reassembly.create ~start ();
       received_total = 0;
-      duplicates = 0;
       rexmits_received = 0;
     }
   in
@@ -207,15 +141,14 @@ type state = {
 }
 
 let capture t =
+  let r = Tcp.Reassembly.capture t.reasm in
   {
     s_rng = Sim.Rng.state t.rng;
-    s_ooo =
-      Hashtbl.fold (fun seq () acc -> seq :: acc) t.ooo []
-      |> List.sort Int.compare;
-    s_recent = t.recent;
-    s_expected = t.expected;
+    s_ooo = r.ooo;
+    s_recent = r.recent;
+    s_expected = r.expected;
     s_received_total = t.received_total;
-    s_duplicates = t.duplicates;
+    s_duplicates = r.duplicates;
     s_rexmits_received = t.rexmits_received;
     s_pending_acks =
       List.init t.n_pending (fun i -> (t.pa_ids.(i), t.pa_echo.(i), t.pa_ece.(i)))
@@ -224,12 +157,14 @@ let capture t =
 
 let restore t st =
   Sim.Rng.set_state t.rng st.s_rng;
-  Hashtbl.reset t.ooo;
-  List.iter (fun seq -> Hashtbl.replace t.ooo seq ()) st.s_ooo;
-  t.recent <- st.s_recent;
-  t.expected <- st.s_expected;
+  Tcp.Reassembly.restore t.reasm
+    {
+      ooo = st.s_ooo;
+      recent = st.s_recent;
+      expected = st.s_expected;
+      duplicates = st.s_duplicates;
+    };
   t.received_total <- st.s_received_total;
-  t.duplicates <- st.s_duplicates;
   t.rexmits_received <- st.s_rexmits_received;
   t.n_pending <- 0;
   let sched = Net.Network.scheduler t.net in

@@ -322,12 +322,12 @@ let measure s config =
   let rst_accepted, rst_challenged, rst_dropped, rst_injected, victim_closed =
     match s.adversary with
     | Blind (blind, victim) ->
-        let rcvr = Tcp.Sender.receiver victim in
-        ( Tcp.Receiver.rst_accepted rcvr,
-          Tcp.Receiver.rst_challenged rcvr,
-          Tcp.Receiver.rst_dropped rcvr,
+        let r = Tcp.Receiver.capture (Tcp.Sender.receiver victim) in
+        ( r.s_rst_accepted,
+          r.s_rst_challenged,
+          r.s_rst_dropped,
           Adversary.Blind.rst_sent blind,
-          Tcp.Receiver.closed rcvr )
+          r.s_closed )
     | _ -> (0, 0, 0, 0, false)
   in
   {

@@ -12,91 +12,110 @@
                                                  are errors
 
    Comments are located with a small scanner that understands string
-   literals, char literals and nested comments, because the parsetree
-   drops comments. *)
+   literals, quoted strings, char literals and nested comments, because
+   the parsetree drops comments. *)
 
 type t = { line : int; rule : string; file_wide : bool; reason : string }
 
 type hot = { hot_line : int; target : string; hot_reason : string }
 
-let is_space = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-
 let split_words s =
-  let words = ref [] in
-  let buf = Buffer.create 16 in
-  let flush () =
-    if Buffer.length buf > 0 then begin
-      words := Buffer.contents buf :: !words;
-      Buffer.clear buf
-    end
-  in
-  String.iter (fun c -> if is_space c then flush () else Buffer.add_char buf c) s;
-  flush ();
-  List.rev !words
+  String.map (function '\t' | '\n' | '\r' -> ' ' | c -> c) s
+  |> String.split_on_char ' '
+  |> List.filter (fun w -> not (String.equal w ""))
 
-(* Extract every top-level comment as (start_line, body). *)
-let comments src =
+let is_ident_char = function
+  | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true
+  | _ -> false
+
+(* The byte spans [(comment, i, j)] of [src]'s outermost comments and
+   of its string literals and quoted strings ({|...|}, {id|...|id})
+   outside comments, in order.  As in the lexer, comments nest, and a
+   string, quoted string or char literal inside a comment is skipped
+   whole, so a "*)" in it closes nothing.  Char literals are stepped
+   over but not reported, so '"' opens no string. *)
+let literal_spans src =
   let n = String.length src in
-  let out = ref [] in
-  let line = ref 1 in
-  let i = ref 0 in
-  let bump c = if c = '\n' then incr line in
-  while !i < n do
-    let c = src.[!i] in
-    if c = '"' then begin
-      (* Skip a string literal. *)
-      incr i;
-      let closed = ref false in
-      while (not !closed) && !i < n do
-        (match src.[!i] with
-        | '\\' ->
-            if !i + 1 < n then bump src.[!i + 1];
-            incr i
-        | '"' -> closed := true
-        | ch -> bump ch);
-        incr i
-      done
-    end
-    else if
-      c = '\''
-      && !i + 2 < n
-      && (src.[!i + 2] = '\'' || (src.[!i + 1] = '\\' && !i + 3 < n))
-    then
-      (* A char literal ('x' or an escape like '\n', '\''); skipping it
-         keeps quotes inside from confusing the string scanner. *)
-      if src.[!i + 1] = '\\' then i := !i + 4 else i := !i + 3
-    else if c = '(' && !i + 1 < n && src.[!i + 1] = '*' then begin
-      let start_line = !line in
-      let body = Buffer.create 64 in
-      let depth = ref 1 in
-      i := !i + 2;
-      while !depth > 0 && !i < n do
-        if !i + 1 < n && src.[!i] = '(' && src.[!i + 1] = '*' then begin
-          incr depth;
-          Buffer.add_string body "(*";
-          i := !i + 2
-        end
-        else if !i + 1 < n && src.[!i] = '*' && src.[!i + 1] = ')' then begin
-          decr depth;
-          if !depth > 0 then Buffer.add_string body "*)";
-          i := !i + 2
-        end
-        else begin
-          bump src.[!i];
-          Buffer.add_char body src.[!i];
-          incr i
-        end
-      done;
-      (* A multi-line directive comment governs the line after it ends,
-         so the suppression anchor is the closing line. *)
-      out := (start_line, !line, Buffer.contents body) :: !out
-    end
-    else begin
-      bump c;
-      incr i
-    end
-  done;
-  List.rev !out
+  let at i c = i < n && Char.equal src.[i] c in
+  let rec string_end i =
+    if i >= n then n
+    else
+      match src.[i] with
+      | '\\' -> string_end (i + 2)
+      | '"' -> i + 1
+      | _ -> string_end (i + 1)
+  in
+  let rec quoted_end close i =
+    let m = String.length close in
+    if i + m > n then n
+    else if String.equal (String.sub src i m) close then i + m
+    else quoted_end close (i + 1)
+  in
+  let rec id_end j =
+    match src.[j] with 'a' .. 'z' | '_' when j + 1 < n -> id_end (j + 1) | _ -> j
+  in
+  let literal_end i =
+    match src.[i] with
+    | '"' -> Some (string_end (i + 1))
+    | '{' when i + 1 < n ->
+        let j = id_end (i + 1) in
+        if at j '|' then
+          Some (quoted_end ("|" ^ String.sub src (i + 1) (j - i - 1) ^ "}") (j + 1))
+        else None
+    | '\'' when i > 0 && is_ident_char src.[i - 1] -> None
+    | '\'' when at (i + 1) '\\' && i + 3 < n ->
+        Option.map succ (String.index_from_opt src (i + 3) '\'')
+    | '\'' when at (i + 2) '\'' -> Some (i + 3)
+    | _ -> None
+  in
+  let rec comment_end i depth =
+    if i >= n then n
+    else if at i '(' && at (i + 1) '*' then comment_end (i + 2) (depth + 1)
+    else if at i '*' && at (i + 1) ')' then
+      if depth = 1 then i + 2 else comment_end (i + 2) (depth - 1)
+    else
+      match literal_end i with
+      | Some j -> comment_end j depth
+      | None -> comment_end (i + 1) depth
+  in
+  let rec go i acc =
+    if i >= n then List.rev acc
+    else if at i '(' && at (i + 1) '*' then
+      let j = comment_end (i + 2) 1 in
+      go j ((true, i, j) :: acc)
+    else
+      match literal_end i with
+      | Some j when at i '\'' -> go j acc
+      | Some j -> go j ((false, i, j) :: acc)
+      | None -> go (i + 1) acc
+  in
+  go 0 []
+
+let code_only src =
+  let b = Bytes.of_string src in
+  List.iter (fun (_, i, j) -> Bytes.fill b i (j - i) ' ') (literal_spans src);
+  Bytes.to_string b
+
+(* Every outermost comment as (start_line, end_line, body).  A
+   multi-line directive governs the line after it ends, so suppressions
+   anchor at [end_line]. *)
+let comments src =
+  let line = ref 1 and pos = ref 0 in
+  let line_at k =
+    while !pos < k do
+      if Char.equal src.[!pos] '\n' then incr line;
+      incr pos
+    done;
+    !line
+  in
+  List.filter_map
+    (fun (comment, i, j) ->
+      if not comment then None
+      else
+        let start_line = line_at i in
+        let body = String.sub src (i + 2) (Stdlib.max 0 (j - i - 4)) in
+        Some (start_line, line_at j, body))
+    (literal_spans src)
 
 let bad ~file ~line message =
   Finding.make ~file ~line ~rule:"bad-annotation" ~severity:Finding.Error

@@ -29,10 +29,18 @@ val collect :
   valid_rules:string list ->
   string ->
   t list * hot list * Finding.t list
-(** Scans raw source text (string/char literals and nested comments are
-    understood) and returns the well-formed suppressions, the hot
-    declarations, and a [bad-annotation] finding for each malformed
-    directive. *)
+(** Scans raw source text (string, quoted-string and char literals and
+    nested comments are understood) and returns the well-formed
+    suppressions, the hot declarations, and a [bad-annotation] finding
+    for each malformed directive. *)
+
+val is_ident_char : char -> bool
+(** Whether the character can occur in an OCaml identifier. *)
+
+val code_only : string -> string
+(** [src] with its comments, string literals and quoted strings blanked
+    to spaces, so that a name mentioned only in prose or data can be
+    told from a use. *)
 
 val suppresses : t -> Finding.t -> bool
 (** Whether an annotation silences a finding: same rule, and file-wide

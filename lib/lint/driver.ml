@@ -5,12 +5,7 @@
 
 open Rla_json
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let parse_impl ~path text =
   let lexbuf = Lexing.from_string text in

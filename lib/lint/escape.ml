@@ -56,46 +56,23 @@ let node_id n = n.file ^ "#" ^ n.path
 
 (* --- dune library discovery ----------------------------------------- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-(* Pull [(name x)] out of the first [(library ...)] stanza, tolerating
-   arbitrary whitespace.  The repo's dune files are plain enough that a
-   full sexp parser would be ceremony. *)
+(* The [(name x)] of the first [(library ...)] stanza.  The repo's dune
+   files are plain enough that splitting on parentheses and blanks
+   stands in for a sexp parser. *)
 let library_name_of_dune text =
-  let len = String.length text in
-  let is_ws c = c = ' ' || c = '\t' || c = '\n' || c = '\r' in
-  let rec find_kw kw i =
-    if i >= len then None
-    else if text.[i] = '(' then begin
-      let j = ref (i + 1) in
-      while !j < len && is_ws text.[!j] do incr j done;
-      let k = String.length kw in
-      if !j + k <= len && String.sub text !j k = kw
-         && (!j + k = len || is_ws text.[!j + k] || text.[!j + k] = ')')
-      then Some (!j + k)
-      else find_kw kw (i + 1)
-    end
-    else find_kw kw (i + 1)
+  let rec after kw = function
+    | w :: (_ :: _ as rest) ->
+        if String.equal w kw then Some rest else after kw rest
+    | _ -> None
   in
-  match find_kw "library" 0 with
-  | None -> None
-  | Some after_lib -> (
-      match find_kw "name" after_lib with
-      | None -> None
-      | Some after_name ->
-          let i = ref after_name in
-          while !i < len && is_ws text.[!i] do incr i done;
-          let start = !i in
-          while !i < len && not (is_ws text.[!i]) && text.[!i] <> ')' do
-            incr i
-          done;
-          if !i > start then Some (String.sub text start (!i - start))
-          else None)
+  String.map (function '(' | ')' | '\n' | '\t' | '\r' -> ' ' | c -> c) text
+  |> String.split_on_char ' '
+  |> List.filter (fun w -> not (String.equal w ""))
+  |> after "library"
+  |> Fun.flip Option.bind (after "name")
+  |> Option.map List.hd
 
 let module_of_basename file =
   String.capitalize_ascii (Filename.remove_extension (Filename.basename file))
@@ -109,9 +86,8 @@ let module_id_for ~dune_cache file =
         let v =
           let dune = Filename.concat dir "dune" in
           if Sys.file_exists dune then
-            match library_name_of_dune (read_file dune) with
-            | Some name -> Some (String.capitalize_ascii name)
-            | None -> None
+            Option.map String.capitalize_ascii
+              (library_name_of_dune (read_file dune))
           else None
         in
         Hashtbl.add dune_cache dir v;

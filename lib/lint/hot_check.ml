@@ -46,15 +46,6 @@
 
 open Parsetree
 
-let line_of loc = loc.Location.loc_start.Lexing.pos_lnum
-
-let rec longident_parts = function
-  | Longident.Lident s -> [ s ]
-  | Longident.Ldot (p, s) -> longident_parts p @ [ s ]
-  | Longident.Lapply (p, _) -> longident_parts p
-
-let joined lid = String.concat "." (longident_parts lid)
-
 (* --- binding discovery ---------------------------------------------- *)
 
 let bindings_of_structure items =
@@ -105,7 +96,7 @@ let mentions_invariant_enabled cond =
         (fun it e ->
           (match e.pexp_desc with
           | Pexp_ident { txt; _ } -> (
-              match longident_parts txt with
+              match Escape.longident_parts txt with
               | [ "Invariant"; "enabled" ] | [ "enabled" ] -> found := true
               | parts -> (
                   match List.rev parts with
@@ -157,33 +148,34 @@ let scan_body ~file ~target ~reason body =
               ()
           | Pexp_assert _ -> ()
           | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _)
-            when List.mem (joined txt) error_exits ->
+            when List.mem (Escape.joined txt) error_exits ->
               ()
           | Pexp_fun _ ->
-              flag (line_of e.pexp_loc) "closure allocation";
+              flag (Escape.line_of e.pexp_loc) "closure allocation";
               Ast_iterator.default_iterator.expr it e
           | Pexp_function _ ->
-              flag (line_of e.pexp_loc) "closure allocation";
+              flag (Escape.line_of e.pexp_loc) "closure allocation";
               Ast_iterator.default_iterator.expr it e
           | Pexp_tuple _ ->
-              flag (line_of e.pexp_loc) "tuple allocation";
+              flag (Escape.line_of e.pexp_loc) "tuple allocation";
               Ast_iterator.default_iterator.expr it e
           | Pexp_record _ ->
-              flag (line_of e.pexp_loc) "record allocation";
+              flag (Escape.line_of e.pexp_loc) "record allocation";
               Ast_iterator.default_iterator.expr it e
           | Pexp_construct ({ txt; _ }, Some _) ->
-              flag (line_of e.pexp_loc)
-                (Printf.sprintf "constructor %s allocation" (joined txt));
+              flag (Escape.line_of e.pexp_loc)
+                (Printf.sprintf "constructor %s allocation"
+                   (Escape.joined txt));
               Ast_iterator.default_iterator.expr it e
           | Pexp_variant (tag, Some _) ->
-              flag (line_of e.pexp_loc)
+              flag (Escape.line_of e.pexp_loc)
                 (Printf.sprintf "variant `%s allocation" tag);
               Ast_iterator.default_iterator.expr it e
           | Pexp_ident { txt = Longident.Lident name; _ } ->
               names := name :: !names
           | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _) -> (
-              (match alloc_head (joined txt) with
-              | Some what -> flag (line_of e.pexp_loc) what
+              (match alloc_head (Escape.joined txt) with
+              | Some what -> flag (Escape.line_of e.pexp_loc) what
               | None -> ());
               Ast_iterator.default_iterator.expr it e)
           | Pexp_let (_, vbs, _) ->
@@ -192,8 +184,8 @@ let scan_body ~file ~target ~reason body =
                   match vb.pvb_expr.pexp_desc with
                   | Pexp_apply
                       ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _)
-                    when float_op (joined txt) ->
-                      flag (line_of vb.pvb_loc)
+                    when float_op (Escape.joined txt) ->
+                      flag (Escape.line_of vb.pvb_loc)
                         "float-valued let (boxing risk)"
                   | _ -> ())
                 vbs;

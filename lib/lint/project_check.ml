@@ -12,22 +12,17 @@
      delete the export, or to move a genuine test seam into the
      module's [For_testing] submodule (whose values are not top-level,
      so this rule never reports them).  Reference detection is textual
-     (token `Module.value` with identifier boundaries), which matches
-     both same-library siblings (`Module.value`) and wrapped-library
-     consumers (`Lib.Module.value` contains the token) and deliberately
-     errs on the side of silence.  One exception: `W.Module.value` does
+     (token `Module.value` with identifier boundaries, outside comments
+     and string literals), which matches both same-library siblings
+     (`Module.value`) and wrapped-library consumers (`Lib.Module.value`
+     contains the token) and deliberately errs on the side of silence.  One exception: `W.Module.value` does
      not count when W is another library's wrapper whose own
      [Module] interface declares [value] — that reference names the
      other library's value.  (An [include]d alias declares nothing
      itself, so `Runner.Json.of_string` still counts for
      [Rla_json.Json.of_string].) *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let has_component path name =
   List.exists (String.equal name) (String.split_on_char '/' path)
@@ -132,10 +127,6 @@ let ckpt_coverage ~parse_impl ~parse_interface ~ml_files =
 
 (* --- unused exports ------------------------------------------------- *)
 
-let is_ident_char = function
-  | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true
-  | _ -> false
-
 (* The module path component right before position [i] when [hay.[i-1]]
    is a '.', e.g. "Tcp" for the "Receiver.x" in "Tcp.Receiver.x". *)
 let qualifier hay i =
@@ -143,7 +134,7 @@ let qualifier hay i =
   else
     let stop = i - 1 in
     let start = ref stop in
-    while !start > 0 && is_ident_char hay.[!start - 1] do
+    while !start > 0 && Annot.is_ident_char hay.[!start - 1] do
       decr start
     done;
     if !start = stop then None else Some (String.sub hay !start (stop - !start))
@@ -163,33 +154,21 @@ let contains_token ~foreign hay needle =
       | Some i ->
           if
             String.sub hay i nn = needle
-            && (i = 0 || not (is_ident_char hay.[i - 1]))
-            && (i + nn = nh || not (is_ident_char hay.[i + nn]))
+            && (i = 0 || not (Annot.is_ident_char hay.[i - 1]))
+            && (i + nn = nh || not (Annot.is_ident_char hay.[i + nn]))
             && not (Option.fold ~none:false ~some:foreign (qualifier hay i))
           then true
           else search (i + 1)
   in
   nn > 0 && search 0
 
-let module_name_of_file path =
-  String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
-
 (* The wrapper module of the library in [dir]: its dune [(name x)], or
    the directory name when there is no dune file (lint fixtures). *)
 let wrapper_name dir =
-  let rec after_name = function
-    | "name" :: x :: _ -> Some x
-    | _ :: rest -> after_name rest
-    | [] -> None
-  in
   let declared =
     match read_file (Filename.concat dir "dune") with
     | exception Sys_error _ -> None
-    | text ->
-        String.map (function '(' | ')' | '\n' | '\t' -> ' ' | c -> c) text
-        |> String.split_on_char ' '
-        |> List.filter (fun w -> w <> "")
-        |> after_name
+    | text -> Escape.library_name_of_dune text
   in
   String.capitalize_ascii
     (Option.value declared ~default:(Filename.basename dir))
@@ -201,16 +180,19 @@ let exported_values signature =
       | Parsetree.Psig_value vd ->
           let name = vd.Parsetree.pval_name.txt in
           (* Operators cannot be matched textually; leave them alone. *)
-          if name <> "" && is_ident_char name.[0] then
+          if name <> "" && Annot.is_ident_char name.[0] then
             Some (name, vd.Parsetree.pval_loc.Location.loc_start.Lexing.pos_lnum)
           else None
       | _ -> None)
     signature
 
 let unused_export ~parse_interface ~lib_dirs ~search_files =
-  (* Load every searchable file once. *)
+  (* Load every searchable file once, comments and literals blanked:
+     a name quoted in prose or data is not a caller. *)
   let corpus =
-    List.map (fun f -> (f, try read_file f with Sys_error _ -> "")) search_files
+    List.map
+      (fun f -> (f, try Annot.code_only (read_file f) with Sys_error _ -> ""))
+      search_files
   in
   (* Every interface once: (library dir, wrapper, mli, module, values). *)
   let interfaces =
@@ -226,7 +208,7 @@ let unused_export ~parse_interface ~lib_dirs ~search_files =
                   ( lib_dir,
                     wrapper,
                     mli,
-                    module_name_of_file mli,
+                    Escape.module_of_basename mli,
                     exported_values signature ))
           mli_files)
       lib_dirs

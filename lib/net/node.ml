@@ -1,10 +1,19 @@
+(* Addresses, groups and flows are small ints, so the per-hop tables
+   hash a key by plain arithmetic instead of calling the generic
+   [caml_hash].  No table is enumerated, so their order cannot leak. *)
+module Tbl = Hashtbl.Make (struct
+  type t = int
+  let equal = Int.equal
+  let hash a = a land max_int
+end)
+
 type t = {
   id : Packet.addr;
   pool : Packet.Pool.t;
-  routes : (Packet.addr, Link.t) Hashtbl.t;
-  mcast : (Packet.group, Link.t list ref) Hashtbl.t;
-  groups : (Packet.group, unit) Hashtbl.t;
-  handlers : (Packet.flow, Packet.t -> unit) Hashtbl.t;
+  routes : Link.t Tbl.t;
+  mcast : Link.t list Tbl.t;
+  groups : unit Tbl.t;
+  handlers : (Packet.t -> unit) Tbl.t;
   mutable undeliverable : int;
 }
 
@@ -12,36 +21,34 @@ let create ~pool id =
   {
     id;
     pool;
-    routes = Hashtbl.create 16;
-    mcast = Hashtbl.create 4;
-    groups = Hashtbl.create 4;
-    handlers = Hashtbl.create 8;
+    routes = Tbl.create 16;
+    mcast = Tbl.create 4;
+    groups = Tbl.create 4;
+    handlers = Tbl.create 8;
     undeliverable = 0;
   }
 
 let id t = t.id
 
-let set_route t ~dest link = Hashtbl.replace t.routes dest link
+let set_route t ~dest link = Tbl.replace t.routes dest link
 
-let route t ~dest = Hashtbl.find_opt t.routes dest
-
-let add_mcast_route t ~group link =
-  match Hashtbl.find_opt t.mcast group with
-  | None -> Hashtbl.replace t.mcast group (ref [ link ])
-  | Some links ->
-      if not (List.exists (fun l -> Link.id l = Link.id link) !links) then
-        links := !links @ [ link ]
+let route t ~dest = Tbl.find_opt t.routes dest
 
 let mcast_routes t ~group =
-  match Hashtbl.find_opt t.mcast group with None -> [] | Some l -> !l
+  Option.value (Tbl.find_opt t.mcast group) ~default:[]
 
-let join t ~group = Hashtbl.replace t.groups group ()
+let add_mcast_route t ~group link =
+  let links = mcast_routes t ~group in
+  if not (List.exists (fun l -> Link.id l = Link.id link) links) then
+    Tbl.replace t.mcast group (links @ [ link ])
 
-let joined t ~group = Hashtbl.mem t.groups group
+let join t ~group = Tbl.replace t.groups group ()
 
-let attach t ~flow handler = Hashtbl.replace t.handlers flow handler
+let joined t ~group = Tbl.mem t.groups group
 
-(* The per-packet lookups below use [Hashtbl.find] with an exception
+let attach t ~flow handler = Tbl.replace t.handlers flow handler
+
+(* The per-packet lookups below use [Tbl.find] with an exception
    case instead of [find_opt], so no [Some] cell is built per hop
    ([Not_found] is a constant exception; raising it allocates
    nothing). *)
@@ -50,7 +57,7 @@ let attach t ~flow handler = Hashtbl.replace t.handlers flow handler
    caller still owns the reference and releases (or forwards) it after
    the handler returns. *)
 let deliver_local t pkt =
-  match Hashtbl.find t.handlers pkt.Packet.flow with
+  match Tbl.find t.handlers pkt.Packet.flow with
   | handler -> handler pkt
   | exception Not_found -> t.undeliverable <- t.undeliverable + 1
 
@@ -81,23 +88,21 @@ let receive t pkt =
       deliver_local t pkt;
       Packet.Pool.release t.pool pkt
   | Packet.Unicast a -> (
-      match Hashtbl.find t.routes a with
+      match Tbl.find t.routes a with
       | link -> Link.send link pkt
       | exception Not_found ->
           t.undeliverable <- t.undeliverable + 1;
           Packet.Pool.release t.pool pkt)
   | Packet.Multicast g -> (
       if joined t ~group:g then deliver_local t pkt;
-      match Hashtbl.find t.mcast g with
+      match Tbl.find t.mcast g with
       | exception Not_found -> Packet.Pool.release t.pool pkt
-      | links -> (
-          match !links with
-          | [] -> Packet.Pool.release t.pool pkt
-          | [ link ] -> Link.send link pkt
-          | first :: rest ->
-              retain_per_branch pkt rest;
-              Link.send first pkt;
-              send_each pkt rest))
+      | [] -> Packet.Pool.release t.pool pkt
+      | [ link ] -> Link.send link pkt
+      | first :: rest ->
+          retain_per_branch pkt rest;
+          Link.send first pkt;
+          send_each pkt rest)
 
 (* Routes, multicast branches, group membership and flow handlers are
    topology wiring, rebuilt deterministically by the experiment setup;

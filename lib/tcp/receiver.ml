@@ -6,11 +6,8 @@ type t = {
   flow : Net.Packet.flow;
   peer : Net.Packet.addr;
   peer_unicast : Net.Packet.dest;  (* built once, not per ack *)
-  ooo : (int, unit) Hashtbl.t;  (* received above [expected] *)
-  mutable recent : int list;  (* representatives of recent ooo blocks *)
-  mutable expected : int;
+  reasm : Reassembly.t;
   mutable received_total : int;
-  mutable duplicates : int;
   window : window option;
   local_options : Options.t;  (* offered at SYN time *)
   mutable t0 : float;  (* application drain epoch *)
@@ -29,14 +26,6 @@ type t = {
 
 let received_total t = t.received_total
 
-let closed t = t.closed
-
-let rst_accepted t = t.rst_accepted
-
-let rst_challenged t = t.rst_challenged
-
-let rst_dropped t = t.rst_dropped
-
 let set_rst_strict t v = t.rst_strict <- v
 
 (* Honest senders never put data more than their configured window
@@ -48,7 +37,7 @@ let default_validation_window = 1024
 
 let validation_window t =
   match t.window with
-  | Some w -> Stdlib.max 1 w.capacity
+  | Some w -> Int.max 1 w.capacity
   | None -> default_validation_window
 
 (* The advertised-window field for the next ack: receive buffer minus
@@ -63,48 +52,21 @@ let rwnd_field t =
       let drained =
         int_of_float (w.app_rate *. (Net.Network.now t.net -. t.t0))
       in
-      let backlog = t.expected - Stdlib.min t.expected drained in
+      let expected = Reassembly.expected t.reasm in
+      let backlog = expected - Int.min expected drained in
       let avail =
-        Stdlib.max 0 (w.capacity - backlog - Hashtbl.length t.ooo)
+        Int.max 0 (w.capacity - backlog - Reassembly.held t.reasm)
       in
-      Stdlib.min (avail lsr t.wscale) Wire.rwnd_field_max
-
-(* The contiguous SACK block containing [seq] in the out-of-order set. *)
-let block_around t seq =
-  let lo = ref seq in
-  while Hashtbl.mem t.ooo (!lo - 1) do
-    decr lo
-  done;
-  let hi = ref (seq + 1) in
-  while Hashtbl.mem t.ooo !hi do
-    incr hi
-  done;
-  { Wire.block_lo = !lo; block_hi = !hi }
-
-(* A top-level loop rather than a local closure, so an ack with no
-   holes to report builds nothing at all. *)
-let rec build_blocks t acc seen = function
-  | [] -> List.rev acc
-  | _ when List.length acc >= Wire.max_sack_blocks -> List.rev acc
-  | rep :: rest ->
-      if rep < t.expected || not (Hashtbl.mem t.ooo rep) then
-        build_blocks t acc seen rest
-      else begin
-        let block = block_around t rep in
-        if List.mem block.Wire.block_lo seen then build_blocks t acc seen rest
-        else build_blocks t (block :: acc) (block.Wire.block_lo :: seen) rest
-      end
-
-let sack_blocks t = build_blocks t [] [] t.recent
+      Int.min (avail lsr t.wscale) Wire.rwnd_field_max
 
 let send_ack t ~echo ~ece =
-  let blocks = if t.sack_ok then sack_blocks t else [] in
+  let blocks = if t.sack_ok then Reassembly.blocks t.reasm else [] in
+  let cum_ack = Reassembly.expected t.reasm in
   let pkt =
     Net.Network.make_packet t.net ~flow:t.flow
       ~src:(Net.Node.id t.node) ~dst:t.peer_unicast ~size:Wire.ack_size
       ~payload:
-        (Wire.Tcp_ack
-           { cum_ack = t.expected; blocks; echo; ece; rwnd = rwnd_field t })
+        (Wire.Tcp_ack { cum_ack; blocks; echo; ece; rwnd = rwnd_field t })
   in
   Net.Network.send t.net pkt
 
@@ -114,27 +76,12 @@ let send_challenge_ack t =
   t.challenge_acks <- t.challenge_acks + 1;
   send_ack t ~echo:(-1.0) ~ece:false
 
-(* [List.filter (fun r -> r >= bound)] without the per-call closure;
-   an unchanged list comes back as itself, so the common in-order
-   arrival with no holes allocates nothing. *)
-let rec keep_from bound = function
-  | [] -> []
-  | r :: rest as l ->
-      let kept = keep_from bound rest in
-      if r < bound then kept else if kept == rest then l else r :: kept
-
-(* [List.filter (fun r -> r <> v)], the same way. *)
-let rec drop_value v = function
-  | [] -> []
-  | r :: rest as l ->
-      let kept = drop_value v rest in
-      if r = v then kept else if kept == rest then l else r :: kept
-
 let on_data t ~seq ~sent_at ~ecn =
   if not t.closed then begin
     t.received_total <- t.received_total + 1;
-    if seq < t.expected - validation_window t
-       || seq >= t.expected + validation_window t
+    let expected = Reassembly.expected t.reasm in
+    if seq < expected - validation_window t
+       || seq >= expected + validation_window t
     then begin
       (* Blind injection far outside the receive window: drop the
          payload, answer with a challenge ack (RFC 5961 §4 applied to
@@ -143,25 +90,7 @@ let on_data t ~seq ~sent_at ~ecn =
       send_challenge_ack t
     end
     else begin
-      if seq < t.expected || Hashtbl.mem t.ooo seq then
-        t.duplicates <- t.duplicates + 1
-      else if seq = t.expected then begin
-        t.expected <- t.expected + 1;
-        (* Absorb any buffered continuation. *)
-        while Hashtbl.mem t.ooo t.expected do
-          Hashtbl.remove t.ooo t.expected;
-          t.expected <- t.expected + 1
-        done;
-        t.recent <- keep_from t.expected t.recent
-      end
-      else begin
-        Hashtbl.replace t.ooo seq ();
-        t.recent <- seq :: drop_value seq t.recent;
-        (* Bound the representative list: one per possible block is enough. *)
-        if List.length t.recent > 4 * Wire.max_sack_blocks then
-          t.recent <-
-            List.filteri (fun i _ -> i < 4 * Wire.max_sack_blocks) t.recent
-      end;
+      Reassembly.accept t.reasm seq;
       send_ack t ~echo:sent_at ~ece:ecn
     end
   end
@@ -172,11 +101,12 @@ let on_data t ~seq ~sent_at ~ecn =
    RST attacks exploit); anything outside the window is dropped. *)
 let on_rst t ~seq =
   if not t.closed then begin
-    if seq = t.expected then begin
+    let expected = Reassembly.expected t.reasm in
+    if seq = expected then begin
       t.rst_accepted <- t.rst_accepted + 1;
       t.closed <- true
     end
-    else if seq > t.expected && seq < t.expected + validation_window t then
+    else if seq > expected && seq < expected + validation_window t then
       if t.rst_strict then begin
         t.rst_challenged <- t.rst_challenged + 1;
         send_challenge_ack t
@@ -240,14 +170,13 @@ type state = {
 }
 
 let capture t =
+  let r = Reassembly.capture t.reasm in
   {
-    s_ooo =
-      Hashtbl.fold (fun seq () acc -> seq :: acc) t.ooo []
-      |> List.sort Int.compare;
-    s_recent = t.recent;
-    s_expected = t.expected;
+    s_ooo = r.ooo;
+    s_recent = r.recent;
+    s_expected = r.expected;
     s_received_total = t.received_total;
-    s_duplicates = t.duplicates;
+    s_duplicates = r.duplicates;
     s_t0 = t.t0;
     s_wscale = t.wscale;
     s_sack_ok = t.sack_ok;
@@ -263,12 +192,14 @@ let capture t =
   }
 
 let restore t st =
-  Hashtbl.reset t.ooo;
-  List.iter (fun seq -> Hashtbl.replace t.ooo seq ()) st.s_ooo;
-  t.recent <- st.s_recent;
-  t.expected <- st.s_expected;
+  Reassembly.restore t.reasm
+    {
+      ooo = st.s_ooo;
+      recent = st.s_recent;
+      expected = st.s_expected;
+      duplicates = st.s_duplicates;
+    };
   t.received_total <- st.s_received_total;
-  t.duplicates <- st.s_duplicates;
   t.t0 <- st.s_t0;
   t.wscale <- st.s_wscale;
   t.sack_ok <- st.s_sack_ok;
@@ -298,11 +229,8 @@ let create ?window ?(wscale = 0) ?(rst_strict = true) ~net ~node ~flow ~peer ()
       flow;
       peer;
       peer_unicast = Net.Packet.Unicast peer;
-      ooo = Hashtbl.create 64;
-      recent = [];
-      expected = 0;
+      reasm = Reassembly.create ();
       received_total = 0;
-      duplicates = 0;
       window;
       local_options = Options.make ~mss:Wire.data_size ~wscale ~sack_ok:true;
       t0 = Net.Network.now net;

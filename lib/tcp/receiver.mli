@@ -41,20 +41,8 @@ val create :
 val received_total : t -> int
 (** Data packets that arrived (including duplicates). *)
 
-val closed : t -> bool
-(** An accepted RST tore the connection down; the endpoint goes
-    silent (no acks, no data processing). *)
-
 val set_rst_strict : t -> bool -> unit
 (** Toggle RFC 5961 RST validation (for legacy-stack experiments). *)
-
-val rst_accepted : t -> int
-
-val rst_challenged : t -> int
-(** In-window inexact RSTs answered with a challenge ack. *)
-
-val rst_dropped : t -> int
-(** RSTs outside the receive window, silently discarded. *)
 
 type state = {
   s_ooo : int list;  (** out-of-order set, ascending *)

@@ -109,15 +109,13 @@ val snapshot : t -> snapshot
 
 val receiver : t -> Receiver.t
 
-val ack_in_window : t -> cum_ack:int -> bool
-(** The ack-validation fast path: a cumulative ack is acceptable iff
-    it does not acknowledge data never sent ([cum_ack <= next_seq]).
-    Runs once per received ack before any scoreboard work; a failing
-    ack is counted in {!ghost_acks} and otherwise ignored, which is
-    what neutralises optimistic-ack forgery. *)
-
 val ghost_acks : t -> int
-(** Acks dropped by {!ack_in_window} validation. *)
+(** Acks dropped by the ack-validation fast path: a cumulative ack is
+    acceptable iff it does not acknowledge data never sent
+    ([cum_ack <= next_seq]).  The check runs once per received ack
+    before any scoreboard work; a failing ack is counted here and
+    otherwise ignored, which is what neutralises optimistic-ack
+    forgery. *)
 
 val completed_at : t -> float option
 (** For finite flows: when the last packet was cumulatively

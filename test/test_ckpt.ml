@@ -1089,7 +1089,7 @@ let test_hardened_endpoint_restore_at_half () =
     ((Tcp.Sender.capture tcp_ref).s_neg_wscale);
   Alcotest.(check bool) "persist probes sent" true
     ((Tcp.Sender.capture tcp_ref).s_zero_window_probes > 0);
-  Alcotest.(check int) "RST challenged" 1 (Tcp.Receiver.rst_challenged rcv_ref);
+  Alcotest.(check int) "RST challenged" 1 (Tcp.Receiver.capture rcv_ref).s_rst_challenged;
   Alcotest.(check int) "injection ghosted" 1 ((Tcp.Receiver.capture rcv_ref).s_ghost_data);
   (* ... and the restored run ends in the reference's exact state,
      receiver counters, estimator floats and pending event ids

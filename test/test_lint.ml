@@ -113,6 +113,16 @@ let test_unused_export_qualified () =
         (Filename.basename (Filename.dirname f.file)))
     unused
 
+let test_unused_export_prose () =
+  (* bin/ names Api.quoted only in comments, a nested comment, a string
+     and two quoted strings, none of which is a caller.  Api.live's one
+     use follows a '"' char literal, which opens no string. *)
+  let fs = run ~rules:[ "unused-export" ] [ fx (Filename.concat "prose" "lib") ] in
+  Alcotest.(check (list string)) "only Api.quoted" [ "Api.quoted" ]
+    (List.map
+       (fun (f : Lint.Finding.t) -> List.hd (String.split_on_char ' ' f.message))
+       fs)
+
 let test_ckpt_coverage () =
   let fs = run [ fx "ckpt_coverage" ] in
   (* Only uncovered.ml fires: covered.ml exports the pair, waived.ml
@@ -536,7 +546,8 @@ let test_hot_paths_are_annotated () =
      one of them, so are both ends of the event heap (the insert that
      sifts up and the root removal that sifts down), and so are both
      ends of a cross-shard hop (the portal's outbox push and the shared
-     import action). *)
+     import action), and so are the receivers' reassembly probe, insert
+     and SACK block builder. *)
   match existing_trees [ "lib" ] with
   | [] -> ()
   | trees ->
@@ -559,7 +570,14 @@ let test_hot_paths_are_annotated () =
       Alcotest.(check bool) "Mailbox.push is declared hot" true
         (declared "mailbox.ml" "push");
       Alcotest.(check bool) "Mailbox.import is declared hot" true
-        (declared "mailbox.ml" "import")
+        (declared "mailbox.ml" "import");
+      List.iter
+        (fun target ->
+          Alcotest.(check bool)
+            (Printf.sprintf "Reassembly.%s is declared hot" target)
+            true
+            (declared "reassembly.ml" target))
+        [ "mem"; "add"; "build" ]
 
 let test_adversary_is_domain_safe () =
   (* The hostile-workload subsystem must clear the same bar as the
@@ -648,6 +666,8 @@ let () =
           Alcotest.test_case "unused-export" `Quick test_unused_export;
           Alcotest.test_case "unused-export qualified by another library"
             `Quick test_unused_export_qualified;
+          Alcotest.test_case "unused-export ignores comments and literals"
+            `Quick test_unused_export_prose;
           Alcotest.test_case "ckpt-coverage" `Quick test_ckpt_coverage;
         ] );
       ( "escape",
