@@ -80,6 +80,11 @@ invariant-smoke: build
 	RLA_DEBUG_INVARIANTS=1 dune exec bin/rla_sim.exe -- scale --fanout 5 \
 	  --depth 3 --duration 4 > $(INV_DIR)/scale_dbg.txt
 	@cmp $(INV_DIR)/scale_plain.txt $(INV_DIR)/scale_dbg.txt
+	dune exec bin/rla_sim.exe -- scale --fanout 10 --depth 3 --duration 4 \
+	  > $(INV_DIR)/scale1k_plain.txt
+	RLA_DEBUG_INVARIANTS=1 dune exec bin/rla_sim.exe -- scale --fanout 10 \
+	  --depth 3 --duration 4 > $(INV_DIR)/scale1k_dbg.txt
+	@cmp $(INV_DIR)/scale1k_plain.txt $(INV_DIR)/scale1k_dbg.txt
 	@echo "invariant smoke OK (instrumented runs byte-identical)"
 
 # Checkpoint/restore byte-identity: an uninterrupted run, a run that

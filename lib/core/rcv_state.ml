@@ -1,7 +1,6 @@
 type t = {
   addr : Net.Packet.addr;
   params : Params.t;
-  session_start : float;
   board : Tcp.Scoreboard.t;
   srtt : Stats.Ewma.t;
   interval : Stats.Ewma.t;
@@ -16,7 +15,6 @@ let create ~addr ~params ~session_start ?(board_start = 0) () =
   {
     addr;
     params;
-    session_start;
     board = Tcp.Scoreboard.create ~start:board_start ();
     srtt = Stats.Ewma.create ~weight:params.Params.srtt_weight;
     interval = Stats.Ewma.create ~weight:params.Params.interval_ewma_weight;
@@ -79,9 +77,9 @@ type state = {
   s_active : bool;
 }
 
-let capture t =
+let capture t ~next_seq =
   {
-    s_board = Tcp.Scoreboard.capture t.board;
+    s_board = Tcp.Scoreboard.capture t.board ~next_seq;
     s_srtt = Stats.Ewma.capture t.srtt;
     s_interval = Stats.Ewma.capture t.interval;
     s_cperiod_start = t.cperiod_start;

@@ -1,11 +1,11 @@
 (** Sender-side view of one multicast receiver.
 
-    Holds everything the RLA sender keeps per receiver: a SACK
-    scoreboard for that receiver's acknowledgment stream, the smoothed
-    round-trip time [srtt_i], the congestion-period start used to group
-    losses within [2*srtt_i] into one congestion signal, and the EWMA
-    of congestion-signal intervals that drives the troubled-receiver
-    count (rule 6 of the algorithm). *)
+    Holds everything the RLA sender keeps per receiver: the SACK marks
+    of its acknowledgment stream (against the sender's [next_seq]), the
+    smoothed round-trip time [srtt_i], the congestion-period start used
+    to group losses within [2*srtt_i] into one signal, and the EWMA of
+    congestion-signal intervals that drives the troubled-receiver count
+    (rule 6 of the algorithm). *)
 
 type t
 
@@ -68,6 +68,6 @@ type state = {
   s_active : bool;
 }
 
-val capture : t -> state
+val capture : t -> next_seq:int -> state
 
 val restore : t -> state -> unit

@@ -1,10 +1,12 @@
 (** The Random Listening Algorithm sender (section 3.3 of the paper).
 
     One multicast sender feeding [N] receivers over a distribution
-    tree.  The sender keeps a SACK scoreboard per receiver; losses on a
-    branch within [2*srtt_i] of each other collapse into one congestion
-    signal; upon a congestion signal from a troubled receiver the
-    congestion window is halved
+    tree.  One send ring holds what receivers share per packet; each
+    receiver keeps only its SACK marks ({!Rcv_state}), so sending a
+    packet touches no receiver.  Losses on a branch within [2*srtt_i]
+    of each other collapse into one congestion signal; upon a
+    congestion signal from a troubled receiver the congestion window is
+    halved
 
     - deterministically, when no cut happened for
       [2 * awnd * srtt_i] seconds (the {e forced cut}), or

@@ -8,61 +8,83 @@
     Invariants on per-packet flags: [sacked] excludes [lost];
     [rexmitted] implies [lost].  The loss rule is the paper's: a packet
     P is lost once some packet with sequence number >= P + dupthresh
-    has been SACKed. *)
+    has been SACKed.
+
+    A TCP sender allocates sequence numbers on the board
+    ({!register_send}).  The RLA sender keeps one board per receiver
+    and passes its one [next_seq] to the transitions that take it, so
+    sending touches no board; the marks ring is allocated on the first
+    mark. *)
 
 type t
 
 val create : ?start:int -> unit -> t
 (** [start] (default 0) positions the board mid-stream: [high_ack],
     [next_seq] and the loss floor all begin there, and everything below
-    counts as already delivered.  A receiver that joins a running
-    multicast session gets a board aligned with the sender's current
-    sequence frontier. *)
+    counts as already delivered. *)
 
 val high_ack : t -> int
 (** Next packet the receiver expects cumulatively. *)
 
 val next_seq : t -> int
-(** Next new sequence number to allocate. *)
+(** Next new sequence number {!register_send} allocates. *)
 
 val register_send : t -> int
 (** Allocate and return the next new sequence number. *)
 
-(** The [_iter] variants below also call [f] on each affected sequence
-    number, ascending, instead of returning a list, so a per-ack caller
-    that allocates [f] once builds nothing per ack. *)
+val pipe : t -> int
+(** Estimate of packets currently in flight. *)
 
-val mark_sacked_iter : t -> lo:int -> hi:int -> (int -> unit) -> int
-(** SACK the half-open range, ignoring what lies at or below
-    [high_ack], reporting the newly SACKed sequence numbers and
-    returning their count.  The RLA sender needs them to maintain its
-    acked-by-all coverage counts without double counting. *)
+val accounted : t -> int
+(** [next_seq - accounted] is the pipe; sending leaves it alone. *)
 
-val advance_cum_iter : t -> int -> (int -> unit) -> int
+val in_flight_window : t -> int
+(** [next_seq - high_ack]: outstanding window including holes. *)
+
+val covers : t -> int -> bool
+(** Acknowledged cumulatively or by SACK. *)
+
+val reported : t -> int -> bool
+(** Covered, or lost. *)
+
+val is_lost : t -> int -> bool
+
+val needs_rexmit : t -> int -> bool
+(** Lost, and no retransmission of it outstanding. *)
+
+(** The transitions below call [f] on each sequence number they change,
+    ascending, instead of building a list, and return how many. *)
+
+val advance_cum : t -> next_seq:int -> int -> (int -> unit) -> int
 (** Process a cumulative ack ([ack] = next expected), reporting the
-    sequence numbers in the newly acknowledged range that had {e not}
-    been SACKed before (previously SACKed packets were already reported
-    by {!mark_sacked_iter}); returns how far the cumulative point moved,
-    0 for an ack below it. *)
+    newly acknowledged sequence numbers that had {e not} been SACKed
+    before; returns how far the cumulative point moved, 0 for an ack
+    below it. *)
 
-val detect_losses_iter : t -> dupthresh:int -> (int -> unit) -> int
-(** Mark the newly lost packets lost, report them (ascending) and
-    return how many there were. *)
+val sack : t -> next_seq:int -> lo:int -> hi:int -> (int -> unit) -> int
+(** SACK the half-open range, ignoring what lies below [high_ack],
+    reporting the newly SACKed sequence numbers. *)
+
+val detect_losses : t -> next_seq:int -> dupthresh:int -> (int -> unit) -> int
+(** Mark the newly lost packets lost and report them. *)
+
+val expire_rexmits : t -> next_seq:int -> before:float -> (int -> unit) -> unit
+(** Presume retransmissions sent strictly before [before] lost: clear
+    their retransmitted flags, making them eligible again. *)
 
 val process_ack :
   t -> cum_ack:int -> blocks:Wire.sack_block list -> dupthresh:int -> int
-(** One-call ack processing for the sender hot path: advance the
-    cumulative point, apply the SACK blocks (half-open
-    [[block_lo, block_hi)] ranges) and run loss detection, the same
-    transitions as the three [_iter] functions above in that order.
-    Returns the number of packets newly marked lost; allocates nothing.
-    The newly cumulatively acknowledged count is the change in
-    {!high_ack} across the call. *)
+(** One-call ack processing for the TCP sender hot path, against the
+    board's own [next_seq]: advance the cumulative point, apply the
+    SACK blocks (half-open [[block_lo, block_hi)] ranges) and run loss
+    detection, in that order.  Returns the number of packets newly
+    marked lost; allocates nothing.  The newly cumulatively
+    acknowledged count is the change in {!high_ack} across the call. *)
 
-val mark_all_lost : t -> int
+val mark_all_lost : t -> next_seq:int -> int
 (** Timeout handling: every outstanding unSACKed packet is marked lost
     and pending retransmissions are forgotten.  Returns the number
-    marked. *)
+    marked; allocates nothing. *)
 
 val next_retransmit : t -> int option
 (** Lowest lost packet not yet retransmitted. *)
@@ -72,29 +94,18 @@ val mark_retransmitted : ?at:float -> t -> int -> unit
     raises [Invalid_argument] unless it is currently lost and not
     already retransmitted. *)
 
-val expire_rexmits_iter : t -> before:float -> (int -> unit) -> unit
-(** Presume retransmissions sent strictly before [before] lost: clear
-    their retransmitted flags (making them eligible again) and report
-    their sequence numbers.  Converts a lost retransmission into a
-    quick re-request instead of a full timeout. *)
-
 val range_has_rexmit : t -> lo:int -> hi:int -> bool
 (** Does the window-clamped range [\[lo, hi)] contain a packet whose
     retransmission is still outstanding?  Karn's-algorithm callers ask
     this {e before} {!process_ack} (advancing the cumulative point
     clears the flags) to decide whether an RTT sample is ambiguous. *)
 
-val pipe : t -> int
-(** Estimate of packets currently in flight. *)
+val iter_sacked : t -> (int -> unit) -> unit
+(** SACKed sequence numbers at or above [high_ack], ascending. *)
 
-val in_flight_window : t -> int
-(** [next_seq - high_ack]: outstanding window including holes. *)
-
-val is_sacked : t -> int -> bool
-
-val is_lost : t -> int -> bool
-
-val is_rexmitted : t -> int -> bool
+val counts_agree : t -> next_seq:int -> bool
+(** Recount from scratch: counters match, flag invariants hold, pipe
+    not negative. *)
 
 type entry_state = {
   e_seq : int;
@@ -115,14 +126,14 @@ type state = {
   s_loss_floor : int;
 }
 
-val capture : t -> state
+val capture : t -> next_seq:int -> state
 
 val restore : t -> state -> unit
 
 module For_testing : sig
   (** The single transitions and the recount that the model-based
-      scoreboard tests drive step by step; the sender reaches them only
-      through process_ack, mark_all_lost and the iter variants. *)
+      scoreboard tests drive step by step, against the board's own
+      [next_seq]. *)
 
   val advance_cum : t -> int -> int
   (** [advance_cum t ack] processes a cumulative ack ([ack] = next
@@ -145,6 +156,5 @@ module For_testing : sig
   (** Highest packet ever SACKed, or -1. *)
 
   val check_invariants : t -> unit
-  (** Recompute counters from scratch and raise [Assert_failure] on
-      mismatch (test support). *)
+  (** {!counts_agree}, raising [Assert_failure] when it does not. *)
 end

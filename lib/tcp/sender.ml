@@ -345,7 +345,7 @@ and on_timeout t =
       probe_cut t;
       probe_flow t;
       Rto.backoff t.rto;
-      ignore (Scoreboard.mark_all_lost t.sb);
+      ignore (Scoreboard.mark_all_lost t.sb ~next_seq:(Scoreboard.next_seq t.sb));
       t.in_recovery <- false;
       t.recover_point <- Scoreboard.next_seq t.sb
     end;
@@ -585,7 +585,7 @@ type state = {
 
 let capture t =
   {
-    s_sb = Scoreboard.capture t.sb;
+    s_sb = Scoreboard.capture t.sb ~next_seq:(Scoreboard.next_seq t.sb);
     s_rto = Rto.capture t.rto;
     s_receiver = Receiver.capture t.receiver;
     s_cwnd = t.w.cwnd;

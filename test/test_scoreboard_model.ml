@@ -142,12 +142,16 @@ let agree sb model =
   check "pipe" (Tcp.Scoreboard.pipe sb) (Model.pipe model);
   check "highest_sacked" (Tcp.Scoreboard.For_testing.highest_sacked sb)
     model.Model.highest_sacked;
+  let entries = (Tcp.Scoreboard.capture sb ~next_seq:(Tcp.Scoreboard.next_seq sb)).s_entries in
+  let flag get seq =
+    List.exists (fun e -> e.Tcp.Scoreboard.e_seq = seq && get e) entries
+  in
   for seq = model.Model.high_ack to model.Model.next_seq - 1 do
-    if Tcp.Scoreboard.is_sacked sb seq <> Model.mem seq model.Model.sacked then begin
+    if flag (fun e -> e.e_sacked) seq <> Model.mem seq model.Model.sacked then begin
       ok := false;
       QCheck.Test.fail_reportf "sacked flag mismatch at %d" seq
     end;
-    if Tcp.Scoreboard.is_lost sb seq <> Model.mem seq model.Model.lost then begin
+    if flag (fun e -> e.e_lost) seq <> Model.mem seq model.Model.lost then begin
       ok := false;
       QCheck.Test.fail_reportf "lost flag mismatch at %d" seq
     end
@@ -187,7 +191,7 @@ let apply_both sb model op =
           true
       | _ -> false)
   | All_lost ->
-      ignore (Tcp.Scoreboard.mark_all_lost sb);
+      ignore (Tcp.Scoreboard.mark_all_lost sb ~next_seq:(Tcp.Scoreboard.next_seq sb));
       Model.mark_all_lost model;
       true
 

@@ -93,6 +93,18 @@ let test_rto_negative_sample () =
 (* Scoreboard                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* A packet's flag as the board's capture records it. *)
+let flag get sb seq =
+  List.exists
+    (fun e -> e.Tcp.Scoreboard.e_seq = seq && get e)
+    (Tcp.Scoreboard.capture sb ~next_seq:(Tcp.Scoreboard.next_seq sb)).s_entries
+
+let is_sacked = flag (fun e -> e.e_sacked)
+
+let is_lost = flag (fun e -> e.e_lost)
+
+let is_rexmitted = flag (fun e -> e.e_rexmitted)
+
 let sb_with_sends n =
   let sb = Tcp.Scoreboard.create () in
   for _ = 1 to n do
@@ -125,7 +137,7 @@ let test_sb_sack_reduces_pipe () =
   Alcotest.(check int) "pipe" 7 (Tcp.Scoreboard.pipe sb);
   Alcotest.(check int) "re-sack is idempotent" 0
     (Tcp.Scoreboard.For_testing.mark_sacked sb ~lo:4 ~hi:7);
-  Alcotest.(check bool) "is_sacked" true (Tcp.Scoreboard.is_sacked sb 5);
+  Alcotest.(check bool) "is_sacked" true (is_sacked sb 5);
   Alcotest.(check int) "highest_sacked" 6 (Tcp.Scoreboard.For_testing.highest_sacked sb)
 
 let test_sb_sack_below_high_ack_ignored () =
@@ -181,14 +193,14 @@ let test_sb_rexmit_guards () =
   Alcotest.(check bool) "double rexmit -> invalid" true
     (try Tcp.Scoreboard.mark_retransmitted sb 0; false
      with Invalid_argument _ -> true);
-  Alcotest.(check bool) "is_rexmitted" true (Tcp.Scoreboard.is_rexmitted sb 0)
+  Alcotest.(check bool) "is_rexmitted" true (is_rexmitted sb 0)
 
 let test_sb_sack_clears_lost () =
   let sb = sb_with_sends 6 in
   ignore (Tcp.Scoreboard.For_testing.mark_lost sb 0);
   ignore (Tcp.Scoreboard.For_testing.mark_sacked sb ~lo:0 ~hi:1);
-  Alcotest.(check bool) "no longer lost" false (Tcp.Scoreboard.is_lost sb 0);
-  Alcotest.(check bool) "sacked" true (Tcp.Scoreboard.is_sacked sb 0);
+  Alcotest.(check bool) "no longer lost" false (is_lost sb 0);
+  Alcotest.(check bool) "sacked" true (is_sacked sb 0);
   Alcotest.(check (option int)) "nothing to retransmit" None
     (Tcp.Scoreboard.next_retransmit sb);
   Tcp.Scoreboard.For_testing.check_invariants sb
@@ -198,15 +210,15 @@ let test_sb_mark_all_lost () =
   ignore (Tcp.Scoreboard.For_testing.mark_sacked sb ~lo:2 ~hi:3);
   ignore (Tcp.Scoreboard.For_testing.mark_lost sb 0);
   Tcp.Scoreboard.mark_retransmitted sb 0;
-  let marked = Tcp.Scoreboard.mark_all_lost sb in
+  let marked = Tcp.Scoreboard.mark_all_lost sb ~next_seq:(Tcp.Scoreboard.next_seq sb) in
   (* 0 was already lost, 2 is sacked: 1, 3, 4, 5 newly marked. *)
   Alcotest.(check int) "newly marked" 4 marked;
-  Alcotest.(check bool) "rexmit flag cleared" false (Tcp.Scoreboard.is_rexmitted sb 0);
+  Alcotest.(check bool) "rexmit flag cleared" false (is_rexmitted sb 0);
   Alcotest.(check (option int)) "rexmit restarts from 0" (Some 0)
     (Tcp.Scoreboard.next_retransmit sb);
   Tcp.Scoreboard.For_testing.check_invariants sb
 
-(* The sequence numbers an [_iter] scoreboard call reports, in order. *)
+(* The sequence numbers a reporting scoreboard call passes on, in order. *)
 let reported iter =
   let seqs = ref [] in
   ignore (iter (fun seq -> seqs := seq :: !seqs));
@@ -215,13 +227,13 @@ let reported iter =
 let test_sb_advance_cum_seqs_fresh_only () =
   let sb = sb_with_sends 5 in
   ignore (Tcp.Scoreboard.For_testing.mark_sacked sb ~lo:1 ~hi:2);
-  let fresh = reported (Tcp.Scoreboard.advance_cum_iter sb 3) in
+  let fresh = reported (Tcp.Scoreboard.advance_cum sb ~next_seq:5 3) in
   Alcotest.(check (list int)) "skips previously sacked" [ 0; 2 ] fresh
 
 let test_sb_mark_sacked_seqs () =
   let sb = sb_with_sends 5 in
   ignore (Tcp.Scoreboard.For_testing.mark_sacked sb ~lo:2 ~hi:3);
-  let fresh = reported (Tcp.Scoreboard.mark_sacked_iter sb ~lo:1 ~hi:4) in
+  let fresh = reported (Tcp.Scoreboard.sack sb ~next_seq:5 ~lo:1 ~hi:4) in
   Alcotest.(check (list int)) "only new seqs" [ 1; 3 ] fresh
 
 let test_sb_expire_rexmits () =
@@ -233,9 +245,9 @@ let test_sb_expire_rexmits () =
   Tcp.Scoreboard.mark_retransmitted ~at:20.0 sb 1;
   (* Only the rexmit from t=10 is stale at cutoff 15. *)
   Alcotest.(check (list int)) "stale rexmits" [ 0 ]
-    (reported (Tcp.Scoreboard.expire_rexmits_iter sb ~before:15.0));
-  Alcotest.(check bool) "flag cleared" false (Tcp.Scoreboard.is_rexmitted sb 0);
-  Alcotest.(check bool) "fresh one kept" true (Tcp.Scoreboard.is_rexmitted sb 1);
+    (reported (fun f -> Tcp.Scoreboard.expire_rexmits sb ~next_seq:8 ~before:15.0 f));
+  Alcotest.(check bool) "flag cleared" false (is_rexmitted sb 0);
+  Alcotest.(check bool) "fresh one kept" true (is_rexmitted sb 1);
   (* The expired packet is eligible again. *)
   Alcotest.(check (option int)) "re-eligible" (Some 0)
     (Tcp.Scoreboard.next_retransmit sb);
@@ -244,7 +256,27 @@ let test_sb_expire_rexmits () =
 let test_sb_expire_rexmits_empty () =
   let sb = sb_with_sends 4 in
   Alcotest.(check (list int)) "nothing to expire" []
-    (reported (Tcp.Scoreboard.expire_rexmits_iter sb ~before:100.0))
+    (reported (fun f -> Tcp.Scoreboard.expire_rexmits sb ~next_seq:4 ~before:100.0 f))
+
+(* A board whose [next_seq] is kept outside it, as the RLA sender keeps
+   its receivers' boards: sending moves the pipe without touching the
+   board, and a timeout marks the window lost without a mark per
+   packet. *)
+let test_sb_outside_next_seq () =
+  let sb = Tcp.Scoreboard.create () in
+  ignore (Tcp.Scoreboard.sack sb ~next_seq:6 ~lo:2 ~hi:3 ignore);
+  Alcotest.(check int) "pipe at next_seq 6" 5 (6 - Tcp.Scoreboard.accounted sb);
+  Alcotest.(check int) "newly lost" 5 (Tcp.Scoreboard.mark_all_lost sb ~next_seq:6);
+  Alcotest.(check (list bool)) "lost but the sacked one"
+    [ true; true; false; true; true; true ]
+    (List.init 6 (Tcp.Scoreboard.is_lost sb));
+  Alcotest.(check int) "nothing in flight" 6 (Tcp.Scoreboard.accounted sb);
+  Tcp.Scoreboard.mark_retransmitted ~at:1.5 sb 4;
+  let st = Tcp.Scoreboard.capture sb ~next_seq:6 in
+  Alcotest.(check (list (pair int (float 0.0)))) "entries and retransmit times"
+    [ (0, 0.0); (1, 0.0); (2, 0.0); (3, 0.0); (4, 1.5); (5, 0.0) ]
+    (List.map (fun e -> (e.Tcp.Scoreboard.e_seq, e.e_rexmit_time)) st.s_entries);
+  Alcotest.(check bool) "counts agree" true (Tcp.Scoreboard.counts_agree sb ~next_seq:6)
 
 let prop_sb_random_ops =
   (* Random sequences of operations never break the counter invariants
@@ -756,6 +788,7 @@ let () =
           Alcotest.test_case "expire rexmits" `Quick test_sb_expire_rexmits;
           Alcotest.test_case "expire rexmits empty" `Quick
             test_sb_expire_rexmits_empty;
+          Alcotest.test_case "next_seq kept outside" `Quick test_sb_outside_next_seq;
           QCheck_alcotest.to_alcotest prop_sb_random_ops;
         ] );
       ( "endpoints",
