@@ -284,31 +284,51 @@ let probe_cut t ~forced =
 
 (* --- troubled receivers and the cut probability ------------------- *)
 
+(* The per-signal folds over the active receivers are typed loops; the
+   clamps are [Stdlib.min]'s and [Stdlib.max]'s definitions on floats
+   ([if a <= b then a else b], [if a >= b then a else b]). *)
 let min_signal_interval t =
-  fold_active t
-    (fun acc r -> Stdlib.min acc (Rcv_state.mean_signal_interval r ~now:(now t)))
-    infinity
+  let now = now t and least = ref infinity in
+  for i = 0 to Array.length t.rcvrs - 1 do
+    let r = t.rcvrs.(i) in
+    if Rcv_state.active r then begin
+      let v = Rcv_state.mean_signal_interval r ~now in
+      least := if !least <= v then !least else v
+    end
+  done;
+  !least
 
+(* Sets [num_trouble] and returns the largest srtt, in one pass. *)
 let count_troubled t ~min_interval =
-  let count =
-    fold_active t
-      (fun acc r ->
-        if
-          Rcv_state.is_troubled r ~now:(now t) ~min_interval
-            ~eta:t.params.Params.eta
-        then acc + 1
-        else acc)
-      0
-  in
-  t.num_trouble <- Stdlib.max 1 count
+  let now = now t and eta = t.params.Params.eta in
+  let count = ref 0 and top = ref 0.0 in
+  for i = 0 to Array.length t.rcvrs - 1 do
+    let r = t.rcvrs.(i) in
+    if Rcv_state.active r then begin
+      if Rcv_state.is_troubled r ~now ~min_interval ~eta then incr count;
+      let srtt = Rcv_state.srtt r in
+      top := if !top >= srtt then !top else srtt
+    end
+  done;
+  t.num_trouble <- Int.max 1 !count;
+  !top
 
 let recount_troubled t =
   match t.params.Params.trouble_counting with
-  | Params.All_receivers -> t.num_trouble <- Stdlib.max 1 t.n_active
-  | Params.Dynamic -> count_troubled t ~min_interval:(min_signal_interval t)
+  | Params.All_receivers -> t.num_trouble <- Int.max 1 t.n_active
+  | Params.Dynamic ->
+      ignore (count_troubled t ~min_interval:(min_signal_interval t) : float)
 
 let max_srtt t =
-  fold_active t (fun acc r -> Stdlib.max acc (Rcv_state.srtt r)) 0.0
+  let top = ref 0.0 in
+  for i = 0 to Array.length t.rcvrs - 1 do
+    let r = t.rcvrs.(i) in
+    if Rcv_state.active r then begin
+      let srtt = Rcv_state.srtt r in
+      top := if !top >= srtt then !top else srtt
+    end
+  done;
+  !top
 
 (* [session_srtt] is [max_srtt t], folded once by the caller. *)
 let pthresh t ~session_srtt r =
@@ -548,43 +568,45 @@ let[@inline never] record_rtt t r sample =
   Stats.Welford.add !(t.rtt_acks) sample;
   Tcp.Rto.sample t.rto sample
 
-(* The O(n) aggregates (signal-interval minimum, session srtt) are
-   folded once per signal and shared by every rule that reads them. *)
+(* The rate-based cut of a receiver that acts on its signal;
+   [session_srtt] is [max_srtt t]. *)
+let cut_on_signal t r ~session_srtt =
+  (* The horizon guards the session-wide cut cadence, so it uses the
+     session round-trip time (the largest branch srtt); keying it on
+     the signaling receiver's srtt would let a nearby receiver force
+     cuts an order of magnitude too often on heterogeneous trees
+     (the paper observes zero forced cuts in its figure-10 runs). *)
+  let horizon =
+    t.params.Params.forced_cut_factor *. Stats.Ewma.value t.awnd
+    *. Stdlib.max (Rcv_state.srtt r) session_srtt
+  in
+  let do_cut ~forced =
+    t.window_cuts <- t.window_cuts + 1;
+    if forced then t.forced_cuts <- t.forced_cuts + 1;
+    halved_ssthresh t;
+    set_cwnd t t.ssthresh;
+    probe_cut t ~forced;
+    t.last_window_cut <- now t
+  in
+  if now t -. t.last_window_cut > horizon then do_cut ~forced:true
+  else if Sim.Rng.uniform t.rng <= pthresh t ~session_srtt r then
+    do_cut ~forced:false
+
+(* The O(n) aggregates (signal-interval minimum, then the troubled count
+   and session srtt together) are two passes per signal, shared by every
+   rule that reads them. *)
 let congestion_action t r =
-  let acts =
-    match t.params.Params.trouble_counting with
-    | Params.All_receivers ->
-        recount_troubled t;
-        true
-    | Params.Dynamic ->
-        let min_interval = min_signal_interval t in
-        count_troubled t ~min_interval;
+  match t.params.Params.trouble_counting with
+  | Params.All_receivers ->
+      recount_troubled t;
+      cut_on_signal t r ~session_srtt:(max_srtt t)
+  | Params.Dynamic ->
+      let min_interval = min_signal_interval t in
+      let session_srtt = count_troubled t ~min_interval in
+      if
         Rcv_state.is_troubled r ~now:(now t) ~min_interval
           ~eta:t.params.Params.eta
-  in
-  if acts then begin
-    let session_srtt = max_srtt t in
-    (* The horizon guards the session-wide cut cadence, so it uses the
-       session round-trip time (the largest branch srtt); keying it on
-       the signaling receiver's srtt would let a nearby receiver force
-       cuts an order of magnitude too often on heterogeneous trees
-       (the paper observes zero forced cuts in its figure-10 runs). *)
-    let horizon =
-      t.params.Params.forced_cut_factor *. Stats.Ewma.value t.awnd
-      *. Stdlib.max (Rcv_state.srtt r) session_srtt
-    in
-    let do_cut ~forced =
-      t.window_cuts <- t.window_cuts + 1;
-      if forced then t.forced_cuts <- t.forced_cuts + 1;
-      halved_ssthresh t;
-      set_cwnd t t.ssthresh;
-      probe_cut t ~forced;
-      t.last_window_cut <- now t
-    in
-    if now t -. t.last_window_cut > horizon then do_cut ~forced:true
-    else if Sim.Rng.uniform t.rng <= pthresh t ~session_srtt r then
-      do_cut ~forced:false
-  end
+      then cut_on_signal t r ~session_srtt
 
 (* Under [Sim.Invariant.enabled], after every ack: the address index,
    the acknowledging receiver's counts against its marks, and every

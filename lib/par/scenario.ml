@@ -129,20 +129,9 @@ let merged_registry_json eng =
 
 let merged_trace_csv eng =
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf "time,flow,cwnd,bytes_acked\n";
+  Buffer.add_string buf Runner.Report.flow_csv_header;
   for i = 0 to Engine.shards eng - 1 do
-    match Engine.shard_registry eng i with
-    | None -> ()
-    | Some reg ->
-        let b = Buffer.create 1024 in
-        let fmt = Format.formatter_of_buffer b in
-        Runner.Report.flow_series_csv fmt reg;
-        Format.pp_print_flush fmt ();
-        let s = Buffer.contents b in
-        (* Every shard emits the same header line; keep only ours. *)
-        (match String.index_opt s '\n' with
-        | Some j -> Buffer.add_substring buf s (j + 1) (String.length s - j - 1)
-        | None -> ())
+    Option.iter (Runner.Report.add_flow_rows buf) (Engine.shard_registry eng i)
   done;
   Buffer.contents buf
 

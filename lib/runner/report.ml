@@ -37,18 +37,6 @@ let write_file ~path json =
 
 (* --- observability exports ------------------------------------------ *)
 
-(* A float array as one pre-rendered fragment: the document holds one
-   string per array rather than a node per sample. *)
-let float_array xs =
-  let buf = Buffer.create ((20 * Array.length xs) + 2) in
-  Buffer.add_char buf '[';
-  for i = 0 to Array.length xs - 1 do
-    if i > 0 then Buffer.add_char buf ',';
-    Json.add_float buf xs.(i)
-  done;
-  Buffer.add_char buf ']';
-  Json.Verbatim (Buffer.contents buf)
-
 let series_json s =
   Json.Obj
     [
@@ -56,8 +44,8 @@ let series_json s =
       ("samples", Json.Int (Obs.Series.length s));
       ("offered", Json.Int (Obs.Series.offered s));
       ("stride", Json.Int (Obs.Series.stride s));
-      ("times", float_array (Obs.Series.times s));
-      ("values", float_array (Obs.Series.values s));
+      ("times", Json.Floats (Obs.Series.times s));
+      ("values", Json.Floats (Obs.Series.values s));
     ]
 
 let registry_json reg =
@@ -80,12 +68,8 @@ let registry_json reg =
    sample times coincide (see [Obs.Series]); zipping by index is exact.
    Flows appear in registry creation order and samples in time order,
    both deterministic, so the same seed yields byte-identical output.
-   The rows are rendered into a buffer ("%.6f,%s,%.6f,%.0f" each) and
-   handed to [ppf] as one string; the final flush leaves [ppf] as the
-   per-row newlines of [Format] would. *)
-let flow_series_csv ppf reg =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "time,flow,cwnd,bytes_acked\n";
+   Each row is "%.6f,%s,%.6f,%.0f". *)
+let add_flow_rows buf reg =
   List.iter
     (fun s ->
       let name = Obs.Series.name s in
@@ -110,7 +94,16 @@ let flow_series_csv ppf reg =
                 Json.add_fixed buf 0 bs.(i);
                 Buffer.add_char buf '\n'
               done))
-    (Obs.Registry.all_series reg);
+    (Obs.Registry.all_series reg)
+
+let flow_csv_header = "time,flow,cwnd,bytes_acked\n"
+
+(* The rows go to [ppf] as one string; the final flush leaves [ppf] as
+   the per-row newlines of [Format] would. *)
+let flow_series_csv ppf reg =
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf flow_csv_header;
+  add_flow_rows buf reg;
   Format.pp_print_string ppf (Buffer.contents buf);
   Format.pp_print_flush ppf ()
 

@@ -66,8 +66,9 @@ val registry_json : Obs.Registry.t -> Json.t
     "series": [{"name", "samples", "offered", "stride", "times",
     "values"}, ...]}].  Enumeration order is creation order, so the
     same seed yields byte-identical documents.  Each [times] and
-    [values] array is one pre-rendered {!Json.Verbatim} fragment,
-    serialized exactly as a [List] of [Float]s would be. *)
+    [values] array is a {!Json.Floats} node, so a series whose times
+    repeat an earlier series' bit for bit (a flow's sibling probes) is
+    rendered once and copied. *)
 
 val flow_series_csv : Format.formatter -> Obs.Registry.t -> unit
 (** Figure-7/8/9-style per-flow trace: a [time,flow,cwnd,bytes_acked]
@@ -76,3 +77,11 @@ val flow_series_csv : Format.formatter -> Obs.Registry.t -> unit
     guarantee the pair is sampled at identical times).  Rows are
     grouped by flow in creation order, time-ascending within a flow;
     deterministic for a fixed seed. *)
+
+val flow_csv_header : string
+(** ["time,flow,cwnd,bytes_acked\n"], the first line of
+    {!flow_series_csv}. *)
+
+val add_flow_rows : Buffer.t -> Obs.Registry.t -> unit
+(** Appends the rows of {!flow_series_csv}, without its header, so that
+    several registries' rows can share one buffer. *)

@@ -367,20 +367,70 @@ let tiny_floats =
       let x = Float.ldexp (1.0 +. frac) (-1022 + (i mod 988)) in
       if i land 1 = 0 then x else -.x)
 
+(* Words allocated in either heap while [f] runs: a buffer of more than
+   256 words goes straight to the major heap, which [Gc.minor_words]
+   does not see. *)
+let heap_words_during f =
+  let minor0, promoted0, major0 = Gc.counters () in
+  f ();
+  let minor1, promoted1, major1 = Gc.counters () in
+  minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+
+(* Allocated words per output byte of [Json.to_string doc]. *)
+let words_per_output_byte doc =
+  ignore (Runner.Json.to_string doc);
+  let out = ref "" in
+  let overhead = heap_words_during ignore in
+  let w = heap_words_during (fun () -> out := Runner.Json.to_string doc) in
+  (w -. overhead) /. float_of_int (String.length !out)
+
 let test_export_floats () =
-  (* The JSON form (Runner.Json.Float) over the printing kernel's
-     domain, [1e-10, 1e15) and the normals below 1e-10, and the trace
-     CSV's %.6f and %.0f columns over [2^-9, 2^30), where both take the
-     kernel too: digits go straight into the buffer, with no string,
-     tuple, limb array or scratch bytes per float. *)
-  Alcotest.(check (float 0.0)) "JSON words per float" 0.0
-    (render_words Runner.Json.add_float
-       (floats ~lo:(-33) ~hi:48 @ tiny_floats));
+  (* The JSON form over the printing kernel's domain, [1e-10, 1e15) and
+     the normals below 1e-10, rendered by [to_string] straight into its
+     output buffer, and the trace CSV's %.6f and %.0f columns over
+     [2^-9, 2^30), where both take the kernel too: digits go straight
+     into the buffer, with no string, tuple, limb array or scratch bytes
+     per float.  The JSON document allocates only its output buffer (at
+     most 25 bytes per float) and the result string: 0.26121 words per
+     output byte measured, where one boxed float per number would add
+     about 0.1. *)
+  check_at_most "JSON words per output byte" ~bound:0.2613
+    (words_per_output_byte
+       (Runner.Json.Floats
+          (Array.of_list (floats ~lo:(-33) ~hi:48 @ tiny_floats))));
   let csv = floats ~lo:(-9) ~hi:29 in
   Alcotest.(check (float 0.0)) "%.6f words per float" 0.0
     (render_words (fun buf f -> Runner.Json.add_fixed buf 6 f) csv);
   Alcotest.(check (float 0.0)) "%.0f words per float" 0.0
     (render_words (fun buf f -> Runner.Json.add_fixed buf 0 f) csv)
+
+(* The registry export's memory: [Json.to_string] of a document holding
+   one array of 10^5 floats allocates its output buffer, sized up front
+   at no more than 25 bytes per float (bounds of 10, 19 and 24 bytes and
+   a comma), and the result string, plus a constant for the repeat
+   table.  Measured 0.26545 words per output byte (19.5 bytes per
+   float); rendering the array to a string first and then into a
+   buffer that doubles, as the registry export did before, measured
+   0.6192. *)
+let test_document_memory () =
+  let n = 100_000 in
+  let a =
+    Array.init n (fun i ->
+        if i mod 10 = 0 then float_of_int (i * 7919)
+        else
+          let frac = float_of_int (i * 7919 mod 10_007) /. 10_007. in
+          let x = Float.ldexp (1.0 +. frac) (-33 + (i mod 82)) in
+          if i land 1 = 0 then x else -.x)
+  in
+  let doc = Runner.Json.Obj [ ("times", Runner.Json.Floats a) ] in
+  let len = String.length (Runner.Json.to_string doc) in
+  let per_byte = words_per_output_byte doc in
+  let words = per_byte *. float_of_int len in
+  let one_buffer = float_of_int (((25 * n) + 64) / 8) +. 2.0
+  and result = float_of_int (len / 8) +. 2.0 in
+  check_at_most "words beyond one buffer and the result" ~bound:200.0
+    (words -. one_buffer -. result);
+  check_at_most "words per output byte" ~bound:0.2655 per_byte
 
 let () =
   Alcotest.run "alloc"
@@ -402,5 +452,8 @@ let () =
             test_sender_words_per_receiver;
         ] );
       ( "export",
-        [ Alcotest.test_case "float printing" `Quick test_export_floats ] );
+        [
+          Alcotest.test_case "float printing" `Quick test_export_floats;
+          Alcotest.test_case "document memory" `Quick test_document_memory;
+        ] );
     ]

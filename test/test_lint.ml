@@ -547,7 +547,7 @@ let test_hot_paths_are_annotated () =
      sifts up and the root removal that sifts down), and so are both
      ends of a cross-shard hop (the portal's outbox push and the shared
      import action), and so are the receivers' reassembly probe, insert
-     and SACK block builder. *)
+     and SACK block builder, and both export printing kernels. *)
   match existing_trees [ "lib" ] with
   | [] -> ()
   | trees ->
@@ -577,7 +577,14 @@ let test_hot_paths_are_annotated () =
             (Printf.sprintf "Reassembly.%s is declared hot" target)
             true
             (declared "reassembly.ml" target))
-        [ "mem"; "add"; "build" ]
+        [ "mem"; "add"; "build" ];
+      List.iter
+        (fun target ->
+          Alcotest.(check bool)
+            (Printf.sprintf "Json.%s is declared hot" target)
+            true
+            (declared "json.ml" target))
+        [ "float_kernel"; "fixed_kernel" ]
 
 let test_adversary_is_domain_safe () =
   (* The hostile-workload subsystem must clear the same bar as the

@@ -169,13 +169,17 @@ let fixed_csv decimals f =
   Runner.Json.add_fixed buf decimals f;
   Buffer.contents buf
 
-(* Ten classes: random bit patterns, subnormals, log-uniform over
+(* Fifteen classes: random bit patterns, subnormals, log-uniform over
    [1e-10, 1e15) and, either sign, over the normals below 1e-10 (random
    significand, binary exponent uniform in [-1022, -35]), decimals of 1
    to 17 digits k·10^j (where the short forms win) and their two
    neighbours, 10^U(-12,18), neighbours of powers of two (where the
-   rounding interval is lopsided), and negatives of the [1e-10, 1e15)
-   class. *)
+   rounding interval is lopsided), negatives of the [1e-10, 1e15)
+   class, and the values an exported trace holds: simulated times as
+   running sums of small increments (random ones, and a fixed step
+   added k times, as a sampling clock does), integral values up to
+   [1e15] with their edges ([-0.0], [±(1e15 - 1)], [1e15]), and the two
+   neighbours of each integral value. *)
 let gen_float =
   let open QCheck.Gen in
   let short_decimal =
@@ -211,6 +215,35 @@ let gen_float =
           (Int64.add (Int64.bits_of_float (Float.ldexp 1.0 k)) (Int64.of_int d)))
       (int_range (-1074) 1023) (int_range (-2) 2)
   in
+  let running_sum =
+    map
+      (List.fold_left ( +. ) 0.0)
+      (list_size (int_range 1 400) (float_range 0.0 0.05))
+  in
+  let clock =
+    map2
+      (fun step k ->
+        let t = ref 0.0 in
+        for _ = 1 to k do
+          t := !t +. step
+        done;
+        !t)
+      (oneofl [ 0.1; 0.01; 0.001; 0.05; 0.2; 1.0 /. 3.0 ])
+      (int_range 1 5_000)
+  in
+  let integral =
+    oneof
+      [
+        map float_of_int (int_range (-1_000_000) 1_000_000);
+        map float_of_int
+          (int_range (-999_999_999_999_999) 999_999_999_999_999);
+        oneofl
+          [
+            0.0; -0.0; 999_999_999_999_999.0; -999_999_999_999_999.0; 1e15;
+            -1e15;
+          ];
+      ]
+  in
   oneof
     [
       map Int64.float_of_bits int64;
@@ -223,13 +256,78 @@ let gen_float =
       map (fun x -> 10. ** x) (float_range (-12.) 18.);
       near_power_of_two;
       map Float.neg in_domain;
+      running_sum;
+      clock;
+      integral;
+      map Float.succ integral;
+      map Float.pred integral;
     ]
 
 let prop_float_matches_reference =
   QCheck.Test.make ~name:"float emitter matches the 17-probe reference"
-    ~count:20_000
+    ~count:100_000
     (QCheck.make ~print:(Printf.sprintf "%h") gen_float)
     (fun f -> String.equal (float_json f) (reference_float_repr f))
+
+(* A document whose float arrays repeat one another renders as it does
+   with every array rendered on its own: bit-equal copies (and the same
+   array twice) are copied from the first rendering, while arrays that
+   differ only in the sign of a zero or in a NaN payload are not taken
+   for copies. *)
+let prop_repeated_arrays =
+  let open QCheck.Gen in
+  let other_nan = Int64.float_of_bits 0x7FF0_0000_0000_0001L in
+  let variant a = function
+    | 0 -> a
+    | 1 -> Array.copy a
+    | 2 -> Array.map (fun f -> if f = 0.0 then -.f else f) a
+    | _ -> Array.map (fun f -> if Float.is_nan f then other_nan else f) a
+  in
+  let base =
+    array_size (int_range 0 12)
+      (oneof [ gen_float; oneofl [ 0.0; -0.0; Float.nan; other_nan; 1.5 ] ])
+  in
+  let doc =
+    list_size (int_range 1 4) base >>= fun bases ->
+    let bases = Array.of_list bases in
+    list_size (int_range 1 10)
+      (map2
+         (fun i v -> variant bases.(i mod Array.length bases) v)
+         (int_bound 100) (int_bound 3))
+  in
+  QCheck.Test.make ~name:"repeated arrays render as if rendered apart"
+    ~count:2_000
+    (QCheck.make
+       ~print:(fun arrays ->
+         String.concat " | "
+           (List.map
+              (fun a ->
+                String.concat ","
+                  (Array.to_list (Array.map (Printf.sprintf "%h") a)))
+              arrays))
+       doc)
+    (fun arrays ->
+      let apart =
+        "["
+        ^ String.concat ","
+            (List.map
+               (fun a -> Runner.Json.to_string (Runner.Json.Floats a))
+               arrays)
+        ^ "]"
+      and as_list =
+        Runner.Json.to_string
+          (Runner.Json.List
+             (List.map
+                (fun a ->
+                  Runner.Json.List
+                    (Array.to_list (Array.map (fun f -> Runner.Json.Float f) a)))
+                arrays))
+      in
+      let together =
+        Runner.Json.to_string
+          (Runner.Json.List (List.map (fun a -> Runner.Json.Floats a) arrays))
+      in
+      String.equal together apart && String.equal together as_list)
 
 (* The trace CSV's "%.6f" (times, cwnd) and "%.0f" (bytes) columns. *)
 let prop_fixed_matches_printf =
@@ -454,6 +552,7 @@ let () =
           Alcotest.test_case "emitter" `Quick test_json_emitter;
           Alcotest.test_case "float roundtrip" `Quick test_json_float_roundtrip;
           QCheck_alcotest.to_alcotest prop_float_matches_reference;
+          QCheck_alcotest.to_alcotest prop_repeated_arrays;
           QCheck_alcotest.to_alcotest prop_fixed_matches_printf;
           Alcotest.test_case "float edge cases" `Quick test_float_edge_cases;
           Alcotest.test_case "float exponent boundaries" `Quick
